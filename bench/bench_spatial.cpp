@@ -2,8 +2,9 @@
 //
 // The compactor's constraint generation, the DRC spacing/enclosure checks
 // and the connectivity extractor were all O(n²) rectangle scans; each now
-// enumerates candidates through geom::SpatialIndex.  This bench times both
-// engines of every consumer on synthetic layouts up to ~10⁴ shapes,
+// enumerates candidates through geom::SpatialIndex, and the scans live on
+// as test-only oracles (tests/oracle/spatial.h).  This bench times each
+// consumer against its oracle on synthetic layouts up to ~10⁴ shapes,
 // verifies the results are identical (the determinism contract — the
 // indexed engine is not allowed to trade accuracy for speed), checks the
 // ≥5x speedup requirement at the largest size, and emits the raw numbers
@@ -21,6 +22,7 @@
 #include "db/connectivity.h"
 #include "drc/drc.h"
 #include "obs/stats_writer.h"
+#include "oracle/spatial.h"
 #include "tech/builtin.h"
 
 using namespace amg;
@@ -117,9 +119,8 @@ void benchDrc(int side) {
   const auto vi = drc::check(m, opt);
   record("drc", m.shapeCount(), "indexed", msSince(t0));
 
-  opt.bruteForce = true;
   t0 = std::chrono::steady_clock::now();
-  const auto vb = drc::check(m, opt);
+  const auto vb = oracle::bruteCheck(m, opt);
   record("drc", m.shapeCount(), "brute", msSince(t0));
 
   bool same = vi.size() == vb.size();
@@ -133,11 +134,11 @@ void benchConnectivity(int side) {
   const db::Module m = gridModule(side);
 
   auto t0 = std::chrono::steady_clock::now();
-  const db::Connectivity ci(m, db::Connectivity::Engine::Indexed);
+  const db::Connectivity ci(m);
   record("connectivity", m.shapeCount(), "indexed", msSince(t0));
 
   t0 = std::chrono::steady_clock::now();
-  const db::Connectivity cb(m, db::Connectivity::Engine::BruteForce);
+  const oracle::BruteConnectivity cb(m);
   record("connectivity", m.shapeCount(), "brute", msSince(t0));
 
   checkIdentical(ci.componentCount() == cb.componentCount() &&
@@ -151,22 +152,19 @@ void benchCompactor(int tiles, int k) {
   for (int i = 0; i < tiles; ++i) objs.push_back(tileObject(k, i, cols));
   const std::size_t n = static_cast<std::size_t>(tiles) * k * k;
 
-  // Both engines drive the same successive-compaction session; only the
-  // pair enumeration differs (the brute session keeps no index at all).
-  auto run = [&](compact::Engine engine, db::Module& out) {
-    compact::Options opt;
-    opt.engine = engine;
-    const auto t0 = std::chrono::steady_clock::now();
-    compact::Compactor session(out, opt);
-    for (int i = 0; i < tiles; ++i)
-      session.compact(objs[static_cast<std::size_t>(i)], Dir::South);
-    return msSince(t0);
-  };
-
+  // The indexed side is a successive-compaction session; the oracle runs
+  // the same steps with all-pairs scans and keeps no index at all.
   db::Module mi(T(), "t");
-  record("compactor", n, "indexed", run(compact::Engine::Indexed, mi));
+  auto t0 = std::chrono::steady_clock::now();
+  compact::Compactor session(mi);
+  for (int i = 0; i < tiles; ++i)
+    session.compact(objs[static_cast<std::size_t>(i)], Dir::South);
+  record("compactor", n, "indexed", msSince(t0));
   db::Module mb(T(), "t");
-  record("compactor", n, "brute", run(compact::Engine::BruteForce, mb));
+  t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < tiles; ++i)
+    oracle::bruteCompact(mb, objs[static_cast<std::size_t>(i)], Dir::South);
+  record("compactor", n, "brute", msSince(t0));
 
   bool same = identicalModules(mi, mb);
   if (tiles <= 64) {
@@ -239,22 +237,21 @@ void BM_DrcBrute(benchmark::State& state) {
   const db::Module m = gridModule(static_cast<int>(state.range(0)));
   drc::CheckOptions opt;
   opt.latchUp = false;
-  opt.bruteForce = true;
-  for (auto _ : state) benchmark::DoNotOptimize(drc::check(m, opt));
+  for (auto _ : state) benchmark::DoNotOptimize(oracle::bruteCheck(m, opt));
 }
 BENCHMARK(BM_DrcBrute)->Arg(23)->Arg(45)->Unit(benchmark::kMillisecond);
 
 void BM_ConnectivityIndexed(benchmark::State& state) {
   const db::Module m = gridModule(static_cast<int>(state.range(0)));
   for (auto _ : state)
-    benchmark::DoNotOptimize(db::Connectivity(m, db::Connectivity::Engine::Indexed));
+    benchmark::DoNotOptimize(db::Connectivity(m));
 }
 BENCHMARK(BM_ConnectivityIndexed)->Arg(23)->Arg(45)->Unit(benchmark::kMillisecond);
 
 void BM_ConnectivityBrute(benchmark::State& state) {
   const db::Module m = gridModule(static_cast<int>(state.range(0)));
   for (auto _ : state)
-    benchmark::DoNotOptimize(db::Connectivity(m, db::Connectivity::Engine::BruteForce));
+    benchmark::DoNotOptimize(oracle::BruteConnectivity(m));
 }
 BENCHMARK(BM_ConnectivityBrute)->Arg(23)->Arg(45)->Unit(benchmark::kMillisecond);
 

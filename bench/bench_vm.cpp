@@ -1,7 +1,9 @@
 // E13: bytecode VM vs the tree-walking interpreter.
 //
-// Two workloads, both cold in the bench_batch sense (no layout cache —
-// every run executes the script on a fresh Interpreter):
+// The tree walker is the test-only oracle (tests/oracle/tree_interp.h);
+// production runs the VM alone.  Two workloads, both cold in the
+// bench_batch sense (no layout cache — every run executes the script on a
+// fresh interpreter):
 //
 //   * library: one cold entity evaluation against a realistic module
 //     library (~120 lines, 18 entities — the paper's own module is "about
@@ -10,9 +12,10 @@
 //     lex+parse+compile a one-off while the tree walker re-parses every
 //     job, and slot-indexed locals plus fused FOR opcodes run the sizing
 //     arithmetic about twice as fast as the AST walk.  Gate: >= 5x.
-//   * diffpair: the Fig. 7 sweep through a cold BatchEngine under each
-//     engine.  Compaction dominates this one, so the speedup is reported
-//     honestly without a gate.
+//   * diffpair: the Fig. 7 sweep, one fresh interpreter per job sharing a
+//     compactor-prefix cache per pass — the BatchEngine job path with the
+//     interpreter as the only variable.  Compaction dominates this one, so
+//     the speedup is reported honestly without a gate.
 //
 // Both workloads also gate on byte-identical layouts across the engines
 // (serializeLayout comparison — the differential contract of
@@ -28,11 +31,12 @@
 #include <vector>
 
 #include "analysis/bcverify.h"
-#include "gen/engine.h"
+#include "compact/prefix.h"
 #include "io/layout.h"
 #include "lang/compiler.h"
 #include "lang/interp.h"
 #include "obs/stats_writer.h"
+#include "oracle/tree_interp.h"
 #include "tech/builtin.h"
 
 using namespace amg;
@@ -204,56 +208,54 @@ double nowMs() {
       .count();
 }
 
-/// Run the library script `runs` times on fresh Interpreters; returns wall
+using TreeInterpreter = oracle::TreeInterpreter;
+using VmInterpreter = lang::Interpreter;
+
+/// Run the library script `runs` times on fresh interpreters; returns wall
 /// ms and the final layout's serialized bytes (for the identity gate).
-std::pair<double, std::vector<std::uint8_t>> libraryPass(lang::Engine e,
-                                                         std::size_t runs) {
+template <class Interp>
+std::pair<double, std::vector<std::uint8_t>> libraryPass(std::size_t runs) {
   std::vector<std::uint8_t> bytes;
   const double t0 = nowMs();
   for (std::size_t i = 0; i < runs; ++i) {
-    lang::Interpreter in(tech::bicmos1u());
-    in.setEngine(e);
+    Interp in(tech::bicmos1u());
     in.run(kLibraryScript, "<bench>");
     if (i + 1 == runs) bytes = io::serializeLayout(in.globalObject("result"));
   }
   return {nowMs() - t0, std::move(bytes)};
 }
 
-std::vector<gen::Job> sweepJobs(std::size_t count) {
-  std::vector<gen::Job> jobs;
+/// One sweep job: the DiffPair entity at one (W, L) point.
+struct SweepJob {
+  double w, l;
+};
+
+std::vector<SweepJob> sweepJobs(std::size_t count) {
+  std::vector<SweepJob> jobs;
   jobs.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    char w[32];
-    std::snprintf(w, sizeof w, "%g", 6.0 + 0.2 * static_cast<double>(i));
-    gen::Job j;
-    j.name = "dp" + std::to_string(i);
-    j.script = kDiffPairLib;
-    j.scriptPath = "<bench>";
-    j.entity = "DiffPair";
-    j.params = {{"W", w}, {"L", i % 2 ? "3" : "2"}};
-    jobs.push_back(std::move(j));
-  }
+  for (std::size_t i = 0; i < count; ++i)
+    jobs.push_back({6.0 + 0.2 * static_cast<double>(i), i % 2 ? 3.0 : 2.0});
   return jobs;
 }
 
-/// Cold BatchEngine pass (no layout cache, no preflight, one worker — the
-/// interpreter is the only variable) under the given engine.
+/// Cold sweep pass: a fresh interpreter per job loads the library and
+/// instantiates DiffPair, all jobs sharing one compactor-prefix cache —
+/// what a single-worker BatchEngine with the layout cache off does per
+/// job, minus its bookkeeping.
+template <class Interp>
 std::pair<double, std::vector<std::vector<std::uint8_t>>> sweepPass(
-    lang::Engine e, const std::vector<gen::Job>& jobs) {
-  gen::EngineConfig cfg;
-  cfg.useCache = false;
-  cfg.preflight = false;
-  cfg.threads = 1;
-  cfg.interp = e;
-  gen::BatchEngine engine(tech::bicmos1u(), cfg);
-  const double t0 = nowMs();
-  const gen::BatchReport rep = engine.run(jobs);
-  const double ms = nowMs() - t0;
+    const std::vector<SweepJob>& jobs) {
+  compact::PrefixCache prefix;
   std::vector<std::vector<std::uint8_t>> bytes;
-  for (const gen::JobResult& r : rep.jobs)
-    bytes.push_back(r.ok ? io::serializeLayout(*r.layout)
-                         : std::vector<std::uint8_t>{});
-  return {ms, std::move(bytes)};
+  const double t0 = nowMs();
+  for (const SweepJob& j : jobs) {
+    Interp in(tech::bicmos1u());
+    in.setPrefixCache(&prefix);
+    in.loadEntities(kDiffPairLib, "<bench>");
+    bytes.push_back(io::serializeLayout(in.instantiate(
+        "DiffPair", {{"W", lang::Value::number(j.w)}, {"L", lang::Value::number(j.l)}})));
+  }
+  return {nowMs() - t0, std::move(bytes)};
 }
 
 /// Returns false when the ISSUE's acceptance gate fails (speedup < 5x or
@@ -265,10 +267,9 @@ bool reportE13() {
 
   // Library workload.  The chunk cache starts cold for the VM pass so its
   // first run pays lex+parse+compile like every tree run does.
-  const auto [treeLibMs, treeLibBytes] =
-      libraryPass(lang::Engine::Tree, kLibraryRuns);
+  const auto [treeLibMs, treeLibBytes] = libraryPass<TreeInterpreter>(kLibraryRuns);
   lang::clearChunkCache();
-  const auto [vmLibMs, vmLibBytes] = libraryPass(lang::Engine::Vm, kLibraryRuns);
+  const auto [vmLibMs, vmLibBytes] = libraryPass<VmInterpreter>(kLibraryRuns);
   const lang::ChunkCacheStats cs = lang::chunkCacheStats();
   const double libSpeedup = vmLibMs > 0 ? treeLibMs / vmLibMs : 0;
   const bool libIdentical = treeLibBytes == vmLibBytes;
@@ -278,10 +279,10 @@ bool reportE13() {
   std::printf("%-22s %10.1f %10.1f %8.1fx\n", "library (200 runs)", treeLibMs,
               vmLibMs, libSpeedup);
 
-  // Diffpair sweep through the batch engine, cold.
-  const std::vector<gen::Job> jobs = sweepJobs(kSweep);
-  const auto [treeSweepMs, treeSweepBytes] = sweepPass(lang::Engine::Tree, jobs);
-  const auto [vmSweepMs, vmSweepBytes] = sweepPass(lang::Engine::Vm, jobs);
+  // Diffpair sweep, cold.
+  const std::vector<SweepJob> jobs = sweepJobs(kSweep);
+  const auto [treeSweepMs, treeSweepBytes] = sweepPass<TreeInterpreter>(jobs);
+  const auto [vmSweepMs, vmSweepBytes] = sweepPass<VmInterpreter>(jobs);
   const double sweepSpeedup = vmSweepMs > 0 ? treeSweepMs / vmSweepMs : 0;
   const bool sweepIdentical = treeSweepBytes == vmSweepBytes;
 
@@ -294,11 +295,7 @@ bool reportE13() {
   // exactly once through the chunk cache.  Gate: <= 2%.
   double verifyMs = 0;
   {
-    const lang::VerifyMode prev = lang::setVerifyMode(lang::VerifyMode::Off);
-    lang::clearChunkCache();
-    const auto prog = lang::compileCached(kLibraryScript);
-    lang::setVerifyMode(prev);
-    lang::clearChunkCache();
+    const auto prog = lang::compile(lang::parseSource(kLibraryScript));
     constexpr int kVerifyReps = 200;
     double best = 1e300;  // min-of-3 damps scheduler noise
     for (int round = 0; round < 3; ++round) {
@@ -317,25 +314,6 @@ bool reportE13() {
       "library pass, paid once per chunk-cache miss)\n",
       verifyMs, verifyPct, vmLibMs);
 
-  // Checked vs unchecked dispatch: under VerifyMode::Off chunks carry no
-  // verified bit, so the VM takes the guarded path (per-dispatch
-  // structural checks) — the price of running unverified bytecode.
-  std::pair<double, std::vector<std::uint8_t>> checkedLib;
-  {
-    const lang::VerifyMode prev = lang::setVerifyMode(lang::VerifyMode::Off);
-    lang::clearChunkCache();
-    checkedLib = libraryPass(lang::Engine::Vm, kLibraryRuns);
-    lang::setVerifyMode(prev);
-    lang::clearChunkCache();
-  }
-  const double checkedMs = checkedLib.first;
-  const double dispatchSpeedup = checkedMs > 0 ? checkedMs / vmLibMs : 0;
-  const bool checkedIdentical = checkedLib.second == vmLibBytes;
-  std::printf(
-      "checked dispatch (unverified chunks): %.1f ms vs %.1f ms verified "
-      "-> verified is %.2fx faster; layouts byte-identical: %s\n",
-      checkedMs, vmLibMs, dispatchSpeedup, checkedIdentical ? "ok" : "FAILED");
-
   std::printf("chunk cache over the vm library pass: %zu miss, %zu hits\n",
               cs.misses, cs.hits);
   std::printf("library layouts byte-identical: %s\n",
@@ -350,26 +328,22 @@ bool reportE13() {
   obs::StatsWriter w("vm");
   w.sample("library", kLibraryRuns, "tree", treeLibMs);
   w.sample("library", kLibraryRuns, "vm", vmLibMs);
-  w.sample("library", kLibraryRuns, "vm_checked", checkedMs);
   w.sample("diffpair_sweep", kSweep, "tree", treeSweepMs);
   w.sample("diffpair_sweep", kSweep, "vm", vmSweepMs);
   w.metric("speedup_library", libSpeedup);
   w.metric("speedup_sweep", sweepSpeedup);
-  w.metric("speedup_verified_dispatch", dispatchSpeedup);
   w.metric("verify_overhead_pct", verifyPct);
   w.metric("chunk_cache_hits", static_cast<double>(cs.hits));
-  w.flag("byte_identical", libIdentical && sweepIdentical && checkedIdentical);
+  w.flag("byte_identical", libIdentical && sweepIdentical);
   w.flag("speedup_5x", libSpeedup >= 5.0);
   w.flag("verify_overhead_2pct", verifyPct <= 2.0);
   if (w.write("BENCH_vm.json")) std::printf("\nwrote BENCH_vm.json\n");
-  return libIdentical && sweepIdentical && checkedIdentical &&
-         libSpeedup >= 5.0 && verifyPct <= 2.0;
+  return libIdentical && sweepIdentical && libSpeedup >= 5.0 && verifyPct <= 2.0;
 }
 
 void BM_LibraryTree(benchmark::State& state) {
   for (auto _ : state) {
-    lang::Interpreter in(tech::bicmos1u());
-    in.setEngine(lang::Engine::Tree);
+    TreeInterpreter in(tech::bicmos1u());
     in.run(kLibraryScript, "<bench>");
     benchmark::DoNotOptimize(in.globalObject("result"));
   }
@@ -378,8 +352,7 @@ BENCHMARK(BM_LibraryTree)->Unit(benchmark::kMillisecond);
 
 void BM_LibraryVm(benchmark::State& state) {
   for (auto _ : state) {
-    lang::Interpreter in(tech::bicmos1u());
-    in.setEngine(lang::Engine::Vm);
+    VmInterpreter in(tech::bicmos1u());
     in.run(kLibraryScript, "<bench>");
     benchmark::DoNotOptimize(in.globalObject("result"));
   }

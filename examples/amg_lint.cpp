@@ -193,9 +193,8 @@ int main(int argc, char** argv) {
         cli::finishObs(obsOpts);
         return 1;
       }
-      // compileCached already gates on the verifier under the default mode;
-      // running it again here is deliberate: --verify-bc reports findings
-      // even under AMG_VERIFY=off, and --dump-bc wants the depth table.
+      // compileCached already gates on the verifier; running it again here
+      // is deliberate: --dump-bc wants the per-instruction depth table.
       const analysis::ProgramVerification v = analysis::verifyProgram(*prog);
       if (verifyBc) {
         for (const util::Diag& d : v.diags)

@@ -1,8 +1,7 @@
 // Replay a recorded request trace (obs/recorder.h) and verify that the
-// engines still produce byte-identical outcomes.
+// engine still produces byte-identical outcomes.
 //
 //   $ ./amg_replay sweep.amgt                    # recorded configuration
-//   $ ./amg_replay --interp=tree sweep.amgt      # cross-engine oracle
 //   $ ./amg_replay --no-cache --jobs 1 sweep.amgt
 //   $ ./amg_replay --against other.amgt sweep.amgt   # diff two recordings
 //   $ ./amg_replay --list sweep.amgt             # print the trace, run nothing
@@ -46,9 +45,8 @@ void usage(const char* argv0, std::FILE* out) {
       "  --perturb N     flip request N's recorded layout hash first\n"
       "                  (self-test: the replay MUST diverge)\n"
       "  --list          print the trace header and requests, run nothing\n"
-      "%s"
       "  --help          show this help and exit\n%s",
-      argv0, cli::interpUsage(), cli::obsUsage());
+      argv0, cli::obsUsage());
 }
 
 const char* kindName(obs::RequestKind k) {
@@ -82,8 +80,6 @@ int main(int argc, char** argv) {
   std::string techSpec, againstPath;
   gen::ReplayOptions opt;
   bool list = false;
-  bool interpOverridden = false;
-  lang::Engine interp = lang::defaultEngine();
   long perturb = -1;
   obs::CliOptions obsOpts;
   std::vector<const char*> positional;
@@ -114,8 +110,6 @@ int main(int argc, char** argv) {
       opt.noPrefixCache = true;
     else if (std::strcmp(argv[i], "--list") == 0)
       list = true;
-    else if (cli::parseInterpFlag(argc, argv, i, interp))
-      interpOverridden = true;
     else if (std::strcmp(argv[i], "--help") == 0) {
       usage(argv[0], stdout);
       return 0;
@@ -130,7 +124,6 @@ int main(int argc, char** argv) {
     usage(argv[0], stderr);
     return 2;
   }
-  if (interpOverridden) opt.interp = interp;
 
   obs::TraceFile trace;
   try {
@@ -155,10 +148,9 @@ int main(int argc, char** argv) {
 
   const obs::TraceHeader& h = trace.header;
   std::printf("trace %s: tool=%s tech=%s fp=%016" PRIx64
-              " interp=%s cache=%s prefix=%s, %zu request(s)\n",
+              " cache=%s prefix=%s, %zu request(s)\n",
               positional[0], h.tool.c_str(), h.techSpec.c_str(),
-              h.techFingerprint, h.interp == 0 ? "tree" : "vm",
-              h.cacheEnabled ? "on" : "off",
+              h.techFingerprint, h.cacheEnabled ? "on" : "off",
               h.prefixCacheEnabled ? "on" : "off", trace.requests.size());
 
   if (list) {
@@ -207,16 +199,8 @@ int main(int argc, char** argv) {
     if (fp != h.techFingerprint)
       std::printf("warning: technology fingerprint differs from the"
                   " recording (%016" PRIx64 " vs %016" PRIx64 ") —"
-                  " divergences may be the deck, not the engines\n",
+                  " divergences may be the deck, not the engine\n",
                   fp, h.techFingerprint);
-
-    // The recorded spatial-engine block applies to the whole replay
-    // process (the flags are read at options construction time).
-    obs::SpatialEngineConfig& se = obs::spatialEngines();
-    se.compactIndexed = (h.spatialEngines & 1u) != 0;
-    se.drcIndexed = (h.spatialEngines & 2u) != 0;
-    se.connectivityIndexed = (h.spatialEngines & 4u) != 0;
-    se.routeIndexed = (h.spatialEngines & 8u) != 0;
 
     report = gen::replayTrace(trace, *tech, opt);
     std::printf("replayed %zu of %zu request(s) (%zu external skipped)"

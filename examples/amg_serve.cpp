@@ -24,7 +24,6 @@
 
 #include "capi/server.h"
 #include "cli_common.h"
-#include "lang/interp.h"
 #include "util/version.h"
 
 using namespace amg;
@@ -58,9 +57,8 @@ void usage(const char* argv0, std::FILE* out) {
       "  --timeout-ms N  default queue deadline per request (default 30000)\n"
       "  --record FILE   record every served job to an AMGT request trace\n"
       "                  (closed on drain; verify with amg_replay)\n"
-      "%s"
       "  --help          show this help and exit\n%s",
-      argv0, cli::interpUsage(), cli::obsUsage());
+      argv0, cli::obsUsage());
 }
 
 }  // namespace
@@ -68,8 +66,6 @@ void usage(const char* argv0, std::FILE* out) {
 int main(int argc, char** argv) {
   cli::installFlight();
   serve::ServerConfig cfg;
-  lang::Engine interp = lang::defaultEngine();
-  bool interpSet = false;
   obs::CliOptions obsOpts;
 
   auto value = [&](int& i, const char* flag) -> const char* {
@@ -98,8 +94,6 @@ int main(int argc, char** argv) {
       cfg.cache = false;
     else if (std::strcmp(argv[i], "--no-prefix-cache") == 0)
       cfg.prefixCache = false;
-    else if (cli::parseInterpFlag(argc, argv, i, interp))
-      interpSet = true;
     else if (cli::parseObsFlag(argc, argv, i, obsOpts))
       continue;
     else if (std::strcmp(argv[i], "--help") == 0) {
@@ -115,7 +109,6 @@ int main(int argc, char** argv) {
     usage(argv[0], stderr);
     return 2;
   }
-  if (interpSet) cfg.interp = interp == lang::Engine::Vm ? 1 : 0;
 
   if (::pipe(gSigPipe) < 0) {
     std::perror("pipe");

@@ -60,9 +60,8 @@ void usage(const char* argv0, std::FILE* out) {
       "                  daemon on unix socket SOCK instead of running an\n"
       "                  in-process engine; engine-configuration flags are\n"
       "                  ignored (the server owns the engine; docs/SERVER.md)\n"
-      "%s"
       "  --help          show this help and exit\n%s",
-      argv0, cli::interpUsage(), cli::obsUsage());
+      argv0, cli::obsUsage());
 }
 
 }  // namespace
@@ -108,8 +107,6 @@ int main(int argc, char** argv) {
       cfg.prefixCache = false;
     else if (std::strcmp(argv[i], "--no-preflight") == 0)
       cfg.preflight = false;
-    else if (cli::parseInterpFlag(argc, argv, i, cfg.interp))
-      continue;
     else if (std::strcmp(argv[i], "--help") == 0) {
       usage(argv[0], stdout);
       return 0;
@@ -236,15 +233,8 @@ int main(int argc, char** argv) {
     hdr.tool = "batch_runner";
     hdr.techSpec = techOverride.empty() ? manifest.techSpec : techOverride;
     hdr.techFingerprint = gen::techFingerprint(*tech);
-    hdr.interp = cfg.interp == lang::Engine::Vm ? 1 : 0;
     hdr.cacheEnabled = cfg.useCache;
     hdr.prefixCacheEnabled = cfg.prefixCache && compact::prefixCacheEnvEnabled();
-    const obs::SpatialEngineConfig& se = obs::spatialEngines();
-    hdr.spatialEngines =
-        static_cast<std::uint8_t>((se.compactIndexed ? 1u : 0u) |
-                                  (se.drcIndexed ? 2u : 0u) |
-                                  (se.connectivityIndexed ? 4u : 0u) |
-                                  (se.routeIndexed ? 8u : 0u));
     try {
       recorder.emplace(recordPath, std::move(hdr));
     } catch (const Error& e) {

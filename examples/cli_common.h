@@ -44,35 +44,6 @@ inline const tech::Technology* resolveTech(const std::string& spec,
   return &owned.back();
 }
 
-/// Parse `--interp=tree|vm` / `--interp tree` into `out`.  Returns true
-/// when argv[i] was consumed; a bad value prints to stderr and exits 2.
-/// Shared across the CLIs so every tool spells the switch the same way
-/// (docs/CLI.md).
-inline bool parseInterpFlag(int argc, char** argv, int& i, lang::Engine& out) {
-  const char* val = nullptr;
-  if (std::strncmp(argv[i], "--interp=", 9) == 0)
-    val = argv[i] + 9;
-  else if (std::strcmp(argv[i], "--interp") == 0 && i + 1 < argc)
-    val = argv[++i];
-  else
-    return false;
-  if (std::strcmp(val, "tree") == 0) {
-    out = lang::Engine::Tree;
-  } else if (std::strcmp(val, "vm") == 0) {
-    out = lang::Engine::Vm;
-  } else {
-    std::fprintf(stderr, "--interp: unknown engine '%s' (tree|vm)\n", val);
-    std::exit(2);
-  }
-  return true;
-}
-
-/// The usage line for parseInterpFlag, shared verbatim by the tools.
-inline const char* interpUsage() {
-  return "  --interp=E      execution tier: vm (bytecode, default) or tree\n"
-         "                  (AST walker, the differential oracle)\n";
-}
-
 /// The standard observability trio (--trace / --stats / --log-level),
 /// shared by every CLI so all tools present one obs-flag surface
 /// (docs/CLI.md).  Thin forwarding wrappers over obs::parseCliFlag /

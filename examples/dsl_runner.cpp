@@ -47,9 +47,8 @@ void usage(const char* argv0, std::FILE* out) {
                " it; lint errors stop the run (docs/LINT.md)\n"
                "  --record FILE   record each produced object as an AMGT\n"
                "                  request trace (replay with amg_replay)\n"
-               "%s"
                "  --help          show this help and exit\n%s",
-               argv0, amg::cli::interpUsage(), amg::cli::obsUsage());
+               argv0, amg::cli::obsUsage());
 }
 
 }  // namespace
@@ -60,7 +59,6 @@ int main(int argc, char** argv) {
   std::size_t jobs = 1;
   bool lint = false;
   std::string recordPath;
-  lang::Engine engine = lang::defaultEngine();
   obs::CliOptions obsOpts;
   std::vector<const char*> positional;
   for (int i = 1; i < argc; ++i) {
@@ -74,8 +72,6 @@ int main(int argc, char** argv) {
       recordPath = argv[i] + 9;
     else if (std::strcmp(argv[i], "--record") == 0 && i + 1 < argc)
       recordPath = argv[++i];
-    else if (cli::parseInterpFlag(argc, argv, i, engine))
-      continue;
     else if (std::strcmp(argv[i], "--help") == 0) {
       usage(argv[0], stdout);
       return 0;
@@ -119,16 +115,9 @@ int main(int argc, char** argv) {
     hdr.tool = "dsl_runner";
     hdr.techSpec = "bicmos1u";
     hdr.techFingerprint = gen::techFingerprint(t);
-    hdr.interp = engine == lang::Engine::Vm ? 1 : 0;
     // dsl_runner has no cache tiers; replay under the same conditions.
     hdr.cacheEnabled = false;
     hdr.prefixCacheEnabled = false;
-    const obs::SpatialEngineConfig& se = obs::spatialEngines();
-    hdr.spatialEngines =
-        static_cast<std::uint8_t>((se.compactIndexed ? 1u : 0u) |
-                                  (se.drcIndexed ? 2u : 0u) |
-                                  (se.connectivityIndexed ? 4u : 0u) |
-                                  (se.routeIndexed ? 8u : 0u));
     try {
       recorder.emplace(recordPath, std::move(hdr));
     } catch (const Error& e) {
@@ -138,7 +127,6 @@ int main(int argc, char** argv) {
   }
 
   lang::Interpreter in(t);
-  in.setEngine(engine);
   obs::Span runSpan("dsl.run");
   try {
     in.run(src.str(), positional[0]);

@@ -261,15 +261,8 @@ int main(int argc, char** argv) {
     hdr.tool = "full_flow";
     hdr.techSpec = "bicmos1u";
     hdr.techFingerprint = gen::techFingerprint(t);
-    hdr.interp = 1;  // no DSL involved; header default
     hdr.cacheEnabled = false;
     hdr.prefixCacheEnabled = false;
-    const obs::SpatialEngineConfig& se = obs::spatialEngines();
-    hdr.spatialEngines =
-        static_cast<std::uint8_t>((se.compactIndexed ? 1u : 0u) |
-                                  (se.drcIndexed ? 2u : 0u) |
-                                  (se.connectivityIndexed ? 4u : 0u) |
-                                  (se.routeIndexed ? 8u : 0u));
     try {
       obs::Recorder recorder(recordPath, std::move(hdr));
       obs::RequestRecord rec;

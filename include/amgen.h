@@ -48,7 +48,7 @@ extern "C" {
 /* Compatibility generation of this header; compare against
  * amg_api_version() at startup (docs/EMBEDDING.md, compatibility matrix).
  * Incompatible ABI changes bump it; additions do not. */
-#define AMGEN_API_VERSION 1u
+#define AMGEN_API_VERSION 2u
 
 /* -------------------------------------------------------------------------
  * Status codes & diagnostics
@@ -125,7 +125,6 @@ typedef struct amg_engine amg_engine;
  * string fields are borrowed until amg_engine_create() returns. */
 typedef struct amg_config {
   uint32_t threads;      /* worker count; 0 = all hardware threads */
-  int32_t interp;        /* 0 = tree walker, 1 = bytecode VM, -1 = default */
   int32_t use_cache;     /* whole-layout cache tier on/off */
   uint64_t cache_max_bytes;      /* in-memory layout-cache budget */
   const char* cache_dir;         /* on-disk tier directory; NULL/"" = off */
@@ -136,7 +135,7 @@ typedef struct amg_config {
   int32_t preflight_werror;      /* treat pre-flight warnings as rejections */
 } amg_config;
 
-/* Reset `cfg` to the library defaults (VM engine, both cache tiers on,
+/* Reset `cfg` to the library defaults (both cache tiers on,
  * 64 MiB budgets, pre-flight on).  No-op on NULL. */
 AMGEN_API void amg_config_init(amg_config* cfg);
 
@@ -345,8 +344,8 @@ AMGEN_API amg_status amg_engine_clear_caches(amg_engine* e);
  * relaxed atomic load. */
 AMGEN_API void amg_stats_enable(int on);
 
-/* Write the registry as one JSON object ({"config":…, "counters":…,
- * "histograms":…}) to `path`.  AMG_E_IO when unwritable. */
+/* Write the registry as one JSON object ({"counters":…, "histograms":…})
+ * to `path`.  AMG_E_IO when unwritable. */
 AMGEN_API amg_status amg_stats_write_json(const char* path);
 
 /* Zero every counter and histogram (registry entries survive). */

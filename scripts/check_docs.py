@@ -14,8 +14,8 @@ Three checks, all run by CI (.github/workflows/ci.yml):
    src/analysis must have a row in docs/LINT.md, and every code row in
    docs/LINT.md must still exist in the analyzer (no stale docs).
    Likewise every AMG-B* code emitted by the bytecode verifier
-   (src/analysis) or the VM's checked dispatch path (src/lang) must
-   have a row in docs/LINT.md and vice versa.
+   (src/analysis) or the VM's entry check (src/lang) must have a row
+   in docs/LINT.md and vice versa.
 
 4. Opcode registry: every opcode in the AMG_OPCODE_LIST X-macro table
    (src/lang/bytecode.h) must have a registry row in docs/BYTECODE.md
@@ -176,8 +176,8 @@ VERIFY_DOC_ROW_RE = re.compile(r"^\|\s*`(AMG-B\d{3})`", re.M)
 def check_verifier_registry():
     """AMG-B codes <-> docs/LINT.md registry rows, both directions.
 
-    The bytecode verifier emits under src/analysis; the checked-dispatch
-    runtime traps (AMG-B040/B041) live in src/lang/vm.cpp — scan both.
+    The bytecode verifier emits under src/analysis; the VM entry check
+    (AMG-B040) lives in src/lang/vm.cpp — scan both.
     """
     errors = []
     emitted = set()

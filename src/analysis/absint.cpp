@@ -2,7 +2,7 @@
 // abstract interpretation over the chunk CFG.
 //
 // Abstract domain, chosen as the cheapest thing that proves what the VM's
-// unchecked dispatch path assumes:
+// dispatch path assumes:
 //   * operand stack: a vector of {Any, Num} — its length is the abstract
 //     stack depth, which must agree at every join point and match the
 //     X-macro stack effects;

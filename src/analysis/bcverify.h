@@ -1,5 +1,5 @@
 // Bytecode verifier + abstract interpreter: the static-analysis gate every
-// chunk passes before the VM will run it on the unchecked dispatch path.
+// chunk passes before the VM will run it.
 //
 // Two passes over a compiled chunk (lang/bytecode.h):
 //
@@ -21,12 +21,13 @@
 //
 // Failures are util::Diags with stable AMG-B0xx codes (registry:
 // docs/LINT.md, prose: docs/BYTECODE.md).  A chunk that passes gets its
-// `verified` bit set by the compiler post-pass (lang/compiler.cpp), which
-// is the VM's license to drop per-dispatch bounds checks (lang/vm.cpp).
+// `verified` bit set by the compiler post-pass (lang/compiler.cpp); the VM
+// refuses any chunk without it (lang/vm.cpp), and its one dispatch path
+// indexes operands, slots and side tables without bounds checks.
 //
 // Layering note: these sources live in src/analysis/ beside the AST
-// analyzer but are compiled into amg_lang — the compiler post-pass and the
-// chunk-cache admission gate run below the analyzer layer, and amg_analysis
+// analyzer but are compiled into amg_lang — the compiler post-pass runs
+// below the analyzer layer, and amg_analysis
 // links amg_lang, so the reverse edge would be a cycle.
 #pragma once
 

@@ -105,10 +105,6 @@ std::string orEmpty(const char* s) { return s ? std::string(s) : std::string(); 
 gen::EngineConfig configOf(const amg_config& c) {
   gen::EngineConfig cfg;
   cfg.threads = c.threads;
-  if (c.interp == 0)
-    cfg.interp = lang::Engine::Tree;
-  else if (c.interp == 1)
-    cfg.interp = lang::Engine::Vm;
   cfg.useCache = c.use_cache != 0;
   cfg.cache.maxBytes = static_cast<std::size_t>(c.cache_max_bytes);
   cfg.cache.diskDir = orEmpty(c.cache_dir);
@@ -241,7 +237,6 @@ void amg_config_init(amg_config* cfg) {
   const amg::gen::EngineConfig d;
   std::memset(cfg, 0, sizeof *cfg);
   cfg->threads = 0;
-  cfg->interp = d.interp == amg::lang::Engine::Vm ? 1 : 0;
   cfg->use_cache = d.useCache ? 1 : 0;
   cfg->cache_max_bytes = d.cache.maxBytes;
   cfg->prefix_cache = d.prefixCache ? 1 : 0;
@@ -526,16 +521,9 @@ amg_status amg_record_start(amg_engine* e, const char* path, const char* tool) {
     hdr.tool = tool && *tool ? tool : "libamgen";
     hdr.techSpec = e->techSpec.empty() ? "bicmos1u" : e->techSpec;
     hdr.techFingerprint = gen::techFingerprint(*e->tech);
-    hdr.interp = e->cfg.interp == lang::Engine::Vm ? 1 : 0;
     hdr.cacheEnabled = e->cfg.useCache;
     hdr.prefixCacheEnabled =
         e->cfg.prefixCache && compact::prefixCacheEnvEnabled();
-    const obs::SpatialEngineConfig& se = obs::spatialEngines();
-    hdr.spatialEngines =
-        static_cast<std::uint8_t>((se.compactIndexed ? 1u : 0u) |
-                                  (se.drcIndexed ? 2u : 0u) |
-                                  (se.connectivityIndexed ? 4u : 0u) |
-                                  (se.routeIndexed ? 8u : 0u));
     e->recorder = std::make_unique<obs::Recorder>(path, std::move(hdr));
     return AMG_OK;
   } catch (const std::exception& ex) {

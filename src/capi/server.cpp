@@ -57,7 +57,6 @@ void Server::start() {
   amg_config cfg;
   amg_config_init(&cfg);
   cfg.threads = cfg_.threads;
-  cfg.interp = cfg_.interp;
   cfg.use_cache = cfg_.cache ? 1 : 0;
   cfg.prefix_cache = cfg_.prefixCache ? 1 : 0;
   cfg.cache_dir = cfg_.cacheDir.empty() ? nullptr : cfg_.cacheDir.c_str();

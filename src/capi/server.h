@@ -37,7 +37,6 @@ struct ServerConfig {
   std::string socketPath;
   std::string tech;           ///< builtin name or tech-file path ("" = default)
   std::size_t threads = 0;    ///< engine worker count; 0 = hardware
-  int interp = -1;            ///< -1 default, 0 tree, 1 VM
   bool cache = true;
   bool prefixCache = true;
   std::string cacheDir;       ///< optional disk tier for the layout cache

@@ -36,19 +36,6 @@
 
 namespace amg::compact {
 
-/// How the reference engine enumerates shape pairs.  Both produce
-/// byte-identical results (same constraints, translations, edge moves and
-/// auto-connects — enforced by tests); BruteForce exists as the oracle for
-/// equivalence tests and benchmarks.
-enum class Engine : std::uint8_t {
-  Indexed,     ///< geom::SpatialIndex candidate pruning (the default)
-  BruteForce,  ///< all-pairs scans, the original O(n·m) paths
-};
-
-/// The engine a default-constructed Options selects: follows the central
-/// obs::spatialEngines() config block (indexed unless steered otherwise).
-Engine defaultEngine();
-
 /// Per-step options of one compact() call.
 struct Options {
   /// Layers "not relevant during this compaction step" (third parameter of
@@ -61,8 +48,6 @@ struct Options {
   /// Extra clearance added on top of every spacing rule (0 = rule minimum,
   /// "the objects are placed with the minimum distance").
   Coord extraGap = 0;
-  /// Pair-enumeration engine for constraints and auto-connect scans.
-  Engine engine = defaultEngine();
 };
 
 /// Result of one compaction step.
@@ -80,7 +65,9 @@ struct Result {
 /// Compact `obj` onto `target` moving in `dir`, then merge it into
 /// `target`.  An empty target receives the object unmoved (the DSL's first
 /// compact() "copies the first transistor into the data structure").
-/// Both modules must share the same Technology.
+/// Both modules must share the same Technology.  Shape pairs are
+/// enumerated through a geom::SpatialIndex over the target; the all-pairs
+/// oracle the tests compare against lives in tests/oracle/.
 Result compact(db::Module& target, const db::Module& obj, Dir dir,
                const Options& options = {});
 
@@ -97,11 +84,9 @@ Result compact(db::Module& target, const db::Module& obj, Dir dir,
 /// auto-connect extensions are inserted as they happen, variable-edge
 /// shrinks ride on stale-larger union semantics, and array rebuilds
 /// re-insert the affected containers and cuts — and produces results
-/// byte-identical to the free function on either engine.
+/// byte-identical to the free function.
 ///
-/// The target must not be modified by anything else between calls; with
-/// Engine::BruteForce the session is equivalent to calling compact() in a
-/// loop (no index is kept at all).
+/// The target must not be modified by anything else between calls.
 class Compactor {
  public:
   /// Snapshots `target` into the index (alive shapes only).  The module
@@ -113,8 +98,6 @@ class Compactor {
 
   /// One step with per-step options: the DSL's ignore-layer list varies
   /// call-to-call while the session (and its incremental index) persists.
-  /// `stepOptions.engine` must match the session's — the index is either
-  /// maintained for every step or not at all.
   Result compact(const db::Module& obj, Dir dir, const Options& stepOptions);
 
   const Options& options() const { return options_; }
@@ -122,8 +105,7 @@ class Compactor {
  private:
   db::Module& target_;
   Options options_;
-  /// Engaged iff options_.engine == Engine::Indexed.
-  std::optional<geom::SpatialIndex> idx_;
+  geom::SpatialIndex idx_;
 };
 
 /// The canonical-frame translation the rules require for `obj` against

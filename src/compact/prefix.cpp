@@ -36,7 +36,6 @@ struct Sess {
   /// Persistent compaction session (incremental spatial index); only kept
   /// while the module's bytes are current.
   std::unique_ptr<Compactor> session;
-  Engine engine = Engine::Indexed;
 };
 
 std::unordered_map<const db::Module*, Sess>& tlsSessions() {
@@ -55,9 +54,7 @@ void materialize(Sess& s, db::Module& m) {
   s.cache->noteMaterialization();
 }
 
-/// Fingerprint of one (object, direction, options) step.  The engine is
-/// excluded on purpose: indexed and brute-force produce byte-identical
-/// layouts (enforced by tests), so both drive the same entries.
+/// Fingerprint of one (object, direction, options) step.
 std::uint64_t stepFingerprint(const db::Module& target, const db::Module& obj,
                               Dir dir, const Options& options) {
   std::uint64_t h = util::fnv1a(view(io::serializeSessionState(obj)));
@@ -237,10 +234,7 @@ bool prefixStep(PrefixCache& cache, db::Module& target, const db::Module& obj,
   }
   try {
     if (s.pending) materialize(s, target);
-    if (!s.session || s.engine != options.engine) {
-      s.session = std::make_unique<Compactor>(target, options);
-      s.engine = options.engine;
-    }
+    if (!s.session) s.session = std::make_unique<Compactor>(target, options);
     s.session->compact(obj, dir, options);
     s.stamp = target.stamp();
     s.chain = next;

@@ -19,9 +19,7 @@
 //               direction, canonicalized options: sorted ignore-layer
 //               names, variable-edge/auto-connect flags, extra gap)
 //
-// The engine choice (indexed vs brute) is deliberately excluded: both
-// produce byte-identical layouts (enforced by tests), so they share
-// entries.  The module's identity stamp (db::Module::stamp()) guards the
+// The module's identity stamp (db::Module::stamp()) guards the
 // chain: any out-of-band mutation between steps — a DSL primitive, a
 // VARIANT rollback, a reused stack slot — invalidates the session, and
 // the next step reseeds from a full content hash.  (module, stamp) pairs

@@ -1,8 +1,8 @@
 #include "db/connectivity.h"
 
 #include <algorithm>
-#include <optional>
 
+#include "db/connectivity_detail.h"
 #include "geom/spatial.h"
 #include "geom/subtract.h"
 #include "obs/obs.h"
@@ -16,82 +16,64 @@ bool electricallyTouching(const Box& a, const Box& b) {
   return ix1 < ix2 || iy1 < iy2;                   // more than a corner point
 }
 
-Connectivity::Connectivity(const Module& m)
-    : Connectivity(m, obs::spatialEngines().connectivityIndexed
-                          ? Engine::Indexed
-                          : Engine::BruteForce) {}
+namespace detail {
 
-Connectivity::Connectivity(const Module& m, Engine engine) : m_(&m) {
+bool isElectrical(const Module& m, ShapeId i) {
+  if (!m.isAlive(i)) return false;
+  const auto& li = m.technology().info(m.shape(i).layer);
+  return li.conducting || li.kind == tech::LayerKind::Cut;
+}
+
+std::vector<Box> fragments(const Box& box, const std::vector<Box>& cutters) {
+  if (cutters.empty()) return {box};
+  std::vector<Box> pieces = geom::subtractAll({box}, cutters);
+  if (pieces.empty()) pieces = {box};  // fully gated: keep one node
+  return pieces;
+}
+
+}  // namespace detail
+
+Connectivity::Connectivity(const Module& m) : m_(&m) {
   obs::Span span("db.connectivity");
   span.arg("module", m.name())
-      .arg("shapes", static_cast<std::uint64_t>(m.shapeCount()))
-      .arg("engine", engine == Engine::Indexed ? "indexed" : "brute");
+      .arg("shapes", static_cast<std::uint64_t>(m.shapeCount()));
   OBS_COUNT("connectivity.builds");
-  if (engine == Engine::Indexed)
-    OBS_COUNT("connectivity.engine.indexed");
-  else
-    OBS_COUNT("connectivity.engine.brute");
   const tech::Technology& t = m.technology();
-  const bool indexed = engine == Engine::Indexed;
-
-  auto isElectrical = [&](ShapeId i) {
-    if (!m.isAlive(i)) return false;
-    const auto& li = t.info(m.shape(i).layer);
-    return li.conducting || li.kind == tech::LayerKind::Cut;
-  };
 
   // One shape-level index per module snapshot, reused by every geometric
   // lookup of the build (gate-poly cutters, cut shielding).
-  std::optional<geom::SpatialIndex> sidx;
-  if (indexed) {
-    sidx.emplace();
-    for (ShapeId i : m.shapeIds()) sidx->insert(i, m.shape(i).layer, m.shape(i).box);
-  }
+  geom::SpatialIndex sidx;
+  for (ShapeId i : m.shapeIds()) sidx.insert(i, m.shape(i).layer, m.shape(i).box);
   std::vector<std::uint32_t> cand;
 
-  // Gate poly boxes: they split diffusion into channel-separated fragments
-  // (a MOS device does not short its source to its drain).
-  std::vector<Box> gatePoly;
   std::vector<tech::LayerId> polyLayers;
-  for (ShapeId i : m.shapeIds()) {
-    if (t.info(m.shape(i).layer).kind != tech::LayerKind::Poly) continue;
-    gatePoly.push_back(m.shape(i).box);
-    if (std::find(polyLayers.begin(), polyLayers.end(), m.shape(i).layer) ==
-        polyLayers.end())
+  for (ShapeId i : m.shapeIds())
+    if (t.info(m.shape(i).layer).kind == tech::LayerKind::Poly &&
+        std::find(polyLayers.begin(), polyLayers.end(), m.shape(i).layer) ==
+            polyLayers.end())
       polyLayers.push_back(m.shape(i).layer);
-  }
 
-  // Build nodes: one per shape, except diffusion shapes crossed by poly,
-  // which contribute one node per un-gated fragment.
+  // Build nodes: one per shape, except diffusion shapes crossed by gate
+  // poly, which contribute one node per un-gated fragment (a MOS device
+  // does not short its source to its drain).
   const std::size_t rawN = m.rawSize();
   nodesOf_.assign(rawN, {});
   for (ShapeId i = 0; i < rawN; ++i) {
-    if (!isElectrical(i)) continue;
+    if (!detail::isElectrical(m, i)) continue;
     const Shape& s = m.shape(i);
-    std::vector<Box> pieces{s.box};
+    std::vector<Box> cutters;
     if (t.info(s.layer).kind == tech::LayerKind::Diffusion) {
-      std::vector<Box> cutters;
-      if (indexed) {
-        // Only gate polys near this diffusion, in shape-id order — the
-        // same cutter sequence the full gatePoly scan produces.
-        std::vector<std::uint32_t> merged;
-        for (const tech::LayerId pl : polyLayers) {
-          sidx->query(pl, s.box, cand);
-          merged.insert(merged.end(), cand.begin(), cand.end());
-        }
-        std::sort(merged.begin(), merged.end());
-        for (const std::uint32_t gi : merged)
-          if (m.shape(gi).box.overlaps(s.box)) cutters.push_back(m.shape(gi).box);
-      } else {
-        for (const Box& g : gatePoly)
-          if (g.overlaps(s.box)) cutters.push_back(g);
+      // Only gate polys near this diffusion, in shape-id order.
+      std::vector<std::uint32_t> merged;
+      for (const tech::LayerId pl : polyLayers) {
+        sidx.query(pl, s.box, cand);
+        merged.insert(merged.end(), cand.begin(), cand.end());
       }
-      if (!cutters.empty()) {
-        pieces = geom::subtractAll({s.box}, cutters);
-        if (pieces.empty()) pieces = {s.box};  // fully gated: keep one node
-      }
+      std::sort(merged.begin(), merged.end());
+      for (const std::uint32_t gi : merged)
+        if (m.shape(gi).box.overlaps(s.box)) cutters.push_back(m.shape(gi).box);
     }
-    for (const Box& p : pieces) {
+    for (const Box& p : detail::fragments(s.box, cutters)) {
       nodesOf_[i].push_back(static_cast<int>(nodes_.size()));
       nodes_.push_back(Node{i, p});
     }
@@ -101,74 +83,24 @@ Connectivity::Connectivity(const Module& m, Engine engine) : m_(&m) {
   for (std::size_t i = 0; i < nodes_.size(); ++i) parent_[i] = static_cast<int>(i);
 
   // Node-level index for the touching-pair sweep (bucket 0: the touch
-  // predicate is layer-blind; the join logic below sorts out layers).
-  std::optional<geom::SpatialIndex> nidx;
-  if (indexed) {
-    nidx.emplace();
-    for (std::size_t i = 0; i < nodes_.size(); ++i)
-      nidx->insert(static_cast<std::uint32_t>(i), 0, nodes_[i].box);
-  }
+  // predicate is layer-blind; the join rule sorts out layers).
+  geom::SpatialIndex nidx;
+  for (std::size_t i = 0; i < nodes_.size(); ++i)
+    nidx.insert(static_cast<std::uint32_t>(i), 0, nodes_[i].box);
 
+  // A shielding shape must contain the cut box, hence touch it.
+  auto shieldCandidates = [&](const Box& cutBox) -> const std::vector<std::uint32_t>& {
+    sidx.query(cutBox, cand);
+    return cand;
+  };
   std::vector<std::uint32_t> bCand;
   for (std::size_t a = 0; a < nodes_.size(); ++a) {
-    const Shape& sa = m.shape(nodes_[a].shape);
-    if (indexed) {
-      nidx->query(nodes_[a].box, bCand);
-    } else {
-      bCand.clear();
-      for (std::size_t b = a + 1; b < nodes_.size(); ++b)
-        bCand.push_back(static_cast<std::uint32_t>(b));
-    }
+    nidx.query(nodes_[a].box, bCand);
     for (const std::uint32_t b : bCand) {
       if (b <= a) continue;
-      const Shape& sb = m.shape(nodes_[b].shape);
-      if (!electricallyTouching(nodes_[a].box, nodes_[b].box)) continue;
-
-      const bool aCut = t.info(sa.layer).kind == tech::LayerKind::Cut;
-      const bool bCut = t.info(sb.layer).kind == tech::LayerKind::Cut;
-      bool joined = false;
-      if (sa.layer == sb.layer) {
-        joined = true;  // same conducting layer (or stacked cuts) touching
-      } else if (aCut || bCut) {
-        // A cut joins a shape on any layer it is declared to connect, but
-        // only by area overlap (an abutting cut does not make contact).
-        const bool cutIsA = aCut;
-        const Shape& cut = cutIsA ? sa : sb;
-        const Box& other = cutIsA ? nodes_[b].box : nodes_[a].box;
-        const Box& cutBox = cutIsA ? nodes_[a].box : nodes_[b].box;
-        const tech::LayerId otherLayer = cutIsA ? sb.layer : sa.layer;
-        if (cutBox.overlaps(other)) {
-          for (const auto& [la, lb] : t.cutConnections(cut.layer)) {
-            if (otherLayer == la || otherLayer == lb) {
-              joined = true;
-              break;
-            }
-          }
-          // Shielding: when the cut lands entirely on a shape whose layer
-          // must be *enclosed by* `otherLayer` (an emitter inside its
-          // base), the cut contacts the inner layer only.
-          if (joined) {
-            if (indexed) {
-              // A shielding shape must contain the cut box, hence touch it.
-              sidx->query(cutBox, cand);
-            } else {
-              cand.clear();
-              for (ShapeId xi : m.shapeIds()) cand.push_back(xi);
-            }
-            for (const std::uint32_t xi : cand) {
-              const Shape& x = m.shape(xi);
-              if (x.layer == otherLayer || x.layer == cut.layer) continue;
-              if (!t.enclosure(otherLayer, x.layer).has_value()) continue;
-              if (!t.info(x.layer).conducting) continue;
-              if (x.box.contains(cutBox)) {
-                joined = false;
-                break;
-              }
-            }
-          }
-        }
-      }
-      if (joined) unite(static_cast<int>(a), static_cast<int>(b));
+      if (detail::nodesJoin(m, nodes_[a].shape, nodes_[a].box, nodes_[b].shape,
+                            nodes_[b].box, shieldCandidates))
+        unite(static_cast<int>(a), static_cast<int>(b));
     }
   }
 

@@ -28,15 +28,10 @@ bool electricallyTouching(const Box& a, const Box& b);
 /// the two shapes share a component.
 class Connectivity {
  public:
-  /// How candidate pairs are enumerated during extraction.  Both engines
-  /// produce identical components (Indexed candidates are a superset-exact
-  /// prune, verified by tests); BruteForce is the all-pairs oracle.
-  enum class Engine : std::uint8_t { Indexed, BruteForce };
-
-  /// The single-argument form follows the central obs::spatialEngines()
-  /// config block (indexed unless steered otherwise).
+  /// Extract the components of `m`.  Candidate pairs come from a
+  /// geom::SpatialIndex (a superset-exact prune); the all-pairs oracle the
+  /// tests compare against lives in tests/oracle/.
   explicit Connectivity(const Module& m);
-  Connectivity(const Module& m, Engine engine);
 
   /// True when any electrical parts of the two shapes share a component.
   bool connected(ShapeId a, ShapeId b) const;

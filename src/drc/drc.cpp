@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "db/connectivity.h"
+#include "drc/detail.h"
 #include "geom/spatial.h"
 #include "geom/subtract.h"
 #include "obs/obs.h"
@@ -12,38 +13,23 @@
 
 namespace amg::drc {
 
-bool defaultBruteForce() { return !obs::spatialEngines().drcIndexed; }
+namespace detail {
 
-namespace {
-
-using db::Module;
-using db::Shape;
-using db::ShapeId;
-using tech::LayerKind;
-using tech::Technology;
-
-/// Layer-bucketed index over all alive shapes, ids ascending.
-geom::SpatialIndex buildShapeIndex(const Module& m) {
-  geom::SpatialIndex idx;
-  for (ShapeId id : m.shapeIds()) idx.insert(id, m.shape(id).layer, m.shape(id).box);
-  return idx;
-}
-
-std::string shapeDesc(const Module& m, ShapeId id) {
-  const Shape& s = m.shape(id);
+std::string shapeDesc(const db::Module& m, db::ShapeId id) {
+  const db::Shape& s = m.shape(id);
   std::ostringstream os;
   os << m.technology().info(s.layer).name << ' ' << s.box;
   if (s.net != db::kNoNet) os << " net=" << m.netName(s.net);
   return os.str();
 }
 
-void checkWidths(const Module& m, std::vector<Violation>& out) {
-  const Technology& t = m.technology();
-  for (ShapeId id : m.shapeIds()) {
-    const Shape& s = m.shape(id);
+void checkWidths(const db::Module& m, std::vector<Violation>& out) {
+  const tech::Technology& t = m.technology();
+  for (db::ShapeId id : m.shapeIds()) {
+    const db::Shape& s = m.shape(id);
     const auto& info = t.info(s.layer);
-    if (info.kind == LayerKind::Marker) continue;
-    if (info.kind == LayerKind::Cut) {
+    if (info.kind == tech::LayerKind::Marker) continue;
+    if (info.kind == tech::LayerKind::Cut) {
       const auto [cw, ch] = t.cutSize(s.layer);
       if (s.box.width() != cw || s.box.height() != ch)
         out.push_back(Violation{ViolationKind::CutSize, id, db::kNoShape, s.box,
@@ -60,8 +46,43 @@ void checkWidths(const Module& m, std::vector<Violation>& out) {
   }
 }
 
-void checkSpacings(const Module& m, bool samePotentialExempt, bool bruteForce,
-                   std::vector<Violation>& out) {
+void checkRegions(const db::Module& m, const CheckOptions& options,
+                  std::vector<Violation>& out) {
+  if (options.latchUp) {
+    for (const Box& piece : uncoveredActive(m))
+      out.push_back(Violation{ViolationKind::LatchUp, db::kNoShape, db::kNoShape, piece,
+                              "active area " + piece.str() +
+                                  " not covered by a substrate contact guard"});
+  }
+  if (options.wellEnclosure) {
+    for (const Box& piece : unenclosedPdiff(m))
+      out.push_back(Violation{ViolationKind::Enclosure, db::kNoShape, db::kNoShape,
+                              piece,
+                              "pdiff " + piece.str() + " not enclosed by an n-well"});
+  }
+}
+
+}  // namespace detail
+
+namespace {
+
+using db::Module;
+using db::Shape;
+using db::ShapeId;
+using tech::LayerKind;
+using tech::Technology;
+
+/// Layer-bucketed index over all alive shapes, ids ascending.
+geom::SpatialIndex buildShapeIndex(const Module& m) {
+  geom::SpatialIndex idx;
+  for (ShapeId id : m.shapeIds()) idx.insert(id, m.shape(id).layer, m.shape(id).box);
+  return idx;
+}
+
+/// Spacing candidates come from the index within the per-layer max-rule
+/// halo; ids ascending keeps the violation order canonical.
+void checkSpacings(const Module& m, const geom::SpatialIndex& idx,
+                   bool samePotentialExempt, std::vector<Violation>& out) {
   const tech::RuleCache& rc = m.technology().rules();
   const auto ids = m.shapeIds();
   // Built lazily: a clean, sparse layout may never need the exemption.
@@ -70,79 +91,40 @@ void checkSpacings(const Module& m, bool samePotentialExempt, bool bruteForce,
     if (!conn) conn.emplace(m);
     return conn->connected(a, b);
   };
-  auto report = [&](ShapeId ia, ShapeId ib) {
-    const Shape& a = m.shape(ia);
-    const Shape& b = m.shape(ib);
-    const auto rule = rc.minSpacing(a.layer, b.layer);
-    if (!rule) return;
-    if (gapX(a.box, b.box) >= *rule || gapY(a.box, b.box) >= *rule) return;
-    if (a.layer == b.layer && samePotentialExempt && connected(ia, ib)) return;
-    out.push_back(Violation{
-        ViolationKind::Spacing, ia, ib, a.box.unite(b.box),
-        "spacing < " + std::to_string(*rule) + " between " + shapeDesc(m, ia) +
-            " and " + shapeDesc(m, ib)});
-  };
 
   const auto universe =
       static_cast<std::uint64_t>(ids.size()) * (ids.empty() ? 0 : ids.size() - 1) / 2;
   OBS_COUNT_N("drc.spacing.universe", universe);
-  if (bruteForce) {
-    for (std::size_t i = 0; i < ids.size(); ++i)
-      for (std::size_t j = i + 1; j < ids.size(); ++j) report(ids[i], ids[j]);
-    OBS_COUNT_N("drc.spacing.candidates", universe);  // brute examines all
-    return;
-  }
-  // Candidates within the per-layer max-rule halo; ids ascending keeps the
-  // violation order identical to the all-pairs scan.
-  const geom::SpatialIndex idx = buildShapeIndex(m);
   std::vector<std::uint32_t> cand;
   std::uint64_t candTotal = 0;
   for (const ShapeId ia : ids) {
     const Shape& a = m.shape(ia);
     idx.query(a.box.expanded(rc.maxSpacing(a.layer)), cand);
     for (const std::uint32_t ib : cand) {
-      if (ib > ia) {
-        ++candTotal;
-        report(ia, ib);
-      }
+      if (ib <= ia) continue;
+      ++candTotal;
+      if (auto v = detail::spacingViolation(m, rc, ia, ib, samePotentialExempt, connected))
+        out.push_back(std::move(*v));
     }
   }
   OBS_COUNT_N("drc.spacing.candidates", candTotal);
   if (universe > candTotal) OBS_COUNT_N("drc.spacing.pruned", universe - candTotal);
 }
 
-void checkEnclosures(const Module& m, bool bruteForce, std::vector<Violation>& out) {
+void checkEnclosures(const Module& m, const geom::SpatialIndex& idx,
+                     std::vector<Violation>& out) {
   const Technology& t = m.technology();
-  std::optional<geom::SpatialIndex> idx;
-  if (!bruteForce) idx.emplace(buildShapeIndex(m));
   std::vector<std::uint32_t> cand;
+  // Only covers reaching the margin region can subtract area.
+  auto coversOn = [&](tech::LayerId l, const Box& region) {
+    idx.query(l, region, cand);
+    std::vector<Box> covers;
+    for (const std::uint32_t sid : cand) covers.push_back(m.shape(sid).box);
+    return covers;
+  };
   for (ShapeId id : m.shapeIds()) {
-    const Shape& cut = m.shape(id);
-    if (t.info(cut.layer).kind != LayerKind::Cut) continue;
-    const auto conns = t.cutConnections(cut.layer);
-    bool ok = false;
-    for (const auto& [la, lb] : conns) {
-      auto coveredBy = [&](tech::LayerId l) {
-        const Coord margin = t.enclosure(l, cut.layer).value_or(0);
-        std::vector<Box> covers;
-        if (idx) {
-          // Only covers reaching the margin region can subtract area.
-          idx->query(l, cut.box.expanded(margin), cand);
-          for (const std::uint32_t sid : cand) covers.push_back(m.shape(sid).box);
-        } else {
-          for (ShapeId sid : m.shapesOn(l)) covers.push_back(m.shape(sid).box);
-        }
-        return geom::isCovered(cut.box.expanded(margin), covers);
-      };
-      if (coveredBy(la) && coveredBy(lb)) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok && !conns.empty())
-      out.push_back(Violation{ViolationKind::Enclosure, id, db::kNoShape, cut.box,
-                              "cut not enclosed by any connectable layer pair: " +
-                                  shapeDesc(m, id)});
+    if (t.info(m.shape(id).layer).kind != LayerKind::Cut) continue;
+    if (auto v = detail::enclosureViolation(m, id, coversOn)) out.push_back(std::move(*v));
   }
 }
 
@@ -204,31 +186,17 @@ std::vector<Box> uncoveredActive(const db::Module& m) {
 
 std::vector<Violation> check(const db::Module& m, const CheckOptions& options) {
   OBS_COUNT("drc.checks");
-  if (options.bruteForce)
-    OBS_COUNT("drc.engine.brute");
-  else
-    OBS_COUNT("drc.engine.indexed");
   obs::Span span("drc.check");
   span.arg("module", m.name())
-      .arg("shapes", static_cast<std::uint64_t>(m.shapeCount()))
-      .arg("engine", options.bruteForce ? "brute" : "indexed");
+      .arg("shapes", static_cast<std::uint64_t>(m.shapeCount()));
   std::vector<Violation> out;
-  if (options.widths) checkWidths(m, out);
-  if (options.spacings)
-    checkSpacings(m, options.samePotentialExempt, options.bruteForce, out);
-  if (options.enclosures) checkEnclosures(m, options.bruteForce, out);
-  if (options.latchUp) {
-    for (const Box& piece : uncoveredActive(m))
-      out.push_back(Violation{ViolationKind::LatchUp, db::kNoShape, db::kNoShape, piece,
-                              "active area " + piece.str() +
-                                  " not covered by a substrate contact guard"});
+  if (options.widths) detail::checkWidths(m, out);
+  if (options.spacings || options.enclosures) {
+    const geom::SpatialIndex idx = buildShapeIndex(m);
+    if (options.spacings) checkSpacings(m, idx, options.samePotentialExempt, out);
+    if (options.enclosures) checkEnclosures(m, idx, out);
   }
-  if (options.wellEnclosure) {
-    for (const Box& piece : unenclosedPdiff(m))
-      out.push_back(Violation{ViolationKind::Enclosure, db::kNoShape, db::kNoShape,
-                              piece,
-                              "pdiff " + piece.str() + " not enclosed by an n-well"});
-  }
+  detail::checkRegions(m, options, out);
   // Violation counts by rule — the names are dynamic (one counter per
   // kind), so this goes through the registry directly, not OBS_COUNT.
   if (obs::statsEnabled() && !out.empty()) {

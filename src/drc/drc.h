@@ -28,10 +28,6 @@ enum class ViolationKind : std::uint8_t {
 
 const char* violationName(ViolationKind k);
 
-/// The pair-enumeration default a fresh CheckOptions selects: follows the
-/// central obs::spatialEngines() config block (indexed unless steered).
-bool defaultBruteForce();
-
 struct Violation {
   ViolationKind kind;
   db::ShapeId a = db::kNoShape;  ///< offending shape
@@ -45,11 +41,6 @@ struct CheckOptions {
   bool spacings = true;
   bool enclosures = true;
   bool latchUp = true;
-  /// Enumerate candidate pairs by all-pairs scan instead of the spatial
-  /// index.  Both engines report identical violations in identical order
-  /// (enforced by tests); the brute path is the oracle and the benchmark
-  /// baseline.
-  bool bruteForce = defaultBruteForce();
   /// Exempt same-layer spacing between geometrically connected shapes —
   /// the compactor's same-potential merge produces intentional abutments.
   bool samePotentialExempt = true;
@@ -59,7 +50,9 @@ struct CheckOptions {
   bool wellEnclosure = false;
 };
 
-/// Run all enabled checks; empty result = clean layout.
+/// Run all enabled checks; empty result = clean layout.  Pair and cover
+/// candidates come from a geom::SpatialIndex; violations are reported in
+/// shape-id order, identical to the all-pairs oracle in tests/oracle/.
 std::vector<Violation> check(const db::Module& m, const CheckOptions& options = {});
 
 /// Convenience: throws DesignRuleError with a summary when check() finds

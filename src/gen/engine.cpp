@@ -103,7 +103,6 @@ JobResult BatchEngine::runOne(const Job& job) {
     }
 
     lang::Interpreter interp(*tech_);
-    interp.setEngine(cfg_.interp);
     interp.setPrefixCache(prefix_.get());
     db::Module m = [&] {
       if (job.entity.empty()) {

@@ -45,10 +45,6 @@ struct EngineConfig {
   bool preflight = true;
   /// Treat pre-flight warnings as rejections too (lint --Werror).
   bool preflightWerror = false;
-  /// Execution tier for each job's Interpreter.  With the VM, compiled
-  /// chunks are memoized process-wide on the raw script text
-  /// (lang/compiler.h), so warm jobs skip lex+parse+compile entirely.
-  lang::Engine interp = lang::defaultEngine();
   /// Memoize compactor session state at step granularity so sweep jobs
   /// resume from the first divergent compaction step (compact/prefix.h,
   /// docs/CACHING.md).  On by default; the AMG_PREFIX_CACHE=0 environment

@@ -98,8 +98,6 @@ ReplayReport replayTrace(const obs::TraceFile& trace,
   EngineConfig cfg;
   cfg.threads = opt.threads;
   cfg.useCache = opt.useCache.value_or(trace.header.cacheEnabled);
-  cfg.interp = opt.interp.value_or(trace.header.interp == 0 ? lang::Engine::Tree
-                                                            : lang::Engine::Vm);
   cfg.prefixCache = !opt.noPrefixCache && trace.header.prefixCacheEnabled;
 
   // Executable subset, preserving trace positions for the report.

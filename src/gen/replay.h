@@ -7,11 +7,11 @@
 // gen::BatchEngine under the recorded — or overridden — configuration,
 // and compares outcome digests request by request.
 //
-// Because every engine combination is byte-identical by construction
-// (VM vs tree walker, caches warm vs cold vs disabled), a clean replay
-// under an *overridden* configuration is a proof that the override
-// preserves behavior on real traffic: `amg_replay --interp=tree
-// yesterday.amgt` must produce zero divergences or something changed.
+// Because generation is byte-identical across cache states by
+// construction (caches warm vs cold vs disabled), a clean replay under an
+// *overridden* configuration is a proof that the override preserves
+// behavior on real traffic: `amg_replay --no-cache yesterday.amgt` must
+// produce zero divergences or something changed.
 #pragma once
 
 #include <cstddef>
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "gen/job.h"
-#include "lang/interp.h"
 #include "obs/recorder.h"
 #include "tech/tech.h"
 
@@ -38,12 +37,11 @@ obs::RequestRecord recordOf(const Job& job, const JobResult& r);
 /// External records cannot be rebuilt — replayTrace skips them).
 Job jobOf(const obs::RequestRecord& rec);
 
-/// Overrides applied on top of the recorded engine configuration.
+/// Overrides applied on top of the recorded cache-tier configuration.
 struct ReplayOptions {
-  std::optional<lang::Engine> interp;  ///< force an execution engine
-  std::optional<bool> useCache;        ///< force the layout cache on/off
-  bool noPrefixCache = false;          ///< force the prefix tier off
-  std::size_t threads = 0;             ///< worker count; 0 = hardware
+  std::optional<bool> useCache;  ///< force the layout cache on/off
+  bool noPrefixCache = false;    ///< force the prefix tier off
+  std::size_t threads = 0;       ///< worker count; 0 = hardware
 };
 
 /// One request whose replayed outcome digest differs from the recording.
@@ -72,8 +70,7 @@ struct ReplayReport {
 };
 
 /// Re-execute `trace` under `tech` and compare digests.  The recorded
-/// engine configuration (interp choice, cache tiers) applies unless
-/// overridden.  Never throws for per-request failures — a request that
+/// cache-tier configuration applies unless overridden.  Never throws for per-request failures — a request that
 /// fails differently than recorded is a divergence, not an error.
 ReplayReport replayTrace(const obs::TraceFile& trace,
                          const tech::Technology& tech,

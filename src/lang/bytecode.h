@@ -133,9 +133,8 @@ struct Chunk {
   std::uint16_t slotCount = 0;         ///< total slots incl. hidden temporaries
 
   /// Set by the compiler post-pass when the chunk passed the bytecode
-  /// verifier (analysis/bcverify.h) — the VM's license for the unchecked
-  /// dispatch path.  A chunk without it runs with per-dispatch structural
-  /// checks (AMG-B040 traps) instead of raw indexing.
+  /// verifier (analysis/bcverify.h) — the VM's license to run it.  The VM
+  /// refuses a chunk without it at entry (AMG-B040).
   bool verified = false;
 
   /// Source position of the word at `offset` (best effort; 0/0 if unknown).

@@ -1,9 +1,7 @@
 #include "lang/compiler.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <iomanip>
 #include <sstream>
@@ -15,7 +13,6 @@
 #include "lang/token.h"
 #include "obs/obs.h"
 #include "util/thread_annotations.h"
-#include "util/version.h"
 
 namespace amg::lang {
 
@@ -92,7 +89,7 @@ namespace {
 ///  - LOCAL:   entity parameters and assigned names → slot indices in the
 ///             enclosing entity's frame (params occupy slots 0..n-1);
 ///  - GLOBAL:  any name in the top-level calling sequence (it has no frame,
-///             exactly like the tree-walker's empty scope stack);
+///             exactly like the tree-walking oracle's empty scope stack);
 ///  - BUILTIN: call targets matched against builtinSignatures() ordinals —
 ///             recorded as a dispatch hint only, because entities shadow
 ///             builtins and may be declared after the call site.
@@ -212,7 +209,7 @@ class BodyCompiler {
 
   /// Parameter defaults, in declaration order with earlier parameters in
   /// scope; missing required parameters raise AMG-INTERP-005 at the call
-  /// site — same order and same diagnostics as the tree-walker.
+  /// site — same order and same diagnostics as the tree-walking oracle.
   void prologue(const std::vector<EntityDecl::Param>& params) {
     for (std::size_t i = 0; i < params.size(); ++i) {
       const auto& p = params[i];
@@ -272,7 +269,7 @@ class BodyCompiler {
       }
       case Stmt::Kind::For: {
         // FOR_TEST/FOR_INC operate on the hidden counter/bound pair with
-        // native doubles — the tree-walker's loop control is a C++ for
+        // native doubles — a tree-walker's loop control is a C++ for
         // statement, and generic stack traffic here loses to it badly.
         // The pair is allocated adjacently: FOR_TEST addresses the bound
         // as counter+1.
@@ -294,7 +291,7 @@ class BodyCompiler {
         word(0);
         // The loop variable is (re)assigned each iteration with ordinary
         // variable semantics; the hidden counter is untouchable from the
-        // script, exactly like the tree-walker's C++ loop counter.
+        // script, exactly like the tree-walking oracle's C++ loop counter.
         op(Op::LOAD_SLOT, s.line, s.col);
         word(ti);
         store(s.name, s.line, s.col);
@@ -447,23 +444,12 @@ std::shared_ptr<CompiledProgram> compile(const Program& prog) {
 
 namespace {
 
-/// Bumped whenever compiled form or execution semantics change; bump
-/// rules live with the constant (util/version.h).
-constexpr std::uint64_t kBytecodeVersion = util::kBytecodeVersion;
-
-/// Local FNV-1a (lang must not depend on gen/fingerprint.h — gen sits
-/// above lang in the layering).
-std::uint64_t fnv1a(std::string_view s, std::uint64_t h) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
+/// Keyed on the full source text, so a hit is the same program by
+/// construction — no digest, hence no collision that could hand one
+/// script another script's chunk.
 struct ChunkCache {
   util::Mutex mu;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const CompiledProgram>> map
+  std::unordered_map<std::string, std::shared_ptr<const CompiledProgram>> map
       AMG_GUARDED_BY(mu);
   std::size_t hits AMG_GUARDED_BY(mu) = 0;
   std::size_t misses AMG_GUARDED_BY(mu) = 0;
@@ -474,21 +460,10 @@ ChunkCache& chunkCache() {
   return c;
 }
 
-std::atomic<VerifyMode> gVerifyMode{[] {
-  const char* v = std::getenv("AMG_VERIFY");
-  if (!v) return VerifyMode::On;
-  const std::string_view s(v);
-  if (s == "off" || s == "0") return VerifyMode::Off;
-  if (s == "strict") return VerifyMode::Strict;
-  return VerifyMode::On;
-}()};
-
-/// Run the bytecode verifier over every chunk of `prog` and throw the
-/// first finding as a LangError.  A freshly compiled chunk failing here is
-/// a compiler bug (assert in debug builds); a *cached* program failing
-/// under Strict is the admission gate doing its job — a key collision,
-/// version skew, or in-memory corruption must never reach the VM's
-/// unchecked dispatch path.
+/// Run the bytecode verifier over every chunk of a freshly compiled
+/// program and throw the first finding as a LangError.  A failure here is
+/// a compiler bug (assert in debug builds): the compiler must only emit
+/// bytecode the verifier accepts, because the VM runs nothing else.
 void verifyOrThrow(const CompiledProgram& prog) {
   const analysis::ProgramVerification v = analysis::verifyProgram(prog);
   OBS_COUNT_N("vm.verify.chunks", 1 + prog.entities.size());
@@ -500,37 +475,17 @@ void verifyOrThrow(const CompiledProgram& prog) {
 
 }  // namespace
 
-VerifyMode verifyMode() { return gVerifyMode.load(std::memory_order_relaxed); }
-
-VerifyMode setVerifyMode(VerifyMode m) {
-  return gVerifyMode.exchange(m, std::memory_order_relaxed);
-}
-
 std::shared_ptr<const CompiledProgram> compileCached(const std::string& source) {
   // Keyed on the *raw* text: diagnostics and the line table depend on
   // comments/whitespace, so canonicalized sharing would corrupt locations.
-  const std::uint64_t key = fnv1a(source, 14695981039346656037ull ^ kBytecodeVersion);
-  const VerifyMode mode = verifyMode();
   ChunkCache& cc = chunkCache();
   {
-    std::shared_ptr<const CompiledProgram> hit;
-    {
-      util::MutexLock lock(cc.mu);
-      const auto it = cc.map.find(key);
-      if (it != cc.map.end()) {
-        ++cc.hits;
-        hit = it->second;
-      }
-    }
-    if (hit) {
+    util::MutexLock lock(cc.mu);
+    const auto it = cc.map.find(source);
+    if (it != cc.map.end()) {
+      ++cc.hits;
       OBS_COUNT("vm.chunk_cache.hits");
-      // Admission gate, reuse side: Strict re-proves every hit; On only
-      // re-checks entries admitted while verification was Off (their
-      // verified bit is clear, so the VM would run them checked anyway).
-      if (mode == VerifyMode::Strict ||
-          (mode == VerifyMode::On && !hit->top.verified))
-        verifyOrThrow(*hit);
-      return hit;
+      return it->second;
     }
   }
   OBS_COUNT("vm.chunk_cache.misses");
@@ -542,18 +497,17 @@ std::shared_ptr<const CompiledProgram> compileCached(const std::string& source) 
     span.arg("entities", static_cast<std::uint64_t>(prog->entities.size()));
     OBS_COUNT("vm.compile.programs");
   }
-  if (mode != VerifyMode::Off) {
-    // Compiler post-pass: verify before publication, then stamp the bits
-    // that let the VM drop per-dispatch checks.  The program is still
-    // thread-private here, so the writes need no synchronization.
-    verifyOrThrow(*prog);
-    prog->top.verified = true;
-    for (auto& ce : prog->entities) ce->chunk.verified = true;
-  }
+  // Compiler post-pass: verify before publication, then stamp the bits
+  // the VM's entry check requires.  The program is still thread-private
+  // here, so the writes need no synchronization.
+  verifyOrThrow(*prog);
+  prog->top.verified = true;
+  for (auto& ce : prog->entities) ce->chunk.verified = true;
   util::MutexLock lock(cc.mu);
   ++cc.misses;
-  cc.map.emplace(key, prog);
-  return prog;
+  // Two threads may race to compile the same text; the first published
+  // program wins and both callers get an equivalent one.
+  return cc.map.emplace(source, std::move(prog)).first->second;
 }
 
 ChunkCacheStats chunkCacheStats() {

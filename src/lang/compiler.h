@@ -7,10 +7,10 @@
 // running anything compile into RAISE ops carrying the prebuilt
 // diagnostic, so a bad script fails identically under both engines.
 //
-// The chunk cache keys on the *raw* source text (FNV-1a, same family as
-// gen/fingerprint.h) — not the canonicalized form the layout cache uses —
-// because diagnostics and the line table depend on comments and
-// whitespace.  A warm gen::BatchEngine job therefore skips lex + parse +
+// The chunk cache keys on the *raw* source text itself — not a digest of
+// it, and not the canonicalized form the layout cache uses — because
+// diagnostics and the line table depend on comments and whitespace, and
+// because a hit must be the same program by construction.  A warm gen::BatchEngine job therefore skips lex + parse +
 // compile entirely and goes straight to execution.
 #pragma once
 
@@ -28,22 +28,12 @@ namespace amg::lang {
 /// post-pass) can stamp the verified bits before publishing it as const.
 std::shared_ptr<CompiledProgram> compile(const Program& prog);
 
-/// How aggressively compileCached verifies bytecode (analysis/bcverify.h).
-/// The process default comes from AMG_VERIFY: "off"/"0" disables the
-/// post-pass (chunks stay unverified and the VM falls back to checked
-/// dispatch), "strict" re-verifies even on cache hits so a key collision
-/// or a poisoned entry is caught at admission *and* at reuse; anything
-/// else is On.
-enum class VerifyMode { Off, On, Strict };
-VerifyMode verifyMode();
-/// Test/bench override of the process mode.  Returns the previous mode.
-VerifyMode setVerifyMode(VerifyMode m);
-
 /// Lex + parse + compile `source`, memoized process-wide on the raw text.
-/// Lex/parse errors (LangError) propagate and are never cached.  Under
-/// VerifyMode::On/Strict every freshly compiled chunk must pass the
-/// bytecode verifier (assert in debug, LangError with the AMG-B diag in
-/// release) before it is admitted to the cache.  Thread-safe.
+/// Lex/parse errors (LangError) propagate and are never cached.  Every
+/// freshly compiled chunk must pass the bytecode verifier (assert in
+/// debug, LangError with the AMG-B diag in release) before it is stamped
+/// verified and admitted to the cache; the VM runs nothing else.
+/// Thread-safe.
 std::shared_ptr<const CompiledProgram> compileCached(const std::string& source);
 
 /// Chunk-cache telemetry (also exported as vm.chunk_cache.* obs counters).

@@ -59,7 +59,7 @@ db::Module& requireSelf(const ExecContext& ctx, int line) {
 }
 
 /// Bind evaluated arguments against a builtin's declared slots — the same
-/// algorithm (and the same diagnostics) the tree interpreter always used,
+/// algorithm (and the same diagnostics) the tree-walking oracle uses,
 /// operating on values instead of unevaluated expressions.
 std::vector<Value> bindSlots(const BuiltinSig& sig, std::vector<RawArg>& args,
                              int line, int col) {

@@ -1,11 +1,11 @@
-// Shared execution core for the two DSL engines.
+// Shared execution core for builtin calls.
 //
-// The tree-walking interpreter (interp.cpp) and the bytecode VM (vm.cpp)
-// both funnel every builtin call through callBuiltin() below: one binding
-// algorithm, one implementation per builtin, one error-wrapping policy.
-// The engines therefore cannot disagree about what INBOX or compact does —
-// the differential suite (tests/vm_test.cpp) checks the layouts are
-// byte-identical, and this layer is why they are.
+// The bytecode VM (vm.cpp) and the tree-walking test oracle
+// (tests/oracle/) both funnel every builtin call through callBuiltin()
+// below: one binding algorithm, one implementation per builtin, one
+// error-wrapping policy.  They therefore cannot disagree about what INBOX
+// or compact does — the differential suite (tests/vm_test.cpp) checks the
+// layouts are byte-identical, and this layer is why they are.
 //
 // Contract (documented in docs/BYTECODE.md): argument expressions evaluate
 // left-to-right; call resolution and argument binding happen after all

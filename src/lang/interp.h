@@ -1,4 +1,4 @@
-// Tree-walking interpreter of the layout description language.
+// Interpreter of the layout description language.
 //
 // "The implemented language interpreter evaluates and fulfills the design
 // rules automatically" (§2.1): every builtin maps onto the primitive shape
@@ -6,6 +6,11 @@
 // coordinate or a rule value.  The paper's workflow translates module
 // source into C++; here the interpreter and the C++ module library share
 // the same underlying functions, so both paths are first-class.
+//
+// Scripts are compiled to bytecode (lang/compiler.h), verified
+// (analysis/bcverify.h) and run on the stack VM (lang/vm.h).  The original
+// tree-walking evaluator survives only as the differential-testing oracle
+// under tests/oracle/.
 #pragma once
 
 #include <cstdint>
@@ -25,19 +30,6 @@ namespace amg::lang {
 
 struct CompiledEntity;  // lang/bytecode.h
 struct CompiledProgram;
-
-/// Which execution tier evaluates scripts.  Both produce byte-identical
-/// layouts and identical diagnostics (tests/vm_test.cpp is the proof); the
-/// tree-walker survives as the differential-testing oracle behind
-/// --interp=tree.
-enum class Engine : std::uint8_t {
-  Tree,  ///< walk the AST directly (the original interpreter)
-  Vm,    ///< compile to bytecode (lang/compiler.h) and run the stack VM
-};
-
-/// Process default: Engine::Vm, unless the AMG_INTERP environment variable
-/// is "tree" (read once; how CI forces the differential tree run).
-Engine defaultEngine();
 
 /// A runtime value: nothing (an omitted optional parameter), a number in
 /// micrometres, a string, a compass direction, or a layout object.
@@ -126,26 +118,16 @@ class Interpreter {
   /// Lines printed by the script's print() builtin.
   const std::vector<std::string>& output() const { return output_; }
 
-  /// Select the execution tier.  Must be chosen before the first
-  /// run()/load() — each tier keeps its own entity registry (the VM one
-  /// holds compiled chunks, not ASTs).
-  void setEngine(Engine e) { engine_ = e; }
-  Engine engine() const { return engine_; }
-
   /// Route compact() statements through a compactor-prefix cache
-  /// (compact/prefix.h); nullptr (the default) executes every step.  Both
-  /// execution tiers drive the same cache — step fingerprints are computed
-  /// in the shared exec layer.  The caller keeps ownership; the cache must
-  /// outlive the interpreter.
+  /// (compact/prefix.h); nullptr (the default) executes every step.  Step
+  /// fingerprints are computed in the shared exec layer.  The caller keeps
+  /// ownership; the cache must outlive the interpreter.
   void setPrefixCache(compact::PrefixCache* cache) { prefix_ = cache; }
   compact::PrefixCache* prefixCache() const { return prefix_; }
 
  private:
-  struct Frame;
-  class Impl;
-
   /// One registered compiled entity; `file` is stamped onto diagnostics
-  /// exactly like EntityDecl::file on the tree side.
+  /// raised while it runs.
   struct VmEntity {
     std::shared_ptr<const CompiledEntity> ce;
     std::string file;
@@ -154,23 +136,14 @@ class Interpreter {
   void registerCompiled(const CompiledProgram& prog,
                         const std::string& sourceName);
   const VmEntity* findVmEntity(const std::string& name) const;
-  void runVm(const std::string& source, const std::string& sourceName);
-  void loadVm(const std::string& source, const std::string& sourceName);
-  void loadEntitiesVm(const std::string& source, const std::string& sourceName);
-  db::Module instantiateVm(
-      const std::string& entity,
-      const std::vector<std::pair<std::string, Value>>& args);
 
   const tech::Technology* tech_;
-  Engine engine_ = defaultEngine();
   compact::PrefixCache* prefix_ = nullptr;
-  std::vector<EntityDecl> entities_;
   std::vector<VmEntity> vmEntities_;
   std::map<std::string, Value> globals_;
   InterpStats stats_;
   std::vector<std::string> output_;
 
-  friend class Impl;
   friend class VM;
 };
 

@@ -1,9 +1,7 @@
 #include "lang/vm.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
-#include <string_view>
 
 #include "compact/prefix.h"
 #include "lang/builtins.h"
@@ -14,19 +12,6 @@
 #include "opt/rating.h"
 
 namespace amg::lang {
-
-Engine defaultEngine() {
-  static const Engine e = [] {
-    const char* v = std::getenv("AMG_INTERP");
-    if (v && std::string_view(v) == "tree") return Engine::Tree;
-    return Engine::Vm;
-  }();
-  return e;
-}
-
-// --------------------------------------------------------------------------
-// VM
-// --------------------------------------------------------------------------
 
 namespace {
 
@@ -280,166 +265,8 @@ void VM::execVariant(const Chunk& ch, Frame& f, const VariantSite& vs) {
   }                                                                        \
   AMG_NEXT()
 
-// Per-dispatch precondition check for the checked path: everything the
-// fast-path handlers assume without looking (in-bounds side-table indices,
-// sufficient stack depth, numeric FOR slots, named dynamic-scope slots) is
-// proved here first, so a corrupt or unverified chunk traps with a clean
-// AMG-B040 diagnostic instead of indexing out of bounds.  Jump *targets*
-// need no validation at jump time — whatever ip they produce is validated
-// by the next guard call before any handler touches it.
-void VM::checkedGuard(const Chunk& ch, const Frame& f, std::uint32_t ip) {
-  const std::size_t n = ch.code.size();
-  const auto trap = [&](const std::string& what) {
-    const LineInfo li = ip < n ? ch.lineAt(ip) : LineInfo{};
-    fail("AMG-B040",
-         "checked dispatch trap at +" + std::to_string(ip) + ": " + what,
-         li.line, li.col,
-         "this chunk did not pass the bytecode verifier; the checked "
-         "interpreter refuses structurally unsafe instructions");
-  };
-  if (budget_ && dispatched_ >= budget_)
-    fail("AMG-B041",
-         "dispatch budget exhausted after " + std::to_string(budget_) +
-             " instructions",
-         0, 0,
-         "the unverified chunk may not terminate; raise the budget with "
-         "VM::setDispatchBudget or verify the chunk");
-  if (ip >= n) trap("instruction pointer outside the chunk");
-  const std::uint32_t opw = ch.code[ip];
-  if (opw >= kOpCount) trap("invalid opcode " + std::to_string(opw));
-  const Op o = static_cast<Op>(opw);
-  if (ip + 1 + static_cast<std::uint32_t>(opOperands(o)) > n)
-    trap("truncated instruction");
-  const std::uint32_t* a = ch.code.data() + ip + 1;
-  const auto needStack = [&](std::size_t k) {
-    if (stack_.size() < k)
-      trap(std::string(opName(o)) + " underflows the operand stack");
-  };
-  const auto needSlot = [&](std::uint32_t s, std::uint32_t span) {
-    if (s + span > f.slots.size())
-      trap("slot " + std::to_string(s) + " out of bounds (frame has " +
-           std::to_string(f.slots.size()) + ")");
-  };
-  const auto needName = [&](std::uint32_t k) {
-    if (k >= ch.constants.size() ||
-        ch.constants[k].kind() != Value::Kind::String)
-      trap("name operand is not a string constant");
-  };
-  const auto needNamedSlot = [&](std::uint32_t s) {
-    needSlot(s, 1);
-    if (!f.bound[s] && s >= ch.slotNames.size())
-      trap("dynamic-scope access to unnamed slot " + std::to_string(s));
-  };
-  const auto needNumSlot = [&](std::uint32_t s) {
-    if (f.slots[s].kind() != Value::Kind::Number)
-      trap("FOR counter/bound slot " + std::to_string(s) + " is not a number");
-  };
-  switch (o) {
-    case Op::CONST:
-      if (a[0] >= ch.constants.size()) trap("constant index out of bounds");
-      break;
-    case Op::POP:
-    case Op::COPY:
-    case Op::TONUM:
-    case Op::ERROR:
-      needStack(1);
-      break;
-    case Op::STMT:
-    case Op::JUMP:
-    case Op::RET:
-      break;
-    case Op::LOAD_SLOT:
-      needSlot(a[0], 1);
-      break;
-    case Op::STORE_SLOT:
-      needStack(1);
-      needSlot(a[0], 1);
-      break;
-    case Op::LOAD_LOCAL:
-      needNamedSlot(a[0]);
-      break;
-    case Op::STORE_LOCAL:
-      needStack(1);
-      needNamedSlot(a[0]);
-      break;
-    case Op::LOAD_DYN:
-    case Op::LOAD_GLOBAL:
-      needName(a[0]);
-      break;
-    case Op::STORE_GLOBAL:
-      needStack(1);
-      needName(a[0]);
-      break;
-    case Op::ADD:
-    case Op::SUB:
-    case Op::MUL:
-    case Op::DIV:
-    case Op::LT:
-    case Op::GT:
-    case Op::LE:
-    case Op::GE:
-    case Op::EQ:
-    case Op::NE:
-      needStack(2);
-      break;
-    case Op::JF:
-      needStack(1);
-      break;
-    case Op::JSET:
-      needSlot(a[0], 1);
-      break;
-    case Op::FOR_TEST:
-      needSlot(a[0], 2);
-      needNumSlot(a[0]);
-      needNumSlot(a[0] + 1);
-      break;
-    case Op::FOR_INC:
-      needSlot(a[0], 1);
-      needNumSlot(a[0]);
-      break;
-    case Op::REQUIRE:
-      needSlot(a[0], 1);
-      if (f.slots[a[0]].isNone() &&
-          (!f.ent || a[0] >= f.ent->params.size()))
-        trap("REQUIRE on slot " + std::to_string(a[0]) +
-             " has no parameter to name in its diagnostic");
-      break;
-    case Op::CALL: {
-      if (a[0] >= ch.calls.size()) trap("call-site index out of bounds");
-      const CallSite& cs = ch.calls[a[0]];
-      needStack(cs.argc);
-      if (cs.argNames.size() < cs.argc)
-        trap("call site names fewer arguments than its argc");
-      if (cs.builtin >= 0 &&
-          static_cast<std::size_t>(cs.builtin) >= builtinSignatures().size())
-        trap("builtin ordinal out of bounds");
-      break;
-    }
-    case Op::VARIANT: {
-      if (a[0] >= ch.variants.size()) trap("variant index out of bounds");
-      const VariantSite& vs = ch.variants[a[0]];
-      if (vs.branches.empty()) trap("VARIANT site has no branches");
-      for (const auto& [bs, be] : vs.branches)
-        if (bs > be || be > n) trap("VARIANT branch range out of bounds");
-      break;
-    }
-    case Op::RAISE:
-      if (a[0] >= ch.diags.size()) trap("diagnostic index out of bounds");
-      break;
-  }
-}
-
 void VM::runRange(const Chunk& ch, Frame& f, std::uint32_t ip,
                   std::uint32_t end) {
-  if (ch.verified)
-    runRangeImpl<false>(ch, f, ip, end);
-  else
-    runRangeImpl<true>(ch, f, ip, end);
-}
-
-template <bool Checked>
-void VM::runRangeImpl(const Chunk& ch, Frame& f, std::uint32_t ip,
-                      std::uint32_t end) {
   const std::uint32_t* code = ch.code.data();
 #if AMG_VM_COMPUTED_GOTO
   static const void* const kLabels[] = {
@@ -448,19 +275,17 @@ void VM::runRangeImpl(const Chunk& ch, Frame& f, std::uint32_t ip,
 #undef X
   };
 #define AMG_CASE(name) lbl_##name
-#define AMG_NEXT()                                       \
-  do {                                                   \
-    if (ip >= end) return;                               \
-    if constexpr (Checked) checkedGuard(ch, f, ip);      \
-    ++dispatched_;                                       \
-    goto* kLabels[code[ip]];                             \
+#define AMG_NEXT()           \
+  do {                       \
+    if (ip >= end) return;   \
+    ++dispatched_;           \
+    goto* kLabels[code[ip]]; \
   } while (0)
   AMG_NEXT();
 #else
 #define AMG_CASE(name) case Op::name
 #define AMG_NEXT() break
   while (ip < end) {
-    if constexpr (Checked) checkedGuard(ch, f, ip);
     ++dispatched_;
     switch (static_cast<Op>(code[ip])) {
 #endif
@@ -532,7 +357,7 @@ void VM::runRangeImpl(const Chunk& ch, Frame& f, std::uint32_t ip,
     if (f.bound[s]) {
       f.slots[s] = std::move(v);
     } else if (Value* existing = findDyn(ch.slotNames[s])) {
-      // Impl::setVar: mutate the nearest existing binding...
+      // Mutate the nearest existing binding...
       *existing = std::move(v);
     } else {
       // ...or create one in the current scope.
@@ -652,7 +477,14 @@ void VM::runRangeImpl(const Chunk& ch, Frame& f, std::uint32_t ip,
 #undef AMG_CASE
 #undef AMG_NEXT
 
+void VM::refuseUnverified(const std::string& what) {
+  fail("AMG-B040", what + ": unverified chunk refused at VM entry", 0, 0,
+       "the VM runs only bytecode that passed analysis::verifyProgram; "
+       "obtain programs through compileCached(), which verifies them");
+}
+
 void VM::execTop(const Chunk& top) {
+  if (!top.verified) refuseUnverified("top-level");
   Frame f;
   f.chunk = &top;
   f.slots.resize(top.slotCount);
@@ -670,6 +502,7 @@ void VM::execTop(const Chunk& top) {
 db::Module VM::instantiate(
     const CompiledEntity& ent,
     const std::vector<std::pair<std::string, Value>>& namedArgs, int line) {
+  if (!ent.chunk.verified) refuseUnverified("ENT " + ent.name);
   if (++depth_ > 64)
     fail("AMG-INTERP-006", "entity recursion too deep", line, 0,
          "entities may nest at most 64 deep; check for unbounded recursion");
@@ -684,12 +517,8 @@ db::Module VM::instantiate(
   f.callLine = line;
   f.slots.resize(ent.chunk.slotCount);
   f.bound.assign(ent.chunk.slotCount, 0);
-  // The `i < f.bound.size()` clamp matters only for corrupt metadata
-  // (params beyond slotCount) — the verifier rejects it as AMG-B014, but
-  // unverified chunks reach instantiate() too and this runs pre-dispatch,
-  // before checkedGuard can intervene.
-  for (std::size_t i = 0; i < ent.params.size() && i < f.bound.size(); ++i)
-    f.bound[i] = 1;
+  // Parameters occupy the first slots (the verifier proves it, AMG-B014).
+  for (std::size_t i = 0; i < ent.params.size(); ++i) f.bound[i] = 1;
   for (const auto& [name, v] : namedArgs) {
     int idx = -1;
     for (std::size_t i = 0; i < ent.params.size(); ++i)
@@ -702,11 +531,6 @@ db::Module VM::instantiate(
            "entity '" + ent.name + "' has no parameter '" + name + "'", line, 0,
            "the declaration is 'ENT " + ent.name + "(...)' on line " +
                std::to_string(ent.line));
-    if (static_cast<std::size_t>(idx) >= f.slots.size())
-      fail("AMG-B040",
-           "entity '" + ent.name + "': parameter slot " + std::to_string(idx) +
-               " exceeds the chunk's slot count",
-           line, 0, "the chunk's metadata is corrupt (verifier code AMG-B014)");
     f.slots[static_cast<std::size_t>(idx)] = v;
   }
 
@@ -729,98 +553,6 @@ db::Module VM::instantiate(
   frames_.pop_back();
   --depth_;
   return self;
-}
-
-// --------------------------------------------------------------------------
-// Interpreter facade, VM side (the engine dispatch lives in interp.cpp)
-// --------------------------------------------------------------------------
-
-namespace {
-
-[[noreturn]] void rethrowWithFile(const LangError& e, const std::string& file) {
-  util::Diag d = e.diag();
-  if (d.loc.file.empty()) d.loc.file = file;
-  throw LangError(std::move(d));
-}
-
-}  // namespace
-
-void Interpreter::registerCompiled(const CompiledProgram& prog,
-                                   const std::string& sourceName) {
-  vmEntities_.reserve(vmEntities_.size() + prog.entities.size());
-  for (const auto& ce : prog.entities) {
-    // Later declarations shadow earlier ones (remove the old).
-    if (!vmEntities_.empty())
-      vmEntities_.erase(
-          std::remove_if(
-              vmEntities_.begin(), vmEntities_.end(),
-              [&](const VmEntity& x) { return x.ce->name == ce->name; }),
-          vmEntities_.end());
-    vmEntities_.push_back({ce, sourceName});
-  }
-}
-
-const Interpreter::VmEntity* Interpreter::findVmEntity(
-    const std::string& name) const {
-  for (const VmEntity& e : vmEntities_)
-    if (e.ce->name == name) return &e;
-  return nullptr;
-}
-
-void Interpreter::runVm(const std::string& source,
-                        const std::string& sourceName) {
-  try {
-    const auto prog = compileCached(source);
-    registerCompiled(*prog, sourceName);
-    VM vm(*this);
-    vm.execTop(prog->top);
-  } catch (const LangError& e) {
-    rethrowWithFile(e, sourceName);
-  }
-}
-
-void Interpreter::loadVm(const std::string& source,
-                         const std::string& sourceName) {
-  try {
-    const auto prog = compileCached(source);
-    if (prog->hasTop)
-      throw LangError(util::Diag{
-          "AMG-INTERP-013", "load(): script has top-level statements; use run()",
-          {"", prog->topLine, prog->topCol},
-          "load() registers entities only; move the calling sequence to run()"});
-    registerCompiled(*prog, sourceName);
-  } catch (const LangError& e) {
-    rethrowWithFile(e, sourceName);
-  }
-}
-
-void Interpreter::loadEntitiesVm(const std::string& source,
-                                 const std::string& sourceName) {
-  try {
-    const auto prog = compileCached(source);
-    registerCompiled(*prog, sourceName);
-  } catch (const LangError& e) {
-    rethrowWithFile(e, sourceName);
-  }
-}
-
-db::Module Interpreter::instantiateVm(
-    const std::string& entity,
-    const std::vector<std::pair<std::string, Value>>& args) {
-  const VmEntity* ve = findVmEntity(entity);
-  if (!ve) {
-    util::Diag d;
-    d.code = "AMG-INTERP-002";
-    d.message = "unknown entity '" + entity + "'";
-    d.hint = "load a script declaring it first";
-    throw LangError(std::move(d));
-  }
-  VM vm(*this);
-  try {
-    return vm.instantiate(*ve->ce, args, ve->ce->line);
-  } catch (const LangError& e) {
-    rethrowWithFile(e, ve->file);
-  }
 }
 
 }  // namespace amg::lang

@@ -1,16 +1,19 @@
-// The bytecode stack VM — the default execution tier for the layout DSL.
+// The bytecode stack VM — the layout DSL's execution engine.
 //
-// One VM object lives for the duration of one run()/instantiate() call,
-// exactly like the tree-walker's Impl: frames, the value stack and the
-// recursion depth reset per execution, while globals/stats/output live on
-// the host Interpreter.
+// One VM object lives for the duration of one run()/instantiate() call:
+// frames, the value stack and the recursion depth reset per execution,
+// while globals/stats/output live on the host Interpreter.
 //
-// Semantics contract (docs/BYTECODE.md, enforced by tests/vm_test.cpp):
-// identical layouts byte-for-byte, identical diagnostics, identical stats
-// and obs counters as the tree-walker.  Dynamic scoping is preserved via
-// slot fast paths with a by-name fallback walk: a bound slot is a direct
-// index; an unbound one resolves through enclosing frames and globals the
-// way Impl::findVar/setVar always did.
+// Semantics contract (docs/BYTECODE.md, enforced by tests/vm_test.cpp
+// against the tree-walking oracle in tests/oracle/): identical layouts
+// byte-for-byte, identical diagnostics, identical stats and obs counters.
+// Dynamic scoping is preserved via slot fast paths with a by-name fallback
+// walk: a bound slot is a direct index; an unbound one resolves through
+// enclosing frames and globals, innermost first.
+//
+// Only verified chunks run (Chunk::verified, set by compileCached after
+// analysis::verifyProgram passes); the entry points refuse anything else
+// with AMG-B040 before the first dispatch.
 #pragma once
 
 #include <cstdint>
@@ -38,11 +41,6 @@ class VM {
       const CompiledEntity& ent,
       const std::vector<std::pair<std::string, Value>>& namedArgs, int line);
 
-  /// Cap on instructions this VM may dispatch (0 = unlimited).  Enforced
-  /// only on the checked path: fuel for running unverified chunks whose
-  /// loops nothing proved terminating — exhaustion traps with AMG-B041.
-  void setDispatchBudget(std::uint64_t instructions) { budget_ = instructions; }
-
  private:
   struct Frame {
     const Chunk* chunk = nullptr;
@@ -53,22 +51,19 @@ class VM {
     int callLine = 0;                 ///< for AMG-INTERP-005/006 locations
   };
 
-  /// Dispatch on Chunk::verified: a verified chunk runs the raw-indexing
-  /// fast path, anything else the checked path where every dispatch first
-  /// proves the instruction structurally safe (AMG-B040 traps otherwise).
+  /// Dispatch [ip, end) of a verified chunk.  Handlers index operands,
+  /// slots and side tables without bounds checks: the verifier proved
+  /// every one of those accesses in range (docs/BYTECODE.md).
   void runRange(const Chunk& ch, Frame& f, std::uint32_t ip, std::uint32_t end);
-  template <bool Checked>
-  void runRangeImpl(const Chunk& ch, Frame& f, std::uint32_t ip,
-                    std::uint32_t end);
-  /// The checked path's per-dispatch precondition check; throws LangError
-  /// (AMG-B040/B041) instead of letting a handler index out of bounds.
-  void checkedGuard(const Chunk& ch, const Frame& f, std::uint32_t ip);
+  /// The VM entry check's failure: execTop()/instantiate() refuse a chunk
+  /// whose verified bit is clear (AMG-B040) before any instruction runs.
+  [[noreturn]] static void refuseUnverified(const std::string& what);
   void execVariant(const Chunk& ch, Frame& f, const VariantSite& vs);
   void binary(const Chunk& ch, std::uint32_t opOffset, Op o);
   void call(const Chunk& ch, Frame& f, const CallSite& cs);
 
   /// Innermost-out dynamic-scope lookup over all live frames, then the
-  /// host's globals — Impl::findVar, expressed over slots.
+  /// host's globals.
   Value* findDyn(const std::string& name);
 
   Interpreter& host_;
@@ -78,7 +73,6 @@ class VM {
   std::vector<exec::RawArg> rawScratch_;  ///< reused builtin-call buffer
   int depth_ = 0;
   std::uint64_t dispatched_ = 0;
-  std::uint64_t budget_ = 0;  ///< see setDispatchBudget()
 };
 
 }  // namespace amg::lang

@@ -111,11 +111,6 @@ void Histogram::reset() {
 // Stats registry
 // --------------------------------------------------------------------------
 
-SpatialEngineConfig& spatialEngines() {
-  static SpatialEngineConfig cfg;
-  return cfg;
-}
-
 Stats& Stats::global() {
   static Stats s;
   return s;
@@ -165,18 +160,7 @@ void Stats::reset() {
   for (auto& [name, h] : histograms_) h->reset();
 }
 
-namespace {
-
-const char* engineName(bool indexed) { return indexed ? "indexed" : "brute"; }
-
-}  // namespace
-
 void Stats::dumpText(std::FILE* out) const {
-  const SpatialEngineConfig& e = spatialEngines();
-  std::fprintf(out,
-               "obs config: engines compact=%s drc=%s connectivity=%s route=%s\n",
-               engineName(e.compactIndexed), engineName(e.drcIndexed),
-               engineName(e.connectivityIndexed), engineName(e.routeIndexed));
   for (const auto& [name, v] : counters())
     if (v != 0) std::fprintf(out, "  %-44s %12" PRIu64 "\n", name.c_str(), v);
   for (const auto& [name, s] : histograms()) {
@@ -189,18 +173,6 @@ void Stats::dumpText(std::FILE* out) const {
 }
 
 namespace {
-
-void writeConfigBlock(JsonWriter& w) {
-  const SpatialEngineConfig& e = spatialEngines();
-  w.beginObject("config");
-  w.beginObject("spatial_engines");
-  w.field("compact", engineName(e.compactIndexed));
-  w.field("drc", engineName(e.drcIndexed));
-  w.field("connectivity", engineName(e.connectivityIndexed));
-  w.field("route", engineName(e.routeIndexed));
-  w.end();
-  w.end();
-}
 
 void writeStatsBody(JsonWriter& w, const Stats& stats) {
   w.beginObject("counters");
@@ -228,7 +200,6 @@ bool Stats::writeJson(const std::string& path) const {
   if (!f) return false;
   JsonWriter w(f);
   w.beginObject();
-  writeConfigBlock(w);
   writeStatsBody(w, *this);
   w.end();
   std::fputc('\n', f);

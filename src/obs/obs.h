@@ -120,23 +120,6 @@ class Histogram {
   std::atomic<std::uint64_t> max_{0};
 };
 
-/// Which pair-enumeration engine each spatial-index consumer defaults to —
-/// one config block replacing the four scattered booleans
-/// (compact::Options::engine, drc::CheckOptions::bruteForce,
-/// db::Connectivity's and route::Obstacles' constructor arguments).  All
-/// indexed by default; flip a flag before constructing the options/objects
-/// to steer a whole run onto the brute-force oracle.  The consumers also
-/// report which engine actually ran ("<consumer>.engine.indexed|brute"
-/// counters), and Stats dumps echo this block, so a stats file always says
-/// what configuration produced it.
-struct SpatialEngineConfig {
-  bool compactIndexed = true;
-  bool drcIndexed = true;
-  bool connectivityIndexed = true;
-  bool routeIndexed = true;
-};
-SpatialEngineConfig& spatialEngines();
-
 /// The registry: dotted hierarchical names mapped to counters/histograms.
 /// Entries are created on first use and never move (callers cache
 /// references); reset() zeroes values but keeps entries, so cached
@@ -158,11 +141,11 @@ class Stats {
   /// Zero every counter/histogram (entries survive; see class comment).
   void reset();
 
-  /// Human-readable dump: the spatial-engine config block, then counters
-  /// and histograms in name order.  Zero-valued counters are skipped.
+  /// Human-readable dump: counters and histograms in name order.
+  /// Zero-valued counters are skipped.
   void dumpText(std::FILE* out) const;
   /// Same content as one JSON object:
-  /// {"config": {...}, "counters": {...}, "histograms": {...}}.
+  /// {"counters": {...}, "histograms": {...}}.
   bool writeJson(const std::string& path) const;
 
  private:

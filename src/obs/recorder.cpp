@@ -41,10 +41,8 @@ void writeHeader(util::WireWriter& w, const TraceHeader& h) {
   w.str(h.tool);
   w.str(h.techSpec);
   w.u64(h.techFingerprint);
-  w.u8(h.interp);
   w.u8(static_cast<std::uint8_t>((h.cacheEnabled ? 1u : 0u) |
                                  (h.prefixCacheEnabled ? 2u : 0u)));
-  w.u8(h.spatialEngines);
 }
 
 TraceHeader readHeader(util::WireReader& r) {
@@ -60,11 +58,9 @@ TraceHeader readHeader(util::WireReader& r) {
   h.tool = r.str();
   h.techSpec = r.str();
   h.techFingerprint = r.u64();
-  h.interp = r.u8();
   const std::uint8_t flags = r.u8();
   h.cacheEnabled = (flags & 1u) != 0;
   h.prefixCacheEnabled = (flags & 2u) != 0;
-  h.spatialEngines = r.u8();
   return h;
 }
 

@@ -1,13 +1,12 @@
 // Deterministic request recording: the versioned "AMGT" trace format.
 //
-// The engines are deterministic and byte-identical across the bytecode VM,
-// the tree walker and every cache tier — so a trace of what a run was
-// *asked to do* plus a digest of what it *produced* is a complete
+// Generation is deterministic and byte-identical across every cache tier
+// and worker count — so a trace of what a run was *asked to do* plus a digest of what it *produced* is a complete
 // regression oracle: re-execute the requests (amg_replay), compare
-// digests, and any behavior change in an engine or cache tier shows up as
+// digests, and any behavior change in the engine or a cache tier shows up as
 // a divergence on yesterday's traffic.
 //
-// One trace file = one header (tool, technology identity, engine
+// One trace file = one header (tool, technology identity, cache-tier
 // configuration) + a flat sequence of request records until EOF, all
 // little-endian via util/wire.h.  A record carries everything needed to
 // re-execute the request (canonicalized script source, or entity + sorted
@@ -44,16 +43,14 @@ enum class RequestKind : std::uint8_t {
 };
 
 /// Trace-wide context: which tool recorded, under what technology and
-/// engine configuration.  Replay restores this configuration unless
+/// cache-tier configuration.  Replay restores this configuration unless
 /// overridden on the amg_replay command line.
 struct TraceHeader {
   std::string tool;          ///< "batch_runner", "dsl_runner", "full_flow"
   std::string techSpec;      ///< the --tech spec used (name or path)
   std::uint64_t techFingerprint = 0;  ///< tech::Technology::contentFingerprint()
-  std::uint8_t interp = 1;   ///< 0 = tree walker, 1 = bytecode VM
   bool cacheEnabled = true;        ///< whole-layout cache tier
   bool prefixCacheEnabled = true;  ///< compactor-prefix cache tier
-  std::uint8_t spatialEngines = 0xF;  ///< bit0 compact, 1 drc, 2 conn, 3 route
 };
 
 /// What a request produced.  The *digest fields* (ok, rejected,
@@ -94,7 +91,7 @@ struct TraceFile {
 };
 
 /// The behavioral digest of an outcome (see RequestOutcome).  Chained
-/// FNV-1a; stable across platforms and engine choices.
+/// FNV-1a; stable across platforms and cache states.
 std::uint64_t outcomeDigest(const RequestOutcome& o);
 
 /// In-memory (de)serialization of a whole trace.  deserializeTrace throws

@@ -40,16 +40,6 @@ bool StatsWriter::write(const std::string& path) const {
   for (const auto& [key, v] : flags_) w.field(key.c_str(), v);
   for (const auto& [key, v] : metrics_) w.field(key.c_str(), v);
 
-  const SpatialEngineConfig& e = spatialEngines();
-  w.beginObject("config");
-  w.beginObject("spatial_engines");
-  w.field("compact", e.compactIndexed ? "indexed" : "brute");
-  w.field("drc", e.drcIndexed ? "indexed" : "brute");
-  w.field("connectivity", e.connectivityIndexed ? "indexed" : "brute");
-  w.field("route", e.routeIndexed ? "indexed" : "brute");
-  w.end();
-  w.end();
-
   if (statsEnabled()) {
     const Stats& st = Stats::global();
     w.beginObject("stats");

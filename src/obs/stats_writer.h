@@ -4,12 +4,9 @@
 //   {"bench": "<name>",
 //    "samples": [{"workload": ..., "n": ..., "engine": ..., "wall_ms": ...}, ...],
 //    <flags...>, <metrics...>,
-//    "config": {"spatial_engines": {...}},
 //    "stats": {"counters": {...}, "histograms": {...}}}
 //
-// The config block always records which spatial-index engines the run was
-// configured with; the stats block is included only when counters were
-// enabled, so a result file carries its own provenance.
+// The stats block is included only when counters were enabled.
 #pragma once
 
 #include <cstdint>

@@ -1,64 +1,30 @@
 #include "route/obstacles.h"
 
-#include <algorithm>
-
 #include "obs/obs.h"
 #include "tech/rulecache.h"
 
 namespace amg::route {
 
-Obstacles::Obstacles(const db::Module& m)
-    : Obstacles(m, obs::spatialEngines().routeIndexed ? Engine::Indexed
-                                                      : Engine::BruteForce) {}
-
-Obstacles::Obstacles(const db::Module& m, Engine engine) : m_(&m), engine_(engine) {
-  if (engine_ == Engine::Indexed)
-    OBS_COUNT("route.engine.indexed");
-  else
-    OBS_COUNT("route.engine.brute");
-  for (db::ShapeId id : m.shapeIds()) {
-    ids_.push_back(id);
-    if (engine_ == Engine::Indexed)
-      idx_.insert(id, m.shape(id).layer, m.shape(id).box);
-  }
+Obstacles::Obstacles(const db::Module& m) : m_(&m) {
+  for (db::ShapeId id : m.shapeIds()) add(id);
 }
 
 void Obstacles::add(db::ShapeId id) {
-  const auto pos = std::lower_bound(ids_.begin(), ids_.end(), id);
-  if (pos != ids_.end() && *pos == id) return;
-  ids_.insert(pos, id);
-  if (engine_ == Engine::Indexed)
-    idx_.insert(id, m_->shape(id).layer, m_->shape(id).box);
+  // A repeated id unions its (identical) coverage; queries deduplicate.
+  idx_.insert(id, m_->shape(id).layer, m_->shape(id).box);
 }
 
 std::optional<db::ShapeId> Obstacles::firstConflict(const db::Shape& s) const {
   const tech::RuleCache& rc = m_->technology().rules();
   if (rc.kind(s.layer) == tech::LayerKind::Marker) return std::nullopt;
   OBS_COUNT("route.obstacles.probes");
-
-  const db::ShapeId* begin = ids_.data();
-  const db::ShapeId* end = begin + ids_.size();
-  if (engine_ == Engine::Indexed) {
-    // Every conflict is within the largest spacing rule of s.layer (the
-    // no-rule overlap case needs halo 0, subsumed by any non-negative halo).
-    idx_.query(s.box.expanded(rc.maxSpacing(s.layer)), scratch_);
-    begin = scratch_.data();
-    end = begin + scratch_.size();
-  }
-  OBS_COUNT_N("route.obstacles.candidates", static_cast<std::uint64_t>(end - begin));
-
-  for (const db::ShapeId* it = begin; it != end; ++it) {
-    const db::ShapeId id = *it;
+  // Every conflict is within the largest spacing rule of s.layer (the
+  // no-rule overlap case needs halo 0, subsumed by any non-negative halo).
+  idx_.query(s.box.expanded(rc.maxSpacing(s.layer)), scratch_);
+  OBS_COUNT_N("route.obstacles.candidates", scratch_.size());
+  for (const db::ShapeId id : scratch_) {
     if (!m_->isAlive(id)) continue;
-    const db::Shape& o = m_->shape(id);
-    if (rc.kind(o.layer) == tech::LayerKind::Marker) continue;
-    if (s.net != db::kNoNet && o.net == s.net) continue;
-    if (auto rule = rc.minSpacing(s.layer, o.layer)) {
-      if (gapX(s.box, o.box) < *rule && gapY(s.box, o.box) < *rule) {
-        OBS_COUNT("route.obstacles.conflicts");
-        return id;
-      }
-    } else if (s.box.overlaps(o.box)) {
+    if (conflicts(rc, s, m_->shape(id))) {
       OBS_COUNT("route.obstacles.conflicts");
       return id;
     }

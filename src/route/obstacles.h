@@ -8,10 +8,11 @@
 // the shared geom::SpatialIndex so each probe touches only the shapes
 // within the rule halo of the probed box.
 //
-// Determinism contract (mirrors the DRC/compactor consumers): the indexed
-// engine answers are identical to the brute-force scan — firstConflict()
-// returns the *lowest-id* conflicting shape in both engines, because index
-// candidates come back sorted by id and the exact predicate is re-applied.
+// Determinism contract: firstConflict() returns the *lowest-id*
+// conflicting shape — index candidates come back sorted by id and the
+// exact predicate (conflicts() below) is re-applied to each, so the answer
+// is identical to a scan over every tracked shape (the oracle in
+// tests/oracle/).
 #pragma once
 
 #include <optional>
@@ -19,39 +20,41 @@
 
 #include "db/module.h"
 #include "geom/spatial.h"
+#include "tech/rulecache.h"
 
 namespace amg::route {
 
+/// Whether tracked shape `o` conflicts with a shape `s` being placed: `o`
+/// is on a non-marker layer, is not on the same (named) net as `s`, and
+/// either violates the spacing rule between the two layers or — when no
+/// rule exists — overlaps `s` outright.
+inline bool conflicts(const tech::RuleCache& rc, const db::Shape& s, const db::Shape& o) {
+  if (rc.kind(o.layer) == tech::LayerKind::Marker) return false;
+  if (s.net != db::kNoNet && o.net == s.net) return false;
+  if (auto rule = rc.minSpacing(s.layer, o.layer))
+    return gapX(s.box, o.box) < *rule && gapY(s.box, o.box) < *rule;
+  return s.box.overlaps(o.box);  // no rule, but a stray overlap changes devices
+}
+
 class Obstacles {
  public:
-  /// Candidate enumeration strategy; BruteForce is the all-shapes oracle.
-  enum class Engine : std::uint8_t { Indexed, BruteForce };
-
   /// Snapshot the current shapes of `m` as obstacles.  The module must
   /// outlive the Obstacles; shapes added to `m` later are only considered
-  /// after an explicit add().  The single-argument form follows the central
-  /// obs::spatialEngines() config block (indexed unless steered otherwise).
+  /// after an explicit add().
   explicit Obstacles(const db::Module& m);
-  Obstacles(const db::Module& m, Engine engine);
 
   /// Register a shape created after the snapshot (a placed wire segment)
-  /// as an obstacle for subsequent probes.
+  /// as an obstacle for subsequent probes.  Registering an id twice is
+  /// harmless.
   void add(db::ShapeId id);
 
-  /// The lowest-id tracked shape in conflict with `s`, or nullopt when `s`
-  /// is clear.  A tracked shape conflicts when it is on a non-marker layer,
-  /// is not on the same (named) net as `s`, and either violates the
-  /// spacing rule between the two layers or — when no rule exists —
-  /// overlaps `s` outright.
+  /// The lowest-id tracked shape in conflict with `s` (see conflicts()),
+  /// or nullopt when `s` is clear.
   std::optional<db::ShapeId> firstConflict(const db::Shape& s) const;
-
-  std::size_t size() const { return ids_.size(); }
 
  private:
   const db::Module* m_;
-  Engine engine_;
-  std::vector<db::ShapeId> ids_;  ///< tracked obstacles, ascending
-  geom::SpatialIndex idx_;        ///< over ids_ (Indexed engine only)
+  geom::SpatialIndex idx_;  ///< the tracked obstacles
   mutable std::vector<std::uint32_t> scratch_;
 };
 

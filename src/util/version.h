@@ -15,8 +15,7 @@
 //    inputs, different layout bytes — so every content-addressed cache key
 //    derived from it (whole-layout and compactor-prefix tiers) is busted.
 //  * kBytecodeVersion changes when compiled chunks stop being equivalent
-//    (new opcode, changed operand encoding, changed lowering), busting the
-//    process-wide chunk cache.
+//    (new opcode, changed operand encoding, changed lowering).
 //  * kApiVersion changes when include/amgen.h changes incompatibly
 //    (removed/retyped symbols); additions keep it stable.
 #pragma once
@@ -29,7 +28,8 @@ namespace amg::util {
 inline constexpr const char* kVersionString = "amgen 0.9.0";
 
 /// C-ABI compatibility generation (include/amgen.h, AMGEN_API_VERSION).
-inline constexpr std::uint32_t kApiVersion = 1;
+/// v2 removed amg_config.interp.
+inline constexpr std::uint32_t kApiVersion = 2;
 
 /// "AMGL" end-of-build layout record (io/layout.h, AMG-IO-002 on mismatch).
 inline constexpr std::uint32_t kLayoutFormatVersion = 1;
@@ -38,7 +38,8 @@ inline constexpr std::uint32_t kLayoutFormatVersion = 1;
 inline constexpr std::uint32_t kSessionFormatVersion = 1;
 
 /// "AMGT" request trace (obs/recorder.h, AMG-OBS-002 on mismatch).
-inline constexpr std::uint32_t kTraceFormatVersion = 1;
+/// v2 dropped the execution-engine and spatial-engine header bytes.
+inline constexpr std::uint32_t kTraceFormatVersion = 2;
 
 /// Compactor-prefix snapshot chain (compact/prefix.h); feeds the rolling
 /// chain-key seed, so a bump silently invalidates every prefix entry.
@@ -47,7 +48,7 @@ inline constexpr std::uint64_t kPrefixFormatVersion = 1;
 /// Generation behavior generation (gen/engine.cpp cache keys).
 inline constexpr std::uint64_t kEngineVersion = 1;
 
-/// Compiled-chunk equivalence generation (lang/compiler.cpp chunk cache).
+/// Compiled-chunk equivalence generation (lang/bytecode.h).
 inline constexpr std::uint64_t kBytecodeVersion = 2;
 
 }  // namespace amg::util

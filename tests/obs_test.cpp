@@ -16,8 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "compact/compactor.h"
-#include "db/connectivity.h"
 #include "drc/drc.h"
 #include "obs/stats_writer.h"
 #include "tech/builtin.h"
@@ -254,7 +252,7 @@ TEST(ObsStats, ResetKeepsEntriesAndCachedReferences) {
   EXPECT_EQ(obs::Stats::global().value("test.sticky"), 3u);
 }
 
-TEST(ObsStats, JsonDumpIsValidAndCarriesConfig) {
+TEST(ObsStats, JsonDumpIsValid) {
   ObsQuiet q;
   obs::enableStats(true);
   obs::Stats::global().reset();
@@ -264,7 +262,6 @@ TEST(ObsStats, JsonDumpIsValidAndCarriesConfig) {
   ASSERT_TRUE(obs::Stats::global().writeJson(path));
   const std::string text = readFile(path);
   EXPECT_TRUE(validJson(text)) << text;
-  EXPECT_NE(text.find("\"spatial_engines\""), std::string::npos);
   EXPECT_NE(text.find("\"test.dump\":41"), std::string::npos);
   EXPECT_NE(text.find("\"test.dump.hist\""), std::string::npos);
 }
@@ -379,38 +376,6 @@ TEST(ObsStats, DeterministicAcrossJobCounts) {
   EXPECT_GT(obs::Stats::global().value("drc.spacing.universe"), 0u);
 }
 
-// ---- spatial-engine config block ------------------------------------------
-
-TEST(ObsConfig, EngineBlockSteersConsumerDefaults) {
-  ObsQuiet q;
-  obs::SpatialEngineConfig& cfg = obs::spatialEngines();
-  const obs::SpatialEngineConfig saved = cfg;
-
-  EXPECT_EQ(compact::Options{}.engine, compact::Engine::Indexed);
-  EXPECT_FALSE(drc::CheckOptions{}.bruteForce);
-
-  cfg.compactIndexed = false;
-  cfg.drcIndexed = false;
-  cfg.connectivityIndexed = false;
-  EXPECT_EQ(compact::Options{}.engine, compact::Engine::BruteForce);
-  EXPECT_TRUE(drc::CheckOptions{}.bruteForce);
-
-  // The consumers report which engine actually ran.
-  obs::enableStats(true);
-  obs::Stats::global().reset();
-  const db::Module m = padRow(4);
-  drc::CheckOptions opt;  // picks up the flipped default
-  opt.latchUp = false;
-  (void)drc::check(m, opt);
-  (void)db::Connectivity(m);
-  EXPECT_EQ(obs::Stats::global().value("drc.engine.brute"), 1u);
-  EXPECT_EQ(obs::Stats::global().value("drc.engine.indexed"), 0u);
-  EXPECT_EQ(obs::Stats::global().value("connectivity.engine.brute"), 1u);
-
-  cfg = saved;
-  EXPECT_EQ(compact::Options{}.engine, compact::Engine::Indexed);
-}
-
 // ---- structured log --------------------------------------------------------
 
 TEST(ObsLog, LevelGatesEvaluationAndSinkCapturesRecords) {
@@ -502,7 +467,6 @@ TEST(ObsStatsWriter, PreservesBenchSchema) {
   EXPECT_NE(text.find("\"wall_ms\":"), std::string::npos);
   EXPECT_NE(text.find("\"identical_results\":true"), std::string::npos);
   EXPECT_NE(text.find("\"speedup_drc\":7.94"), std::string::npos);
-  EXPECT_NE(text.find("\"spatial_engines\""), std::string::npos);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // round trip, the module identity stamp, and the tier's whole contract —
 // prefix-restored compaction is byte-identical to cold execution, across
 // shuffled job orders, eviction pressure, the disk tier, VARIANT
-// backtracking and both execution engines.
+// backtracking, and the VM and the tree-walking oracle sharing one tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include "gen/engine.h"
 #include "io/layout.h"
 #include "lang/interp.h"
+#include "oracle/tree_interp.h"
 #include "tech/builtin.h"
 #include "util/diag.h"
 
@@ -82,6 +83,18 @@ gen::EngineConfig coldConfig() {
   gen::EngineConfig cfg;
   cfg.prefixCache = false;
   return cfg;
+}
+
+/// Instantiate one sweep job on `Interp` (lang::Interpreter or the oracle)
+/// through `cache`; returns the layout bytes.
+template <class Interp>
+std::vector<std::uint8_t> runJobOn(const gen::Job& j, compact::PrefixCache& cache) {
+  Interp in(bicmos1u());
+  in.setPrefixCache(&cache);
+  in.loadEntities(j.script, j.scriptPath);
+  std::vector<std::pair<std::string, lang::Value>> args;
+  for (const auto& [k, v] : j.params) args.emplace_back(k, lang::Value::number(std::stod(v)));
+  return io::serializeLayout(in.instantiate(j.entity, args));
 }
 
 // --- session-state serializer ---------------------------------------------
@@ -173,13 +186,26 @@ TEST(PrefixCache, ShuffledJobOrdersStayByteIdentical) {
 }
 
 TEST(PrefixCache, BothEnginesShareTheTierAndAgree) {
+  // The VM and the tree-walking oracle drive one PrefixCache, taking turns
+  // on who runs a job first: steps either one stored, the other restores,
+  // and every layout matches the cold batch run.
   const std::vector<gen::Job> jobs = sweepJobs(5);
   const auto cold = runBatch(jobs, coldConfig());
-  for (lang::Engine e : {lang::Engine::Vm, lang::Engine::Tree}) {
-    gen::EngineConfig cfg;
-    cfg.interp = e;
-    EXPECT_EQ(runBatch(jobs, cfg), cold)
-        << (e == lang::Engine::Vm ? "vm" : "tree");
+  compact::PrefixCache cache;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto& want = cold.at(jobs[i].name);
+    if (i % 2 == 0) {
+      EXPECT_EQ(runJobOn<lang::Interpreter>(jobs[i], cache), want) << "vm, job " << i;
+      EXPECT_EQ(runJobOn<oracle::TreeInterpreter>(jobs[i], cache), want)
+          << "tree, job " << i;
+    } else {
+      EXPECT_EQ(runJobOn<oracle::TreeInterpreter>(jobs[i], cache), want)
+          << "tree, job " << i;
+      EXPECT_EQ(runJobOn<lang::Interpreter>(jobs[i], cache), want) << "vm, job " << i;
+    }
+  }
+  if (!tierOff()) {
+    EXPECT_GT(cache.stats().restoredSteps, 0u);
   }
 }
 
@@ -295,10 +321,30 @@ TEST(PrefixCache, OutOfBandMutationReseedsTheChain) {
   EXPECT_GT(cache.stats().reseeds, reseedsBefore);
 }
 
+/// Instantiate V(W = 7) from `script` on `Interp` without a prefix cache,
+/// then twice through one cache; every layout must be identical.
+template <class Interp>
+void expectCachedMatchesPlain(const char* script, const char* engine) {
+  Interp plain(bicmos1u());
+  plain.loadEntities(script, "<test>");
+  const db::Module want = plain.instantiate("V", {{"W", lang::Value::number(7)}});
+
+  compact::PrefixCache cache;
+  for (int round = 0; round < 2; ++round) {
+    Interp in(bicmos1u());
+    in.setPrefixCache(&cache);
+    in.loadEntities(script, "<test>");
+    const db::Module got = in.instantiate("V", {{"W", lang::Value::number(7)}});
+    EXPECT_EQ(io::serializeLayout(got), io::serializeLayout(want))
+        << engine << " round " << round;
+  }
+}
+
 TEST(PrefixCache, VariantBacktrackingStaysByteIdentical) {
   // VARIANT discards self mutations on the rejected branch; the tier must
   // follow the rollback (stamp mismatch -> reseed), not replay stale
-  // state.  Differential: cached interpreter vs plain, both engines.
+  // state.  Differential: cached interpreter vs plain, on the VM and on the
+  // tree-walking oracle.
   const char* script = R"(
 ENT Cell(<W>, <L>)
   TWORECTS("poly", "pdiff", W, L)
@@ -317,23 +363,8 @@ ENT V(<W>)
     compact(b, NORTH, "poly")
   ENDVARIANT
 )";
-  for (lang::Engine e : {lang::Engine::Vm, lang::Engine::Tree}) {
-    lang::Interpreter plain(bicmos1u());
-    plain.setEngine(e);
-    plain.loadEntities(script, "<test>");
-    const db::Module want = plain.instantiate("V", {{"W", lang::Value::number(7)}});
-
-    compact::PrefixCache cache;
-    for (int round = 0; round < 2; ++round) {
-      lang::Interpreter in(bicmos1u());
-      in.setEngine(e);
-      in.setPrefixCache(&cache);
-      in.loadEntities(script, "<test>");
-      const db::Module got = in.instantiate("V", {{"W", lang::Value::number(7)}});
-      EXPECT_EQ(io::serializeLayout(got), io::serializeLayout(want))
-          << (e == lang::Engine::Vm ? "vm" : "tree") << " round " << round;
-    }
-  }
+  expectCachedMatchesPlain<lang::Interpreter>(script, "vm");
+  expectCachedMatchesPlain<oracle::TreeInterpreter>(script, "tree");
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "obs/recorder.h"
 #include "tech/builtin.h"
 #include "util/diag.h"
+#include "util/wire.h"
 
 namespace amg {
 namespace {
@@ -45,10 +46,8 @@ obs::TraceFile sampleTrace() {
   t.header.tool = "test";
   t.header.techSpec = "bicmos1u";
   t.header.techFingerprint = 0xFEEDFACECAFEF00Dull;
-  t.header.interp = 0;
   t.header.cacheEnabled = false;
   t.header.prefixCacheEnabled = true;
-  t.header.spatialEngines = 0x5;
 
   obs::RequestRecord a;
   a.kind = obs::RequestKind::Entity;
@@ -145,10 +144,8 @@ TEST(TraceFormat, RoundTripsEveryField) {
   EXPECT_EQ(r.header.tool, t.header.tool);
   EXPECT_EQ(r.header.techSpec, t.header.techSpec);
   EXPECT_EQ(r.header.techFingerprint, t.header.techFingerprint);
-  EXPECT_EQ(r.header.interp, t.header.interp);
   EXPECT_EQ(r.header.cacheEnabled, t.header.cacheEnabled);
   EXPECT_EQ(r.header.prefixCacheEnabled, t.header.prefixCacheEnabled);
-  EXPECT_EQ(r.header.spatialEngines, t.header.spatialEngines);
 
   ASSERT_EQ(r.requests.size(), t.requests.size());
   for (std::size_t i = 0; i < t.requests.size(); ++i) {
@@ -210,6 +207,22 @@ TEST(TraceFormat, UnsupportedVersionIsObs002) {
   EXPECT_EQ(diagCodeOf(bytes), "AMG-OBS-002");
 }
 
+TEST(TraceFormat, VersionOneTraceIsObs002) {
+  // A version-1 header still carried the execution-engine and
+  // spatial-engine bytes; such a trace is refused with the version
+  // diagnostic instead of being misparsed.
+  util::WireWriter w;
+  w.u32(0x54474D41u);  // "AMGT"
+  w.u32(1);
+  w.str("batch_runner");
+  w.str("bicmos1u");
+  w.u64(0xFEEDFACECAFEF00Dull);
+  w.u8(1);    // v1 execution engine: bytecode VM
+  w.u8(3);    // cache flags
+  w.u8(0xF);  // v1 spatial engines: all indexed
+  EXPECT_EQ(diagCodeOf(w.take()), "AMG-OBS-002");
+}
+
 TEST(TraceFormat, TruncationAnywhereIsObs003) {
   const std::vector<std::uint8_t> whole = obs::serializeTrace(sampleTrace());
   // Chop the stream at every prefix length past the header and expect a
@@ -248,16 +261,14 @@ TEST(TraceFormat, UnwritablePathIsObs004) {
 
 // --- record + replay through the batch engine ------------------------------
 
-obs::TraceFile recordSweep(lang::Engine interp, const std::string& path) {
+obs::TraceFile recordSweep(const std::string& path) {
   obs::TraceHeader hdr;
   hdr.tool = "recorder_test";
   hdr.techSpec = "bicmos1u";
   hdr.techFingerprint = gen::techFingerprint(tech::bicmos1u());
-  hdr.interp = interp == lang::Engine::Vm ? 1 : 0;
   obs::Recorder rec(path, hdr);
 
   gen::EngineConfig cfg;
-  cfg.interp = interp;
   cfg.recorder = &rec;
   gen::BatchEngine engine(tech::bicmos1u(), cfg);
   std::vector<gen::Job> jobs;
@@ -270,8 +281,8 @@ obs::TraceFile recordSweep(lang::Engine interp, const std::string& path) {
 }
 
 TEST(Replay, CleanUnderRecordedConfiguration) {
-  const obs::TraceFile trace = recordSweep(
-      lang::Engine::Vm, ::testing::TempDir() + "replay_vm.amgt");
+  const obs::TraceFile trace =
+      recordSweep(::testing::TempDir() + "replay_vm.amgt");
   const gen::ReplayReport rep = gen::replayTrace(trace, tech::bicmos1u());
   EXPECT_TRUE(rep.clean());
   EXPECT_EQ(rep.executed, trace.requests.size());
@@ -279,26 +290,9 @@ TEST(Replay, CleanUnderRecordedConfiguration) {
   EXPECT_EQ(rep.skippedExternal, 0u);
 }
 
-TEST(Replay, DigestsAreStableAcrossEngines) {
-  // A VM recording must replay cleanly on the tree walker and vice versa:
-  // the engines are byte-identical by contract, and the digest only hashes
-  // behavioral fields.
-  const obs::TraceFile vmTrace = recordSweep(
-      lang::Engine::Vm, ::testing::TempDir() + "replay_x_vm.amgt");
-  gen::ReplayOptions onTree;
-  onTree.interp = lang::Engine::Tree;
-  EXPECT_TRUE(gen::replayTrace(vmTrace, tech::bicmos1u(), onTree).clean());
-
-  const obs::TraceFile treeTrace = recordSweep(
-      lang::Engine::Tree, ::testing::TempDir() + "replay_x_tree.amgt");
-  gen::ReplayOptions onVm;
-  onVm.interp = lang::Engine::Vm;
-  EXPECT_TRUE(gen::replayTrace(treeTrace, tech::bicmos1u(), onVm).clean());
-}
-
 TEST(Replay, CacheDisabledReplayStillMatches) {
-  const obs::TraceFile trace = recordSweep(
-      lang::Engine::Vm, ::testing::TempDir() + "replay_nocache.amgt");
+  const obs::TraceFile trace =
+      recordSweep(::testing::TempDir() + "replay_nocache.amgt");
   gen::ReplayOptions opt;
   opt.useCache = false;
   opt.noPrefixCache = true;
@@ -307,8 +301,7 @@ TEST(Replay, CacheDisabledReplayStillMatches) {
 }
 
 TEST(Replay, PerturbedTraceDiverges) {
-  obs::TraceFile trace = recordSweep(
-      lang::Engine::Vm, ::testing::TempDir() + "replay_perturb.amgt");
+  obs::TraceFile trace = recordSweep(::testing::TempDir() + "replay_perturb.amgt");
   trace.requests[2].outcome.layoutHash ^= 0x1;
   const gen::ReplayReport rep = gen::replayTrace(trace, tech::bicmos1u());
   ASSERT_EQ(rep.divergences.size(), 1u);
@@ -326,8 +319,7 @@ TEST(Replay, PerturbedTraceDiverges) {
 }
 
 TEST(Replay, ExternalRecordsAreSkipped) {
-  obs::TraceFile trace = recordSweep(
-      lang::Engine::Vm, ::testing::TempDir() + "replay_ext.amgt");
+  obs::TraceFile trace = recordSweep(::testing::TempDir() + "replay_ext.amgt");
   obs::RequestRecord ext;
   ext.kind = obs::RequestKind::External;
   ext.name = "pipeline";

@@ -4,10 +4,10 @@
 //  1. the index itself — query() must return exactly the closed-intersecting
 //     entries (superset-exact contract) in ascending id order, and the
 //     incremental structure must answer like a freshly rebuilt one;
-//  2. every consumer — the indexed engines of the compactor, the DRC, the
-//     connectivity extractor and the router obstacles must be *identical*
-//     to their brute-force oracles: same violations in the same order, same
-//     translations, same net partition, same conflict answers.
+//  2. every consumer — the compactor, the DRC, the connectivity extractor
+//     and the router obstacles must be *identical* to their all-pairs
+//     oracles (tests/oracle/spatial.h): same violations in the same order,
+//     same translations, same net partition, same conflict answers.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -17,6 +17,7 @@
 #include "db/connectivity.h"
 #include "drc/drc.h"
 #include "geom/spatial.h"
+#include "oracle/spatial.h"
 #include "route/obstacles.h"
 #include "tech/builtin.h"
 
@@ -178,13 +179,11 @@ TEST(SpatialConsumers, DrcViolationsIdenticalToBruteForce) {
   std::mt19937 rng(44);
   for (int trial = 0; trial < 15; ++trial) {
     const Module m = messyModule(rng, 60);
-    drc::CheckOptions indexed;
-    indexed.latchUp = false;
-    drc::CheckOptions brute = indexed;
-    brute.bruteForce = true;
+    drc::CheckOptions opt;
+    opt.latchUp = false;
 
-    const auto vi = drc::check(m, indexed);
-    const auto vb = drc::check(m, brute);
+    const auto vi = drc::check(m, opt);
+    const auto vb = oracle::bruteCheck(m, opt);
     ASSERT_EQ(vi.size(), vb.size()) << "trial " << trial;
     for (std::size_t k = 0; k < vi.size(); ++k) {
       EXPECT_EQ(vi[k].kind, vb[k].kind) << "trial " << trial << " #" << k;
@@ -206,8 +205,8 @@ TEST(SpatialConsumers, ConnectivityIdenticalToBruteForce) {
       m.addShape(makeShape(Box::fromSize(pos(rng), pos(rng), 1000, 12000),
                            T().layer("poly")));
 
-    const db::Connectivity ci(m, db::Connectivity::Engine::Indexed);
-    const db::Connectivity cb(m, db::Connectivity::Engine::BruteForce);
+    const db::Connectivity ci(m);
+    const oracle::BruteConnectivity cb(m);
     EXPECT_EQ(ci.componentCount(), cb.componentCount()) << "trial " << trial;
     EXPECT_EQ(ci.components(), cb.components()) << "trial " << trial;
     for (db::ShapeId id : m.shapeIds())
@@ -244,14 +243,10 @@ TEST(SpatialConsumers, CompactorIdenticalToBruteForce) {
     std::vector<Dir> order;
     for (std::size_t i = 0; i < objs.size(); ++i) order.push_back(dirs[rng() % 4]);
 
-    compact::Options oi;  // Indexed default
-    compact::Options ob;
-    ob.engine = compact::Engine::BruteForce;
-
     Module mi(T(), "t"), mb(T(), "t");
     for (std::size_t i = 0; i < objs.size(); ++i) {
-      const auto ri = compact::compact(mi, objs[i], order[i], oi);
-      const auto rb = compact::compact(mb, objs[i], order[i], ob);
+      const auto ri = compact::compact(mi, objs[i], order[i]);
+      const auto rb = oracle::bruteCompact(mb, objs[i], order[i]);
       EXPECT_EQ(ri.translation, rb.translation) << "trial " << trial << " step " << i;
       EXPECT_EQ(ri.edgeMoves, rb.edgeMoves) << "trial " << trial << " step " << i;
       EXPECT_EQ(ri.autoConnects, rb.autoConnects) << "trial " << trial << " step " << i;
@@ -273,7 +268,7 @@ TEST(SpatialConsumers, CompactorSessionIdenticalToFreeFunction) {
   // The Compactor session maintains its index incrementally across steps
   // (arrivals, auto-connect extensions, variable-edge rebuilds, retired
   // ids); it must match the free function, which rebuilds per call, and
-  // the brute-force session, which keeps no index at all.
+  // the all-pairs oracle, which keeps no index at all.
   std::mt19937 rng(88);
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<Module> objs;
@@ -282,16 +277,12 @@ TEST(SpatialConsumers, CompactorSessionIdenticalToFreeFunction) {
     std::vector<Dir> order;
     for (std::size_t i = 0; i < objs.size(); ++i) order.push_back(dirs[rng() % 4]);
 
-    compact::Options ob;
-    ob.engine = compact::Engine::BruteForce;
-
     Module ms(T(), "t"), mf(T(), "t"), mb(T(), "t");
     compact::Compactor sessIdx(ms);
-    compact::Compactor sessBrute(mb, ob);
     for (std::size_t i = 0; i < objs.size(); ++i) {
       const auto rs = sessIdx.compact(objs[i], order[i]);
       const auto rf = compact::compact(mf, objs[i], order[i]);
-      const auto rb = sessBrute.compact(objs[i], order[i]);
+      const auto rb = oracle::bruteCompact(mb, objs[i], order[i]);
       EXPECT_EQ(rs.translation, rf.translation) << "trial " << trial << " step " << i;
       EXPECT_EQ(rs.translation, rb.translation) << "trial " << trial << " step " << i;
       EXPECT_EQ(rs.edgeMoves, rf.edgeMoves) << "trial " << trial << " step " << i;
@@ -320,8 +311,8 @@ TEST(SpatialConsumers, ObstaclesIdenticalToBruteForce) {
   const char* layers[] = {"metal1", "metal2", "poly", "contact"};
   for (int trial = 0; trial < 10; ++trial) {
     Module m = messyModule(rng, 50);
-    route::Obstacles oi(m, route::Obstacles::Engine::Indexed);
-    route::Obstacles ob(m, route::Obstacles::Engine::BruteForce);
+    route::Obstacles oi(m);
+    oracle::BruteObstacles ob(m);
     for (int q = 0; q < 60; ++q) {
       db::Shape probe = makeShape(Box::fromSize(pos(rng), pos(rng), sz(rng), sz(rng)),
                                   T().layer(layers[layerPick(rng)]),

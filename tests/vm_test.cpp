@@ -1,11 +1,11 @@
-// The bytecode VM's equivalence proof against the tree-walking oracle,
-// plus units for the compiler internals (interning, slot resolution, the
-// chunk cache) and disassembler goldens.
+// The bytecode VM's equivalence proof against the tree-walking oracle
+// (tests/oracle/tree_interp.h), plus units for the compiler internals
+// (interning, slot resolution, the chunk cache) and disassembler goldens.
 //
-// The contract (docs/BYTECODE.md): for every script, both engines produce
-// byte-identical layouts (io::serializeLayout), the same print() output,
-// the same stats, and — for every failing script — the same structured
-// diagnostic, down to message, hint, line and column.
+// The contract (docs/BYTECODE.md): for every script, the VM and the oracle
+// produce byte-identical layouts (io::serializeLayout), the same print()
+// output, the same stats, and — for every failing script — the same
+// structured diagnostic, down to message, hint, line and column.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -19,6 +19,7 @@
 #include "lang/compiler.h"
 #include "lang/interp.h"
 #include "modules/dsl_sources.h"
+#include "oracle/tree_interp.h"
 #include "tech/builtin.h"
 
 #ifndef AMG_REPO_DIR
@@ -44,9 +45,10 @@ struct RunResult {
   lang::InterpStats stats;
 };
 
-RunResult runWith(lang::Engine e, const std::string& src) {
-  lang::Interpreter in(tech::bicmos1u());
-  in.setEngine(e);
+/// Runs `src` on `Interp`: lang::Interpreter (the VM) or the oracle.
+template <class Interp>
+RunResult runWith(const std::string& src) {
+  Interp in(tech::bicmos1u());
   in.run(src, "t.amg");
   RunResult r;
   for (const auto& [name, v] : in.globals()) {
@@ -61,8 +63,8 @@ RunResult runWith(lang::Engine e, const std::string& src) {
 }
 
 void expectSameRun(const std::string& src) {
-  const RunResult tree = runWith(lang::Engine::Tree, src);
-  const RunResult vm = runWith(lang::Engine::Vm, src);
+  const RunResult tree = runWith<oracle::TreeInterpreter>(src);
+  const RunResult vm = runWith<lang::Interpreter>(src);
   ASSERT_EQ(tree.objects.size(), vm.objects.size());
   for (const auto& [name, bytes] : tree.objects) {
     ASSERT_TRUE(vm.objects.count(name)) << "VM lost global '" << name << "'";
@@ -85,9 +87,9 @@ struct Caught {
   int line = 0, col = 0;
 };
 
-Caught runCatch(lang::Engine e, const std::string& src) {
-  lang::Interpreter in(tech::bicmos1u());
-  in.setEngine(e);
+template <class Interp>
+Caught runCatch(const std::string& src) {
+  Interp in(tech::bicmos1u());
   Caught c;
   try {
     in.run(src, "t.amg");
@@ -108,10 +110,10 @@ Caught runCatch(lang::Engine e, const std::string& src) {
 }
 
 void expectSameDiag(const std::string& src, const std::string& expectCode) {
-  const Caught tree = runCatch(lang::Engine::Tree, src);
-  const Caught vm = runCatch(lang::Engine::Vm, src);
-  ASSERT_TRUE(tree.threw) << "tree engine did not throw";
-  ASSERT_TRUE(vm.threw) << "vm engine did not throw";
+  const Caught tree = runCatch<oracle::TreeInterpreter>(src);
+  const Caught vm = runCatch<lang::Interpreter>(src);
+  ASSERT_TRUE(tree.threw) << "tree oracle did not throw";
+  ASSERT_TRUE(vm.threw) << "vm did not throw";
   EXPECT_EQ(tree.structured, vm.structured);
   EXPECT_EQ(tree.code, vm.code);
   EXPECT_EQ(tree.message, vm.message);
@@ -143,16 +145,15 @@ INSTANTIATE_TEST_SUITE_P(AllScripts, EngineParity,
 TEST(EngineParity, BuiltinModuleLibraryInstantiatesIdentically) {
   const std::string lib = std::string(modules::dsl::kContactRow) +
                           modules::dsl::kTrans + modules::dsl::kDiffPair;
-  std::vector<std::vector<std::uint8_t>> bytes;
-  for (const lang::Engine e : {lang::Engine::Tree, lang::Engine::Vm}) {
-    lang::Interpreter in(tech::bicmos1u());
-    in.setEngine(e);
+  const auto instantiate = [&](auto& in) {
     in.load(lib);
-    bytes.push_back(io::serializeLayout(in.instantiate(
+    return io::serializeLayout(in.instantiate(
         "DiffPair",
-        {{"W", lang::Value::number(8)}, {"L", lang::Value::number(2)}})));
-  }
-  EXPECT_EQ(bytes[0], bytes[1]);
+        {{"W", lang::Value::number(8)}, {"L", lang::Value::number(2)}}));
+  };
+  oracle::TreeInterpreter tree(tech::bicmos1u());
+  lang::Interpreter vm(tech::bicmos1u());
+  EXPECT_EQ(instantiate(tree), instantiate(vm));
 }
 
 TEST(EngineParity, RatedVariantPicksTheSameWinner) {
@@ -273,9 +274,7 @@ TEST(DiagParity, WrongValueKind012) {
 }
 
 TEST(DiagParity, LoadRejectsTopLevel013) {
-  for (const lang::Engine e : {lang::Engine::Tree, lang::Engine::Vm}) {
-    lang::Interpreter in(tech::bicmos1u());
-    in.setEngine(e);
+  const auto expectRejected = [](auto& in) {
     try {
       in.load("x = 1\n", "lib.amg");
       FAIL() << "load() accepted a calling sequence";
@@ -284,7 +283,11 @@ TEST(DiagParity, LoadRejectsTopLevel013) {
       EXPECT_EQ(err.diag().loc.file, "lib.amg");
       EXPECT_EQ(err.diag().loc.line, 1);
     }
-  }
+  };
+  oracle::TreeInterpreter tree(tech::bicmos1u());
+  lang::Interpreter vm(tech::bicmos1u());
+  expectRejected(tree);
+  expectRejected(vm);
 }
 
 TEST(DiagParity, ErrorStatementEscapesIdentically) {
@@ -354,6 +357,26 @@ TEST(Compiler, CacheKeysOnRawTextSoLineNumbersSurvive) {
   lang::compileCached("x = 1\n");
   lang::compileCached("// leading comment\nx = 1\n");
   EXPECT_EQ(lang::chunkCacheStats().entries, 2u);
+}
+
+TEST(Compiler, CacheKeysOnTheWholeSourceText) {
+  // The key is the text itself, not a digest of it: scripts one byte apart
+  // get their own programs, and only an exact repeat hits.
+  lang::clearChunkCache();
+  const std::string a = "x = 1\n";
+  const std::string b = "x = 2\n";
+  const auto pa = lang::compileCached(a);
+  const auto pb = lang::compileCached(b);
+  EXPECT_NE(pa.get(), pb.get());
+  EXPECT_EQ(lang::compileCached(a).get(), pa.get());
+  const lang::ChunkCacheStats cs = lang::chunkCacheStats();
+  EXPECT_EQ(cs.entries, 2u);
+  EXPECT_EQ(cs.misses, 2u);
+  EXPECT_EQ(cs.hits, 1u);
+  lang::Interpreter in(tech::bicmos1u());
+  in.run(b, "b.amg");
+  EXPECT_EQ(in.global("x")->asNumber(), 2.0);
+  lang::clearChunkCache();
 }
 
 // --- disassembler goldens ---------------------------------------------------
