@@ -131,9 +131,9 @@ bool reportE12() {
   const gen::BatchReport adj = prefixEngine.run(jobs);
   recordJobLatencies("warm_adjacent", adj);
   const bool prefixOn = prefixEngine.prefixCache() != nullptr;
-  const compact::PrefixCache::Stats ps =
-      prefixOn ? prefixEngine.prefixCache()->stats()
-               : compact::PrefixCache::Stats{};
+  const util::BlobStore::Stats ps =
+      prefixOn ? prefixEngine.prefixCache()->store().stats()
+               : util::BlobStore::Stats{};
 
   const bool allOk = cold.failed == 0 && warm.failed == 0 && adj.failed == 0;
   const bool allHits = warm.cacheHits == jobs.size();
@@ -142,13 +142,10 @@ bool reportE12() {
   const bool adjIdentical = allOk && coldBytes == layoutBytes(adj);
   const double warmSpeedup = warm.wallMs > 0 ? cold.wallMs / warm.wallMs : 0;
   const double adjSpeedup = adj.wallMs > 0 ? cold.wallMs / adj.wallMs : 0;
-  // Jobs 1..N-1 should each restore the whole shared prefix.  (When the
-  // AMG_PREFIX_CACHE=0 kill switch disabled the tier, the speedup gates
-  // are moot — report honestly and skip them.)
+  // Jobs 1..N-1 should each restore the whole shared prefix.
   const bool restoredPrefix =
-      !prefixOn ||
-      adj.prefixRestoredSteps >=
-          static_cast<std::size_t>(kPrefixRows) * (kJobs - 1);
+      prefixOn && adj.prefixRestoredSteps >=
+                      static_cast<std::size_t>(kPrefixRows) * (kJobs - 1);
 
   std::printf("%-22s %10s %12s %12s\n", "pass", "jobs ok", "cache hits",
               "wall (ms)");
@@ -167,23 +164,16 @@ bool reportE12() {
               warmIdentical ? "ok" : "FAILED");
   std::printf("layout-warm speedup: %.1fx  (>=10x requirement: %s)\n",
               warmSpeedup, warmSpeedup >= 10.0 ? "PASS" : "FAIL");
-  if (prefixOn) {
-    std::printf(
-        "prefix cache: %llu hit, %llu miss, %zu steps restored "
-        "(>= %d x %zu expected: %s)\n",
-        static_cast<unsigned long long>(ps.hits),
-        static_cast<unsigned long long>(ps.misses), adj.prefixRestoredSteps,
-        kPrefixRows, kJobs - 1, restoredPrefix ? "ok" : "FAILED");
-    std::printf("warm-adjacent layouts byte-identical to cold: %s\n",
-                adjIdentical ? "ok" : "FAILED");
-    std::printf("warm-adjacent speedup: %.1fx  (>=10x requirement: %s)\n",
-                adjSpeedup, adjSpeedup >= 10.0 ? "PASS" : "FAIL");
-  } else {
-    std::printf(
-        "prefix cache disabled by AMG_PREFIX_CACHE=0 — warm-adjacent ran "
-        "cold; identity gate only (%s)\n",
-        adjIdentical ? "ok" : "FAILED");
-  }
+  std::printf(
+      "prefix cache: %llu hit, %llu miss, %zu steps restored "
+      "(>= %d x %zu expected: %s)\n",
+      static_cast<unsigned long long>(ps.hits),
+      static_cast<unsigned long long>(ps.misses), adj.prefixRestoredSteps,
+      kPrefixRows, kJobs - 1, restoredPrefix ? "ok" : "FAILED");
+  std::printf("warm-adjacent layouts byte-identical to cold: %s\n",
+              adjIdentical ? "ok" : "FAILED");
+  std::printf("warm-adjacent speedup: %.1fx  (>=10x requirement: %s)\n",
+              adjSpeedup, adjSpeedup >= 10.0 ? "PASS" : "FAIL");
 
   obs::StatsWriter w("batch");
   w.sample("sweep", kJobs, "cold", cold.wallMs);
@@ -200,12 +190,12 @@ bool reportE12() {
   w.flag("byte_identical", warmIdentical && adjIdentical);
   w.flag("all_cache_hits", allHits);
   w.flag("speedup_10x", warmSpeedup >= 10.0);
-  w.flag("prefix_speedup_10x", !prefixOn || adjSpeedup >= 10.0);
+  w.flag("prefix_speedup_10x", adjSpeedup >= 10.0);
   w.flag("prefix_restored_all", restoredPrefix);
   if (w.write("BENCH_batch.json")) std::printf("\nwrote BENCH_batch.json\n");
 
   return allHits && warmIdentical && adjIdentical && warmSpeedup >= 10.0 &&
-         restoredPrefix && (!prefixOn || adjSpeedup >= 10.0);
+         restoredPrefix && adjSpeedup >= 10.0;
 }
 
 void BM_BatchCold(benchmark::State& state) {

@@ -64,6 +64,17 @@ void usage(const char* argv0, std::FILE* out) {
       argv0, cli::obsUsage());
 }
 
+/// One cache tier's counters as printed in the batch summary.
+std::string tierCounts(const util::BlobStore::Stats& s) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf, "%llu hit, %llu disk, %llu miss, %llu evicted",
+                static_cast<unsigned long long>(s.hits),
+                static_cast<unsigned long long>(s.diskHits),
+                static_cast<unsigned long long>(s.misses),
+                static_cast<unsigned long long>(s.evictions));
+  return buf;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -234,7 +245,7 @@ int main(int argc, char** argv) {
     hdr.techSpec = techOverride.empty() ? manifest.techSpec : techOverride;
     hdr.techFingerprint = gen::techFingerprint(*tech);
     hdr.cacheEnabled = cfg.useCache;
-    hdr.prefixCacheEnabled = cfg.prefixCache && compact::prefixCacheEnvEnabled();
+    hdr.prefixCacheEnabled = cfg.prefixCache;
     try {
       recorder.emplace(recordPath, std::move(hdr));
     } catch (const Error& e) {
@@ -269,28 +280,17 @@ int main(int argc, char** argv) {
       cli::printDiag(*r.diag, manifest.jobs[i].script);
     }
   }
-  const gen::LayoutCache::Stats cs = engine.cache().stats();
+  const util::BlobStore::Stats cs = engine.cache().store().stats();
   std::printf(
       "batch: %zu jobs, %zu ok, %zu failed (%zu rejected in pre-flight, "
-      "%.2f ms), %zu cache hits in %.1f ms "
-      "(cache: %llu hit, %llu disk, %llu miss, %llu evicted)\n",
+      "%.2f ms), %zu cache hits in %.1f ms (cache: %s)\n",
       report.jobs.size(), report.succeeded, report.failed, report.rejected,
       report.preflightMs, report.cacheHits, report.wallMs,
-      static_cast<unsigned long long>(cs.hits),
-      static_cast<unsigned long long>(cs.diskHits),
-      static_cast<unsigned long long>(cs.misses),
-      static_cast<unsigned long long>(cs.evictions));
-  if (const compact::PrefixCache* pc = engine.prefixCache()) {
-    const compact::PrefixCache::Stats ps = pc->stats();
-    std::printf(
-        "prefix: %zu steps restored across %zu jobs "
-        "(%llu hit, %llu disk, %llu miss, %llu evicted)\n",
-        report.prefixRestoredSteps, report.jobs.size(),
-        static_cast<unsigned long long>(ps.hits),
-        static_cast<unsigned long long>(ps.diskHits),
-        static_cast<unsigned long long>(ps.misses),
-        static_cast<unsigned long long>(ps.evictions));
-  }
+      tierCounts(cs).c_str());
+  if (const compact::PrefixCache* pc = engine.prefixCache())
+    std::printf("prefix: %zu steps restored across %zu jobs (%s)\n",
+                report.prefixRestoredSteps, report.jobs.size(),
+                tierCounts(pc->store().stats()).c_str());
 
   if (!reportPath.empty()) {
     obs::StatsWriter w("batch_runner");
@@ -307,7 +307,7 @@ int main(int argc, char** argv) {
     w.metric("prefix_restored_steps",
              static_cast<double>(report.prefixRestoredSteps));
     if (const compact::PrefixCache* pc = engine.prefixCache()) {
-      const compact::PrefixCache::Stats ps = pc->stats();
+      const util::BlobStore::Stats ps = pc->store().stats();
       w.metric("prefix_hits", static_cast<double>(ps.hits));
       w.metric("prefix_misses", static_cast<double>(ps.misses));
     }

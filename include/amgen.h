@@ -306,8 +306,8 @@ AMGEN_API void amg_result_destroy(amg_result* r);
  * Cache control
  * ---------------------------------------------------------------------- */
 
-/* Counters + occupancy of one cache tier (mirrors gen::LayoutCache::Stats
- * / compact::PrefixCache::Stats). */
+/* Counters + occupancy of one cache tier (mirrors util::BlobStore::Stats,
+ * the store behind both tiers, plus its entry and byte counts). */
 typedef struct amg_cache_stats {
   uint64_t hits;      /* memory-tier hits */
   uint64_t disk_hits; /* disk-tier hits */
@@ -322,9 +322,9 @@ typedef struct amg_cache_stats {
 AMGEN_API amg_status amg_engine_cache_stats(const amg_engine* e,
                                             amg_cache_stats* out);
 
-/* Fill `out` with the compactor-prefix tier's stats.  Returns 1 when the
- * tier is enabled, 0 when disabled (config or AMG_PREFIX_CACHE=0; `out`
- * is zeroed then). */
+/* Fill `out` with the compactor-prefix tier's stats, in the same layout as
+ * amg_engine_cache_stats.  Returns 1 when the tier is enabled, 0 when
+ * amg_config.prefix_cache turned it off (`out` is zeroed then). */
 AMGEN_API int amg_engine_prefix_cache_stats(const amg_engine* e,
                                             amg_cache_stats* out);
 

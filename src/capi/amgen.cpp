@@ -199,6 +199,18 @@ void fillInfo(const gen::BatchReport& rep, amg_batch_info* out) {
   out->preflight_ms = rep.preflightMs;
 }
 
+/// One tier's counters and occupancy in the C layout.
+void fillCacheStats(const util::BlobStore& store, amg_cache_stats* out) {
+  const util::BlobStore::Stats s = store.stats();
+  out->hits = s.hits;
+  out->disk_hits = s.diskHits;
+  out->misses = s.misses;
+  out->evictions = s.evictions;
+  out->puts = s.puts;
+  out->entries = store.entryCount();
+  out->bytes = store.byteCount();
+}
+
 }  // namespace
 
 extern "C" {
@@ -442,15 +454,7 @@ void amg_result_destroy(amg_result* r) { delete r; }
 amg_status amg_engine_cache_stats(const amg_engine* e, amg_cache_stats* out) {
   if (!e || !out) return invalid("amg_engine_cache_stats(engine, out)");
   util::MutexLock lock(e->mu);  // amg_engine_clear_caches swaps `engine`
-  const gen::LayoutCache& c = e->engine->cache();
-  const gen::LayoutCache::Stats s = c.stats();
-  out->hits = s.hits;
-  out->disk_hits = s.diskHits;
-  out->misses = s.misses;
-  out->evictions = s.evictions;
-  out->puts = s.puts;
-  out->entries = c.entryCount();
-  out->bytes = c.byteCount();
+  fillCacheStats(e->engine->cache().store(), out);
   return AMG_OK;
 }
 
@@ -460,14 +464,7 @@ int amg_engine_prefix_cache_stats(const amg_engine* e, amg_cache_stats* out) {
   util::MutexLock lock(e->mu);  // amg_engine_clear_caches swaps `engine`
   const compact::PrefixCache* pc = e->engine->prefixCache();
   if (!pc) return 0;
-  const compact::PrefixCache::Stats s = pc->stats();
-  out->hits = s.hits;
-  out->disk_hits = s.diskHits;
-  out->misses = s.misses;
-  out->evictions = s.evictions;
-  out->puts = s.puts;
-  out->entries = pc->entryCount();
-  out->bytes = pc->byteCount();
+  fillCacheStats(pc->store(), out);
   return 1;
 }
 
@@ -522,8 +519,7 @@ amg_status amg_record_start(amg_engine* e, const char* path, const char* tool) {
     hdr.techSpec = e->techSpec.empty() ? "bicmos1u" : e->techSpec;
     hdr.techFingerprint = gen::techFingerprint(*e->tech);
     hdr.cacheEnabled = e->cfg.useCache;
-    hdr.prefixCacheEnabled =
-        e->cfg.prefixCache && compact::prefixCacheEnvEnabled();
+    hdr.prefixCacheEnabled = e->cfg.prefixCache;
     e->recorder = std::make_unique<obs::Recorder>(path, std::move(hdr));
     return AMG_OK;
   } catch (const std::exception& ex) {

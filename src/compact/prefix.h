@@ -37,82 +37,50 @@
 // keep the library layering acyclic).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "compact/compactor.h"
-#include "util/thread_annotations.h"
+#include "util/blob_store.h"
 
 namespace amg::compact {
 
-struct PrefixCacheConfig {
-  /// Byte budget of the in-memory LRU tier (sum of blob sizes).
-  std::size_t maxBytes = 64ull << 20;
-  /// Directory of the disk tier (one `<key>.amgp` file per entry); empty
-  /// disables it.  Created on first put.
-  std::string diskDir;
-};
-
-/// Key -> serialized session-state bytes (io::serializeSessionState).
-/// Blobs are shared_ptr so a parked deferred restore survives eviction.
-/// Thread-safe; instrumented with gen.prefix.* counters.
+/// Key -> serialized session-state bytes (io::serializeSessionState), in a
+/// util::BlobStore with `<key>.amgp` disk files (docs/CACHING.md, tier 3
+/// and "Storage").  Blobs are shared so a parked deferred restore survives
+/// eviction.  Thread-safe; instrumented with gen.prefix.* counters.
 class PrefixCache {
  public:
-  using Blob = std::shared_ptr<const std::vector<std::uint8_t>>;
+  using Blob = util::BlobStore::Blob;
 
-  explicit PrefixCache(PrefixCacheConfig cfg = {});
+  explicit PrefixCache(util::BlobStoreConfig cfg = {});
 
-  /// Memory tier first, then disk (a disk hit is promoted).  nullptr on
-  /// miss.
+  /// BlobStore::get / put plus the gen.prefix.* counters.  nullptr on
+  /// miss (the step executes).
   Blob get(std::uint64_t key);
-
-  /// Insert (or refresh) an entry; evicts LRU entries until the byte
-  /// budget holds.  Oversize blobs still reach the disk tier.
   void put(std::uint64_t key, std::vector<std::uint8_t> bytes);
 
-  // -- introspection (also mirrored into obs counters) ---------------------
-  struct Stats {
-    std::uint64_t hits = 0;       ///< memory-tier hits (= restored steps)
-    std::uint64_t diskHits = 0;   ///< disk-tier hits
-    std::uint64_t misses = 0;     ///< both tiers missed (step executed)
-    std::uint64_t evictions = 0;  ///< memory-tier LRU evictions
-    std::uint64_t puts = 0;
+  /// Counters and occupancy.
+  const util::BlobStore& store() const { return store_; }
+
+  // Session-level events, aggregated here so the engine reports one place.
+  struct Events {
     std::uint64_t restoredSteps = 0;     ///< steps served from cache
     std::uint64_t materializations = 0;  ///< deferred blobs deserialized
     std::uint64_t reseeds = 0;  ///< chains restarted from a full hash
   };
-  Stats stats() const;
-  std::size_t entryCount() const;
-  std::size_t byteCount() const;
-  const PrefixCacheConfig& config() const { return cfg_; }
-
-  // Session-level events, aggregated here so the engine reports one place.
+  Events events() const;
   void noteRestoredStep();
   void noteMaterialization();
   void noteReseed();
 
  private:
-  void evictToFit() AMG_REQUIRES(mu_);
-  std::string diskPath(std::uint64_t key) const;
-
-  PrefixCacheConfig cfg_;
-  mutable util::Mutex mu_;
-  /// MRU at front.  The map points into the list for O(1) touch.
-  std::list<std::pair<std::uint64_t, Blob>> lru_ AMG_GUARDED_BY(mu_);
-  std::unordered_map<std::uint64_t, decltype(lru_)::iterator> index_
-      AMG_GUARDED_BY(mu_);
-  std::size_t bytes_ AMG_GUARDED_BY(mu_) = 0;
-  Stats stats_ AMG_GUARDED_BY(mu_);
-  bool diskDirReady_ AMG_GUARDED_BY(mu_) = false;
+  util::BlobStore store_;
+  std::atomic<std::uint64_t> restoredSteps_{0};
+  std::atomic<std::uint64_t> materializations_{0};
+  std::atomic<std::uint64_t> reseeds_{0};
 };
-
-/// True unless the environment kill switch AMG_PREFIX_CACHE=0 is set
-/// (read once; the CI equivalence run uses it to force-disable the tier).
-bool prefixCacheEnvEnabled();
 
 /// One successive-compaction step of `obj` onto `target` through the
 /// prefix cache.  On a chain hit the snapshot is parked for deferred

@@ -1,101 +1,24 @@
 #include "gen/cache.h"
 
-#include <filesystem>
-#include <fstream>
-
-#include "gen/fingerprint.h"
 #include "obs/obs.h"
 
 namespace amg::gen {
 
-LayoutCache::LayoutCache(CacheConfig cfg) : cfg_(std::move(cfg)) {}
+LayoutCache::LayoutCache(CacheConfig cfg) : store_(std::move(cfg), ".amgl") {}
 
-std::string LayoutCache::diskPath(std::uint64_t key) const {
-  return cfg_.diskDir + "/" + keyHex(key) + ".amgl";
-}
-
-std::optional<std::vector<std::uint8_t>> LayoutCache::get(std::uint64_t key) {
-  util::MutexLock lock(mu_);
-  if (const auto it = index_.find(key); it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);  // touch
-    ++stats_.hits;
-    OBS_COUNT("gen.cache.hits");
-    return it->second->second;
-  }
-  if (!cfg_.diskDir.empty()) {
-    std::ifstream f(diskPath(key), std::ios::binary);
-    if (f) {
-      std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(f)),
-                                      std::istreambuf_iterator<char>());
-      ++stats_.diskHits;
-      OBS_COUNT("gen.cache.disk_hits");
-      // Promote into the memory tier (same policy as put, minus the disk
-      // write-back it just came from).
-      if (bytes.size() <= cfg_.maxBytes) {
-        lru_.emplace_front(key, bytes);
-        index_[key] = lru_.begin();
-        bytes_ += bytes.size();
-        evictToFit();
-      }
-      return bytes;
-    }
-  }
-  ++stats_.misses;
-  OBS_COUNT("gen.cache.misses");
-  return std::nullopt;
+util::BlobStore::Blob LayoutCache::get(std::uint64_t key) {
+  util::BlobStore::Lookup got = store_.get(key);
+  if (got.found == util::BlobStore::Found::Memory) OBS_COUNT("gen.cache.hits");
+  if (got.found == util::BlobStore::Found::Disk) OBS_COUNT("gen.cache.disk_hits");
+  if (got.found == util::BlobStore::Found::Miss) OBS_COUNT("gen.cache.misses");
+  if (got.evicted) OBS_COUNT_N("gen.cache.evictions", got.evicted);
+  return std::move(got.blob);
 }
 
 void LayoutCache::put(std::uint64_t key, std::vector<std::uint8_t> bytes) {
-  util::MutexLock lock(mu_);
-  ++stats_.puts;
   OBS_COUNT("gen.cache.puts");
-  if (!cfg_.diskDir.empty()) {
-    if (!diskDirReady_) {
-      std::error_code ec;
-      std::filesystem::create_directories(cfg_.diskDir, ec);
-      diskDirReady_ = true;  // try once; a bad dir degrades to memory-only
-    }
-    std::ofstream f(diskPath(key), std::ios::binary | std::ios::trunc);
-    if (f)
-      f.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  }
-  if (const auto it = index_.find(key); it != index_.end()) {
-    bytes_ -= it->second->second.size();
-    lru_.erase(it->second);
-    index_.erase(it);
-  }
-  if (bytes.size() > cfg_.maxBytes) return;  // disk-only oversize blob
-  bytes_ += bytes.size();
-  lru_.emplace_front(key, std::move(bytes));
-  index_[key] = lru_.begin();
-  evictToFit();
-}
-
-void LayoutCache::evictToFit() {
-  while (bytes_ > cfg_.maxBytes && !lru_.empty()) {
-    const auto& victim = lru_.back();
-    bytes_ -= victim.second.size();
-    index_.erase(victim.first);
-    lru_.pop_back();
-    ++stats_.evictions;
-    OBS_COUNT("gen.cache.evictions");
-  }
-}
-
-LayoutCache::Stats LayoutCache::stats() const {
-  util::MutexLock lock(mu_);
-  return stats_;
-}
-
-std::size_t LayoutCache::entryCount() const {
-  util::MutexLock lock(mu_);
-  return lru_.size();
-}
-
-std::size_t LayoutCache::byteCount() const {
-  util::MutexLock lock(mu_);
-  return bytes_;
+  const std::size_t evicted = store_.put(key, std::move(bytes));
+  if (evicted) OBS_COUNT_N("gen.cache.evictions", evicted);
 }
 
 }  // namespace amg::gen

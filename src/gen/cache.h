@@ -1,11 +1,9 @@
 // Content-addressed layout cache: key -> serialized layout bytes.
 //
-// Two tiers.  The in-memory tier is a byte-budgeted LRU of serialized
-// blobs (storing bytes, not Modules, makes warm results byte-identical to
-// cold ones by construction — a hit deserializes the very bytes a cold run
-// serialized).  The optional disk tier writes one `<key>.amgl` file per
-// entry under a caller-chosen directory and survives process restarts; a
-// disk hit is promoted into the memory tier.
+// A util::BlobStore with `<key>.amgl` disk files (docs/CACHING.md, tier 2
+// and "Storage").  Storing bytes, not Modules, makes warm results
+// byte-identical to cold ones by construction — a hit deserializes the
+// very bytes a cold run serialized.
 //
 // Thread-safe: the batch engine calls get()/put() from every worker.
 // Instrumented with gen.cache.{hits,misses,evictions,disk_hits,puts}
@@ -13,63 +11,28 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <optional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "util/thread_annotations.h"
+#include "util/blob_store.h"
 
 namespace amg::gen {
 
-struct CacheConfig {
-  /// Byte budget of the in-memory LRU tier (sum of blob sizes).
-  std::size_t maxBytes = 64ull << 20;
-  /// Directory of the disk tier; empty disables it.  Created on first put.
-  std::string diskDir;
-};
+/// Memory budget + optional disk directory, shared by both cache tiers.
+using CacheConfig = util::BlobStoreConfig;
 
 class LayoutCache {
  public:
   explicit LayoutCache(CacheConfig cfg = {});
 
-  /// Look `key` up: memory tier first, then disk.  A hit refreshes LRU
-  /// recency (and promotes disk hits into memory).
-  std::optional<std::vector<std::uint8_t>> get(std::uint64_t key);
-
-  /// Insert (or refresh) an entry; evicts least-recently-used entries
-  /// until the byte budget holds.  A blob larger than the whole budget is
-  /// still written to disk but not kept in memory.
+  /// BlobStore::get / put plus the gen.cache.* counters.  nullptr on miss.
+  util::BlobStore::Blob get(std::uint64_t key);
   void put(std::uint64_t key, std::vector<std::uint8_t> bytes);
 
-  // -- introspection (also mirrored into obs counters) ---------------------
-  struct Stats {
-    std::uint64_t hits = 0;       ///< memory-tier hits
-    std::uint64_t diskHits = 0;   ///< disk-tier hits (a subset were promoted)
-    std::uint64_t misses = 0;     ///< both tiers missed
-    std::uint64_t evictions = 0;  ///< memory-tier LRU evictions
-    std::uint64_t puts = 0;
-  };
-  Stats stats() const;
-  std::size_t entryCount() const;
-  std::size_t byteCount() const;
-  const CacheConfig& config() const { return cfg_; }
+  /// Counters and occupancy.
+  const util::BlobStore& store() const { return store_; }
 
  private:
-  void evictToFit() AMG_REQUIRES(mu_);
-  std::string diskPath(std::uint64_t key) const;
-
-  CacheConfig cfg_;
-  mutable util::Mutex mu_;
-  /// MRU at front.  The map points into the list for O(1) touch.
-  std::list<std::pair<std::uint64_t, std::vector<std::uint8_t>>> lru_
-      AMG_GUARDED_BY(mu_);
-  std::unordered_map<std::uint64_t, decltype(lru_)::iterator> index_
-      AMG_GUARDED_BY(mu_);
-  std::size_t bytes_ AMG_GUARDED_BY(mu_) = 0;
-  Stats stats_ AMG_GUARDED_BY(mu_);
-  bool diskDirReady_ AMG_GUARDED_BY(mu_) = false;
+  util::BlobStore store_;
 };
 
 }  // namespace amg::gen

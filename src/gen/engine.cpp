@@ -49,7 +49,7 @@ BatchEngine::BatchEngine(const tech::Technology& tech, EngineConfig cfg)
       cfg_(std::move(cfg)),
       techFp_(techFingerprint(tech)),
       cache_(std::make_unique<LayoutCache>(cfg_.cache)),
-      prefix_(cfg_.prefixCache && compact::prefixCacheEnvEnabled()
+      prefix_(cfg_.prefixCache
                   ? std::make_unique<compact::PrefixCache>(cfg_.prefix)
                   : nullptr),
       pool_(cfg_.threads) {}
@@ -91,14 +91,24 @@ JobResult BatchEngine::runOne(const Job& job) {
 
   try {
     if (cfg_.useCache) {
-      if (auto bytes = cache_->get(res.key)) {
-        res.layoutHash = layoutHashOf(*bytes);
-        res.layout = io::deserializeLayout(*bytes, *tech_);
-        res.ok = true;
-        res.cacheHit = true;
-        res.wallMs = span.elapsedSeconds() * 1e3;
-        span.arg("cache", "hit");
-        return res;
+      if (const util::BlobStore::Blob bytes = cache_->get(res.key)) {
+        try {
+          res.layout = io::deserializeLayout(*bytes, *tech_);
+        } catch (const std::exception& e) {
+          // A damaged disk entry is a miss: regenerate below; the put
+          // atomically replaces the bad file.
+          OBS_LOG(Warn, "gen.cache",
+                  job.name + ": cached layout does not decode (" + e.what() +
+                      "); regenerating");
+        }
+        if (res.layout) {
+          res.layoutHash = layoutHashOf(*bytes);
+          res.ok = true;
+          res.cacheHit = true;
+          res.wallMs = span.elapsedSeconds() * 1e3;
+          span.arg("cache", "hit");
+          return res;
+        }
       }
     }
 

@@ -47,11 +47,10 @@ struct EngineConfig {
   bool preflightWerror = false;
   /// Memoize compactor session state at step granularity so sweep jobs
   /// resume from the first divergent compaction step (compact/prefix.h,
-  /// docs/CACHING.md).  On by default; the AMG_PREFIX_CACHE=0 environment
-  /// kill switch overrides it, and batch_runner exposes
+  /// docs/CACHING.md).  On by default; batch_runner exposes
   /// --no-prefix-cache.
   bool prefixCache = true;
-  compact::PrefixCacheConfig prefix;  ///< budget + optional disk tier
+  CacheConfig prefix;  ///< budget + optional disk tier
   /// When set, every job is appended as a request record after the batch
   /// completes, in submission order (obs/recorder.h, docs/OBSERVABILITY.md).
   /// The recorder must outlive the engine's run() calls; not owned.
@@ -72,7 +71,7 @@ class BatchEngine {
 
   LayoutCache& cache() { return *cache_; }
   const LayoutCache& cache() const { return *cache_; }
-  /// The compactor-prefix tier; nullptr when disabled (config or env).
+  /// The compactor-prefix tier; nullptr when disabled.
   compact::PrefixCache* prefixCache() { return prefix_.get(); }
   const compact::PrefixCache* prefixCache() const { return prefix_.get(); }
   const tech::Technology& technology() const { return *tech_; }

@@ -39,7 +39,4 @@ std::string canonicalizeSource(const std::string& source);
 /// per rule-table state, so repeated calls are O(1).
 std::uint64_t techFingerprint(const tech::Technology& t);
 
-/// Fixed-width lowercase hex form of a key (disk-cache file stem).
-using util::keyHex;
-
 }  // namespace amg::gen

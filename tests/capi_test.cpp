@@ -14,6 +14,7 @@
 #include "gen/replay.h"
 #include "io/layout.h"
 #include "obs/recorder.h"
+#include "prefix_tier.h"
 #include "tech/builtin.h"
 #include "util/version.h"
 
@@ -174,38 +175,43 @@ TEST(CapiTest, BatchMatchesInProcessEngineByteForByte) {
     reqs.push_back(r);
   }
 
-  gen::BatchEngine engine(tech::bicmos1u(), {});
-  const gen::BatchReport direct = engine.run(jobs);
+  testutil::forBothPrefixTiers([&](const gen::EngineConfig& cfg) {
+    gen::BatchEngine engine(tech::bicmos1u(), cfg);
+    const gen::BatchReport direct = engine.run(jobs);
 
-  amg_engine* e = amg_engine_create("bicmos1u", nullptr);
-  ASSERT_NE(e, nullptr);
-  amg_batch* b = nullptr;
-  ASSERT_EQ(amg_generate_batch(e, reqs.data(), reqs.size(), &b), AMG_OK);
-  ASSERT_EQ(amg_batch_size(b), jobs.size());
+    amg_config c;
+    amg_config_init(&c);
+    c.prefix_cache = cfg.prefixCache ? 1 : 0;
+    amg_engine* e = amg_engine_create("bicmos1u", &c);
+    ASSERT_NE(e, nullptr);
+    amg_batch* b = nullptr;
+    ASSERT_EQ(amg_generate_batch(e, reqs.data(), reqs.size(), &b), AMG_OK);
+    ASSERT_EQ(amg_batch_size(b), jobs.size());
 
-  amg_batch_info info;
-  amg_batch_info_get(b, &info);
-  EXPECT_EQ(info.jobs, jobs.size());
-  EXPECT_EQ(info.succeeded, direct.succeeded);
-  EXPECT_EQ(info.failed, 0u);
+    amg_batch_info info;
+    amg_batch_info_get(b, &info);
+    EXPECT_EQ(info.jobs, jobs.size());
+    EXPECT_EQ(info.succeeded, direct.succeeded);
+    EXPECT_EQ(info.failed, 0u);
 
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    amg_result* r = amg_batch_result(b, i);
-    ASSERT_NE(r, nullptr);
-    ASSERT_TRUE(direct.jobs[i].ok);
-    ASSERT_EQ(amg_result_ok(r), 1);
-    EXPECT_EQ(amg_result_key(r), engine.keyOf(jobs[i]));
-    EXPECT_EQ(amg_result_layout_hash(r), direct.jobs[i].layoutHash);
-    const uint8_t* data = nullptr;
-    size_t size = 0;
-    ASSERT_EQ(amg_result_layout_data(r, &data, &size), AMG_OK);
-    const std::vector<std::uint8_t> viaCapi(data, data + size);
-    EXPECT_EQ(viaCapi, io::serializeLayout(*direct.jobs[i].layout))
-        << jobs[i].name;
-  }
-  EXPECT_EQ(amg_batch_result(b, jobs.size()), nullptr);  // out of range
-  amg_batch_destroy(b);
-  amg_engine_destroy(e);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      amg_result* r = amg_batch_result(b, i);
+      ASSERT_NE(r, nullptr);
+      ASSERT_TRUE(direct.jobs[i].ok);
+      ASSERT_EQ(amg_result_ok(r), 1);
+      EXPECT_EQ(amg_result_key(r), engine.keyOf(jobs[i]));
+      EXPECT_EQ(amg_result_layout_hash(r), direct.jobs[i].layoutHash);
+      const uint8_t* data = nullptr;
+      size_t size = 0;
+      ASSERT_EQ(amg_result_layout_data(r, &data, &size), AMG_OK);
+      const std::vector<std::uint8_t> viaCapi(data, data + size);
+      EXPECT_EQ(viaCapi, io::serializeLayout(*direct.jobs[i].layout))
+          << jobs[i].name;
+    }
+    EXPECT_EQ(amg_batch_result(b, jobs.size()), nullptr);  // out of range
+    amg_batch_destroy(b);
+    amg_engine_destroy(e);
+  });
 }
 
 TEST(CapiTest, CacheStatsAndClear) {

@@ -1,8 +1,12 @@
 // Batch generation engine: content-addressed cache determinism, the
 // fingerprint invalidation rules, and structured per-job diagnostics.
+// The Fingerprint, BatchCache and BatchDiagnostics engines run with the
+// compactor-prefix tier on and off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -15,12 +19,16 @@
 #include "gen/manifest.h"
 #include "io/layout.h"
 #include "lang/interp.h"
+#include "prefix_tier.h"
 #include "tech/builtin.h"
 #include "tech/techfile.h"
 #include "util/diag.h"
+#include "util/hash.h"
 
 namespace amg {
 namespace {
+
+using testutil::forBothPrefixTiers;
 
 const char* kLib = R"(
 // A contact row entity (Fig. 2).
@@ -56,22 +64,26 @@ TEST(Fingerprint, StringLiteralsSurviveCanonicalization) {
 }
 
 TEST(Fingerprint, KeyIgnoresCommentEdits) {
-  gen::BatchEngine engine(tech::bicmos1u());
-  gen::Job a = rowJob("a", "4");
-  gen::Job b = a;
-  b.script = std::string("// a new comment\n") + b.script;
-  EXPECT_EQ(engine.keyOf(a), engine.keyOf(b));
+  forBothPrefixTiers([](const gen::EngineConfig& cfg) {
+    gen::BatchEngine engine(tech::bicmos1u(), cfg);
+    gen::Job a = rowJob("a", "4");
+    gen::Job b = a;
+    b.script = std::string("// a new comment\n") + b.script;
+    EXPECT_EQ(engine.keyOf(a), engine.keyOf(b));
+  });
 }
 
 TEST(Fingerprint, KeyChangesOnParameterEdit) {
-  gen::BatchEngine engine(tech::bicmos1u());
-  EXPECT_NE(engine.keyOf(rowJob("a", "4")), engine.keyOf(rowJob("a", "5")));
-  // ...but not on an equivalent numeric spelling or parameter order.
-  gen::Job a = rowJob("a", "4");
-  gen::Job b = rowJob("a", "4.0");
-  EXPECT_EQ(engine.keyOf(a), engine.keyOf(b));
-  std::reverse(b.params.begin(), b.params.end());
-  EXPECT_EQ(engine.keyOf(a), engine.keyOf(b));
+  forBothPrefixTiers([](const gen::EngineConfig& cfg) {
+    gen::BatchEngine engine(tech::bicmos1u(), cfg);
+    EXPECT_NE(engine.keyOf(rowJob("a", "4")), engine.keyOf(rowJob("a", "5")));
+    // ...but not on an equivalent numeric spelling or parameter order.
+    gen::Job a = rowJob("a", "4");
+    gen::Job b = rowJob("a", "4.0");
+    EXPECT_EQ(engine.keyOf(a), engine.keyOf(b));
+    std::reverse(b.params.begin(), b.params.end());
+    EXPECT_EQ(engine.keyOf(a), engine.keyOf(b));
+  });
 }
 
 TEST(Fingerprint, KeyChangesOnTechRuleEdit) {
@@ -84,117 +96,164 @@ TEST(Fingerprint, KeyChangesOnTechRuleEdit) {
   const tech::Technology edited = tech::parseTechString(deck);
   ASSERT_NE(gen::techFingerprint(base), gen::techFingerprint(edited));
 
-  gen::BatchEngine e1(base), e2(edited);
-  EXPECT_NE(e1.keyOf(rowJob("a", "4")), e2.keyOf(rowJob("a", "4")));
+  forBothPrefixTiers([&](const gen::EngineConfig& cfg) {
+    gen::BatchEngine e1(base, cfg), e2(edited, cfg);
+    EXPECT_NE(e1.keyOf(rowJob("a", "4")), e2.keyOf(rowJob("a", "4")));
+  });
 }
 
 // --- cache determinism ----------------------------------------------------
 
 TEST(BatchCache, WarmRunIsByteIdenticalToCold) {
-  gen::BatchEngine engine(tech::bicmos1u());
-  std::vector<gen::Job> jobs;
-  for (int w = 2; w <= 12; ++w) jobs.push_back(rowJob("w" + std::to_string(w),
-                                                      std::to_string(w)));
-  const gen::BatchReport cold = engine.run(jobs);
-  const gen::BatchReport warm = engine.run(jobs);
-  ASSERT_EQ(cold.failed, 0u);
-  ASSERT_EQ(warm.failed, 0u);
-  EXPECT_EQ(cold.cacheHits, 0u);
-  EXPECT_EQ(warm.cacheHits, jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_TRUE(warm.jobs[i].cacheHit);
-    EXPECT_EQ(io::serializeLayout(*cold.jobs[i].layout),
-              io::serializeLayout(*warm.jobs[i].layout))
-        << jobs[i].name;
-  }
+  forBothPrefixTiers([](const gen::EngineConfig& cfg) {
+    gen::BatchEngine engine(tech::bicmos1u(), cfg);
+    std::vector<gen::Job> jobs;
+    for (int w = 2; w <= 12; ++w)
+      jobs.push_back(rowJob("w" + std::to_string(w), std::to_string(w)));
+    const gen::BatchReport cold = engine.run(jobs);
+    const gen::BatchReport warm = engine.run(jobs);
+    ASSERT_EQ(cold.failed, 0u);
+    ASSERT_EQ(warm.failed, 0u);
+    EXPECT_EQ(cold.cacheHits, 0u);
+    EXPECT_EQ(warm.cacheHits, jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_TRUE(warm.jobs[i].cacheHit);
+      EXPECT_EQ(io::serializeLayout(*cold.jobs[i].layout),
+                io::serializeLayout(*warm.jobs[i].layout))
+          << jobs[i].name;
+    }
+  });
 }
 
 TEST(BatchCache, DiskTierSurvivesEngineRestart) {
-  const std::string dir = ::testing::TempDir() + "amg_gen_disk_cache";
-  gen::EngineConfig cfg;
-  cfg.cache.diskDir = dir;
-  const std::vector<gen::Job> jobs = {rowJob("a", "4"), rowJob("b", "6")};
+  forBothPrefixTiers([](gen::EngineConfig cfg) {
+    cfg.cache.diskDir = ::testing::TempDir() + "amg_gen_disk_cache";
+    std::filesystem::remove_all(cfg.cache.diskDir);
+    const std::vector<gen::Job> jobs = {rowJob("a", "4"), rowJob("b", "6")};
 
-  gen::BatchEngine first(tech::bicmos1u(), cfg);
-  const gen::BatchReport cold = first.run(jobs);
+    gen::BatchEngine first(tech::bicmos1u(), cfg);
+    const gen::BatchReport cold = first.run(jobs);
+    ASSERT_EQ(cold.failed, 0u);
+
+    // A fresh engine (empty memory tier) must hit the disk tier.
+    gen::BatchEngine second(tech::bicmos1u(), cfg);
+    const gen::BatchReport warm = second.run(jobs);
+    ASSERT_EQ(warm.failed, 0u);
+    EXPECT_EQ(warm.cacheHits, jobs.size());
+    EXPECT_EQ(second.cache().store().stats().diskHits, jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+      EXPECT_EQ(io::serializeLayout(*cold.jobs[i].layout),
+                io::serializeLayout(*warm.jobs[i].layout));
+  });
+}
+
+TEST(BatchCache, UndecodableDiskEntryIsRegenerated) {
+  const gen::Job job = rowJob("a", "4");
+  gen::EngineConfig coldCfg;
+  coldCfg.useCache = false;
+  const gen::BatchReport cold = gen::BatchEngine(tech::bicmos1u(), coldCfg).run({job});
   ASSERT_EQ(cold.failed, 0u);
+  const std::vector<std::uint8_t> want = io::serializeLayout(*cold.jobs[0].layout);
 
-  // A fresh engine (empty memory tier) must hit the disk tier.
-  gen::BatchEngine second(tech::bicmos1u(), cfg);
-  const gen::BatchReport warm = second.run(jobs);
-  ASSERT_EQ(warm.failed, 0u);
-  EXPECT_EQ(warm.cacheHits, jobs.size());
-  EXPECT_EQ(second.cache().stats().diskHits, jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i)
-    EXPECT_EQ(io::serializeLayout(*cold.jobs[i].layout),
-              io::serializeLayout(*warm.jobs[i].layout));
+  forBothPrefixTiers([&](gen::EngineConfig cfg) {
+    cfg.cache.diskDir = ::testing::TempDir() + "amg_gen_bad_entry";
+    std::filesystem::remove_all(cfg.cache.diskDir);
+    std::filesystem::create_directories(cfg.cache.diskDir);
+    gen::BatchEngine engine(tech::bicmos1u(), cfg);
+    // A truncated entry, as an interrupted in-place write leaves it.
+    const std::string path =
+        cfg.cache.diskDir + "/" + util::keyHex(engine.keyOf(job)) + ".amgl";
+    std::ofstream(path, std::ios::binary)
+        .write(reinterpret_cast<const char*>(want.data()),
+               static_cast<std::streamsize>(want.size() / 2));
+
+    const gen::BatchReport r = engine.run({job});
+    ASSERT_TRUE(r.jobs[0].ok) << r.jobs[0].error();
+    EXPECT_FALSE(r.jobs[0].cacheHit);
+    EXPECT_EQ(io::serializeLayout(*r.jobs[0].layout), want);
+
+    // The regenerated put replaced the bad file: a fresh engine hits it.
+    gen::BatchEngine fresh(tech::bicmos1u(), cfg);
+    const gen::BatchReport again = fresh.run({job});
+    ASSERT_TRUE(again.jobs[0].ok) << again.jobs[0].error();
+    EXPECT_TRUE(again.jobs[0].cacheHit);
+    EXPECT_EQ(io::serializeLayout(*again.jobs[0].layout), want);
+  });
 }
 
 TEST(BatchCache, LruEvictsUnderByteBudget) {
-  gen::EngineConfig cfg;
-  cfg.cache.maxBytes = 600;  // a couple of small blobs at most
-  gen::BatchEngine engine(tech::bicmos1u(), cfg);
-  std::vector<gen::Job> jobs;
-  for (int w = 2; w <= 20; ++w)
-    jobs.push_back(rowJob("w" + std::to_string(w), std::to_string(w)));
-  const gen::BatchReport r = engine.run(jobs);
-  EXPECT_EQ(r.failed, 0u);
-  EXPECT_GT(engine.cache().stats().evictions, 0u);
-  EXPECT_LE(engine.cache().byteCount(), cfg.cache.maxBytes);
+  forBothPrefixTiers([](gen::EngineConfig cfg) {
+    cfg.cache.maxBytes = 600;  // a couple of small blobs at most
+    gen::BatchEngine engine(tech::bicmos1u(), cfg);
+    std::vector<gen::Job> jobs;
+    for (int w = 2; w <= 20; ++w)
+      jobs.push_back(rowJob("w" + std::to_string(w), std::to_string(w)));
+    const gen::BatchReport r = engine.run(jobs);
+    EXPECT_EQ(r.failed, 0u);
+    EXPECT_GT(engine.cache().store().stats().evictions, 0u);
+    EXPECT_LE(engine.cache().store().byteCount(), cfg.cache.maxBytes);
+  });
 }
 
 TEST(BatchCache, NoCacheModeNeverHits) {
-  gen::EngineConfig cfg;
-  cfg.useCache = false;
-  gen::BatchEngine engine(tech::bicmos1u(), cfg);
-  const std::vector<gen::Job> jobs = {rowJob("a", "4")};
-  engine.run(jobs);
-  const gen::BatchReport again = engine.run(jobs);
-  EXPECT_EQ(again.cacheHits, 0u);
-  EXPECT_EQ(engine.cache().stats().puts, 0u);
+  forBothPrefixTiers([](gen::EngineConfig cfg) {
+    cfg.useCache = false;
+    gen::BatchEngine engine(tech::bicmos1u(), cfg);
+    const std::vector<gen::Job> jobs = {rowJob("a", "4")};
+    engine.run(jobs);
+    const gen::BatchReport again = engine.run(jobs);
+    EXPECT_EQ(again.cacheHits, 0u);
+    EXPECT_EQ(engine.cache().store().stats().puts, 0u);
+  });
 }
 
 // --- per-job diagnostics and isolation ------------------------------------
 
 TEST(BatchDiagnostics, BrokenJobDoesNotPoisonTheBatch) {
-  gen::BatchEngine engine(tech::bicmos1u());
-  gen::Job broken = rowJob("broken", "4");
-  broken.script = "ENT ContactRow(layer, <W>)\n  INBOX(layer, W, $)\n";
-  broken.scriptPath = "broken.amg";
-  const std::vector<gen::Job> jobs = {rowJob("a", "4"), broken, rowJob("b", "6")};
-  const gen::BatchReport r = engine.run(jobs);
-  EXPECT_EQ(r.succeeded, 2u);
-  EXPECT_EQ(r.failed, 1u);
-  EXPECT_TRUE(r.jobs[0].ok);
-  EXPECT_TRUE(r.jobs[2].ok);
+  forBothPrefixTiers([](const gen::EngineConfig& cfg) {
+    gen::BatchEngine engine(tech::bicmos1u(), cfg);
+    gen::Job broken = rowJob("broken", "4");
+    broken.script = "ENT ContactRow(layer, <W>)\n  INBOX(layer, W, $)\n";
+    broken.scriptPath = "broken.amg";
+    const std::vector<gen::Job> jobs = {rowJob("a", "4"), broken, rowJob("b", "6")};
+    const gen::BatchReport r = engine.run(jobs);
+    EXPECT_EQ(r.succeeded, 2u);
+    EXPECT_EQ(r.failed, 1u);
+    EXPECT_TRUE(r.jobs[0].ok);
+    EXPECT_TRUE(r.jobs[2].ok);
 
-  ASSERT_FALSE(r.jobs[1].ok);
-  ASSERT_TRUE(r.jobs[1].diag.has_value());
-  const util::Diag& d = *r.jobs[1].diag;
-  EXPECT_EQ(d.code, "AMG-LEX-003");
-  EXPECT_EQ(d.loc.file, "broken.amg");
-  EXPECT_EQ(d.loc.line, 2);
-  EXPECT_GT(d.loc.col, 0);
-  EXPECT_NE(d.str().find("broken.amg:2:"), std::string::npos);
+    ASSERT_FALSE(r.jobs[1].ok);
+    ASSERT_TRUE(r.jobs[1].diag.has_value());
+    const util::Diag& d = *r.jobs[1].diag;
+    EXPECT_EQ(d.code, "AMG-LEX-003");
+    EXPECT_EQ(d.loc.file, "broken.amg");
+    EXPECT_EQ(d.loc.line, 2);
+    EXPECT_GT(d.loc.col, 0);
+    EXPECT_NE(d.str().find("broken.amg:2:"), std::string::npos);
+  });
 }
 
 TEST(BatchDiagnostics, DesignRuleFailureKeepsStructuredPayload) {
-  gen::BatchEngine engine(tech::bicmos1u());
-  gen::Job j = rowJob("thin", "0.1");  // far below min width: must fail
-  const gen::BatchReport r = engine.run({j});
-  ASSERT_EQ(r.failed, 1u);
-  ASSERT_TRUE(r.jobs[0].diag.has_value());
-  EXPECT_EQ(r.jobs[0].diag->code.rfind("AMG-PRIM-", 0), 0u) << r.jobs[0].error();
-  EXPECT_FALSE(r.jobs[0].diag->hint.empty());
+  forBothPrefixTiers([](const gen::EngineConfig& cfg) {
+    gen::BatchEngine engine(tech::bicmos1u(), cfg);
+    gen::Job j = rowJob("thin", "0.1");  // far below min width: must fail
+    const gen::BatchReport r = engine.run({j});
+    ASSERT_EQ(r.failed, 1u);
+    ASSERT_TRUE(r.jobs[0].diag.has_value());
+    EXPECT_EQ(r.jobs[0].diag->code.rfind("AMG-PRIM-", 0), 0u) << r.jobs[0].error();
+    EXPECT_FALSE(r.jobs[0].diag->hint.empty());
+  });
 }
 
 TEST(BatchDiagnostics, UnknownEntityIsLocatedAtTheJob) {
-  gen::BatchEngine engine(tech::bicmos1u());
-  gen::Job j = rowJob("missing", "4");
-  j.entity = "NoSuchEntity";
-  const gen::BatchReport r = engine.run({j});
-  ASSERT_EQ(r.failed, 1u);
-  EXPECT_EQ(r.jobs[0].diag->code, "AMG-INTERP-002");
+  forBothPrefixTiers([](const gen::EngineConfig& cfg) {
+    gen::BatchEngine engine(tech::bicmos1u(), cfg);
+    gen::Job j = rowJob("missing", "4");
+    j.entity = "NoSuchEntity";
+    const gen::BatchReport r = engine.run({j});
+    ASSERT_EQ(r.failed, 1u);
+    EXPECT_EQ(r.jobs[0].diag->code, "AMG-INTERP-002");
+  });
 }
 
 TEST(BatchDiagnostics, CaretRenderingPointsAtTheColumn) {

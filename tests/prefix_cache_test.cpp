@@ -3,9 +3,11 @@
 // prefix-restored compaction is byte-identical to cold execution, across
 // shuffled job orders, eviction pressure, the disk tier, VARIANT
 // backtracking, and the VM and the tree-walking oracle sharing one tier.
+// Every BatchEngine test runs with the tier on and off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <random>
 #include <string>
@@ -17,6 +19,7 @@
 #include "io/layout.h"
 #include "lang/interp.h"
 #include "oracle/tree_interp.h"
+#include "prefix_tier.h"
 #include "tech/builtin.h"
 #include "util/diag.h"
 
@@ -24,10 +27,7 @@ namespace amg {
 namespace {
 
 using tech::bicmos1u;
-
-/// True when AMG_PREFIX_CACHE=0 force-disabled the tier (the CI
-/// equivalence run): hit-asserting tests skip, identity tests still run.
-bool tierOff() { return !compact::prefixCacheEnvEnabled(); }
+using testutil::forBothPrefixTiers;
 
 // Every job shares a `rows`-step compaction prefix and diverges only in
 // the tail cell — the warm-adjacent sweep shape the tier is built for.
@@ -165,24 +165,29 @@ TEST(Stamp, ChangesOnMutationCopyAndMove) {
 TEST(PrefixCache, RestoredStepsAreByteIdenticalToCold) {
   const std::vector<gen::Job> jobs = sweepJobs(6);
   const auto cold = runBatch(jobs, coldConfig());
-
-  gen::BatchReport rep;
-  const auto warm = runBatch(jobs, gen::EngineConfig{}, &rep);
-  EXPECT_EQ(warm, cold);
-  if (tierOff()) GTEST_SKIP() << "AMG_PREFIX_CACHE=0: no hits to assert";
-  // Jobs 1..5 each share at least the 6-step prefix with job 0.
-  EXPECT_GE(rep.prefixRestoredSteps, 6u * 5u);
+  forBothPrefixTiers([&](const gen::EngineConfig& cfg) {
+    gen::BatchReport rep;
+    const auto warm = runBatch(jobs, cfg, &rep);
+    EXPECT_EQ(warm, cold);
+    // Jobs 1..5 each share at least the 6-step prefix with job 0.
+    if (cfg.prefixCache)
+      EXPECT_GE(rep.prefixRestoredSteps, 6u * 5u);
+    else
+      EXPECT_EQ(rep.prefixRestoredSteps, 0u);
+  });
 }
 
 TEST(PrefixCache, ShuffledJobOrdersStayByteIdentical) {
   const std::vector<gen::Job> jobs = sweepJobs(8);
   const auto cold = runBatch(jobs, coldConfig());
-  for (unsigned seed : {1u, 7u, 23u}) {
-    std::vector<gen::Job> shuffled = jobs;
-    std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(seed));
-    const auto warm = runBatch(shuffled, gen::EngineConfig{});
-    EXPECT_EQ(warm, cold) << "seed " << seed;
-  }
+  forBothPrefixTiers([&](const gen::EngineConfig& cfg) {
+    for (unsigned seed : {1u, 7u, 23u}) {
+      std::vector<gen::Job> shuffled = jobs;
+      std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(seed));
+      const auto warm = runBatch(shuffled, cfg);
+      EXPECT_EQ(warm, cold) << "seed " << seed;
+    }
+  });
 }
 
 TEST(PrefixCache, BothEnginesShareTheTierAndAgree) {
@@ -204,9 +209,7 @@ TEST(PrefixCache, BothEnginesShareTheTierAndAgree) {
       EXPECT_EQ(runJobOn<lang::Interpreter>(jobs[i], cache), want) << "vm, job " << i;
     }
   }
-  if (!tierOff()) {
-    EXPECT_GT(cache.stats().restoredSteps, 0u);
-  }
+  EXPECT_GT(cache.events().restoredSteps, 0u);
 }
 
 TEST(PrefixCache, ParallelWorkersShareOneCacheSafely) {
@@ -214,54 +217,64 @@ TEST(PrefixCache, ParallelWorkersShareOneCacheSafely) {
   // store is shared) — results must still match the serial cold run.
   const std::vector<gen::Job> jobs = sweepJobs(12);
   const auto cold = runBatch(jobs, coldConfig());
-  gen::EngineConfig cfg;
-  cfg.useCache = false;
-  cfg.threads = 4;
-  gen::BatchEngine engine(bicmos1u(), cfg);
-  const gen::BatchReport rep = engine.run(jobs);
-  std::map<std::string, std::vector<std::uint8_t>> warm;
-  for (const gen::JobResult& r : rep.jobs) {
-    ASSERT_TRUE(r.ok) << r.error();
-    warm[r.name] = io::serializeLayout(*r.layout);
-  }
-  EXPECT_EQ(warm, cold);
+  forBothPrefixTiers([&](gen::EngineConfig cfg) {
+    cfg.useCache = false;
+    cfg.threads = 4;
+    gen::BatchEngine engine(bicmos1u(), cfg);
+    const gen::BatchReport rep = engine.run(jobs);
+    std::map<std::string, std::vector<std::uint8_t>> warm;
+    for (const gen::JobResult& r : rep.jobs) {
+      ASSERT_TRUE(r.ok) << r.error();
+      warm[r.name] = io::serializeLayout(*r.layout);
+    }
+    EXPECT_EQ(warm, cold);
+  });
 }
 
 TEST(PrefixCache, EvictionPressureNeverCorruptsResults) {
   const std::vector<gen::Job> jobs = sweepJobs(6);
   const auto cold = runBatch(jobs, coldConfig());
-  // A one-byte budget: every snapshot is oversize, nothing is retained in
-  // memory and every step misses — correctness must not depend on hits.
-  gen::EngineConfig tiny;
-  tiny.prefix.maxBytes = 1;
-  EXPECT_EQ(runBatch(jobs, tiny), cold);
-  // A budget around one snapshot: constant eviction churn, some hits.
-  gen::EngineConfig churn;
-  churn.prefix.maxBytes = 2048;
-  EXPECT_EQ(runBatch(jobs, churn), cold);
+  forBothPrefixTiers([&](const gen::EngineConfig& cfg) {
+    // A one-byte budget: every snapshot is oversize, nothing is retained
+    // in memory and every step misses — correctness must not depend on
+    // hits.
+    gen::EngineConfig tiny = cfg;
+    tiny.prefix.maxBytes = 1;
+    EXPECT_EQ(runBatch(jobs, tiny), cold);
+    // A budget around one snapshot: constant eviction churn, some hits.
+    gen::EngineConfig churn = cfg;
+    churn.prefix.maxBytes = 2048;
+    EXPECT_EQ(runBatch(jobs, churn), cold);
+  });
 }
 
 TEST(PrefixCache, DiskTierServesEvictedEntries) {
-  if (tierOff()) GTEST_SKIP() << "AMG_PREFIX_CACHE=0: tier disabled";
   const std::vector<gen::Job> jobs = sweepJobs(6);
   const auto cold = runBatch(jobs, coldConfig());
-
-  gen::EngineConfig cfg;
-  cfg.prefix.maxBytes = 1;  // memory tier useless: every hit is a disk hit
-  cfg.prefix.diskDir = ::testing::TempDir() + "amg_prefix_disk";
-  cfg.threads = 1;
-  cfg.useCache = false;
-  gen::BatchEngine engine(bicmos1u(), cfg);
-  const gen::BatchReport rep = engine.run(jobs);
-  std::map<std::string, std::vector<std::uint8_t>> warm;
-  for (const gen::JobResult& r : rep.jobs) {
-    ASSERT_TRUE(r.ok) << r.error();
-    warm[r.name] = io::serializeLayout(*r.layout);
-  }
-  EXPECT_EQ(warm, cold);
-  ASSERT_NE(engine.prefixCache(), nullptr);
-  EXPECT_GT(engine.prefixCache()->stats().diskHits, 0u);
-  EXPECT_GT(rep.prefixRestoredSteps, 0u);
+  forBothPrefixTiers([&](gen::EngineConfig cfg) {
+    cfg.prefix.maxBytes = 1;  // memory tier useless: every hit is a disk hit
+    cfg.prefix.diskDir = ::testing::TempDir() + "amg_prefix_disk";
+    std::filesystem::remove_all(cfg.prefix.diskDir);
+    cfg.threads = 1;
+    cfg.useCache = false;
+    gen::BatchEngine engine(bicmos1u(), cfg);
+    const gen::BatchReport rep = engine.run(jobs);
+    std::map<std::string, std::vector<std::uint8_t>> warm;
+    for (const gen::JobResult& r : rep.jobs) {
+      ASSERT_TRUE(r.ok) << r.error();
+      warm[r.name] = io::serializeLayout(*r.layout);
+    }
+    EXPECT_EQ(warm, cold);
+    if (!cfg.prefixCache) {
+      EXPECT_EQ(engine.prefixCache(), nullptr);
+      EXPECT_EQ(rep.prefixRestoredSteps, 0u);
+      EXPECT_FALSE(std::filesystem::exists(cfg.prefix.diskDir));
+      return;
+    }
+    ASSERT_NE(engine.prefixCache(), nullptr);
+    EXPECT_GT(engine.prefixCache()->store().stats().diskHits, 0u);
+    EXPECT_GT(rep.prefixRestoredSteps, 0u);
+  });
 }
 
 TEST(PrefixCache, DirectStepApiMatchesPlainCompact) {
@@ -294,14 +307,12 @@ TEST(PrefixCache, DirectStepApiMatchesPlainCompact) {
     restored += compact::prefixStep(cache, replay, cell(), Dir::East, opt);
   compact::prefixEnd(replay);
   EXPECT_EQ(io::serializeLayout(replay), io::serializeLayout(plain));
-  if (tierOff()) GTEST_SKIP() << "AMG_PREFIX_CACHE=0: no hits to assert";
   EXPECT_EQ(restored, 4u);
-  EXPECT_EQ(cache.stats().restoredSteps, 4u);
-  EXPECT_GT(cache.stats().materializations, 0u);
+  EXPECT_EQ(cache.events().restoredSteps, 4u);
+  EXPECT_GT(cache.events().materializations, 0u);
 }
 
 TEST(PrefixCache, OutOfBandMutationReseedsTheChain) {
-  if (tierOff()) GTEST_SKIP() << "AMG_PREFIX_CACHE=0: tier disabled";
   const tech::Technology& t = bicmos1u();
   db::Module cell(t, "cell");
   cell.addShape(db::makeShape(Box{0, 0, um(3), um(2)}, t.layer("poly")));
@@ -315,10 +326,10 @@ TEST(PrefixCache, OutOfBandMutationReseedsTheChain) {
   // must reseed instead of trusting the stale chain.
   compact::prefixSync(m);
   m.addShape(db::makeShape(Box{um(20), 0, um(22), um(2)}, t.layer("metal1")));
-  const std::uint64_t reseedsBefore = cache.stats().reseeds;
+  const std::uint64_t reseedsBefore = cache.events().reseeds;
   compact::prefixStep(cache, m, cell, Dir::East, opt);
   compact::prefixEnd(m);
-  EXPECT_GT(cache.stats().reseeds, reseedsBefore);
+  EXPECT_GT(cache.events().reseeds, reseedsBefore);
 }
 
 /// Instantiate V(W = 7) from `script` on `Interp` without a prefix cache,

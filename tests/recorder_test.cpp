@@ -17,6 +17,7 @@
 #include "io/layout.h"
 #include "obs/flight.h"
 #include "obs/recorder.h"
+#include "prefix_tier.h"
 #include "tech/builtin.h"
 #include "util/diag.h"
 #include "util/wire.h"
@@ -395,36 +396,37 @@ TEST(Flight, LogLinesAndMarksCarryDetail) {
 }
 
 TEST(Flight, BatchJobFailureDumpsOnce) {
-  obs::flight::resetForTest();
-  const std::string path = ::testing::TempDir() + "flight_fail.txt";
-  std::FILE* f = std::fopen(path.c_str(), "w+b");
-  ASSERT_NE(f, nullptr);
-  obs::flight::setDumpStream(f);
+  testutil::forBothPrefixTiers([](gen::EngineConfig cfg) {
+    obs::flight::resetForTest();
+    const std::string path = ::testing::TempDir() + "flight_fail.txt";
+    std::FILE* f = std::fopen(path.c_str(), "w+b");
+    ASSERT_NE(f, nullptr);
+    obs::flight::setDumpStream(f);
 
-  gen::EngineConfig cfg;
-  cfg.preflight = false;  // let the failure happen at runtime
-  gen::BatchEngine engine(tech::bicmos1u(), cfg);
-  gen::Job bad;
-  bad.name = "bad";
-  bad.script = "x = Nope()\n";
-  bad.entity = "";
-  bad.resultVar = "x";
-  const gen::BatchReport rep = engine.run({bad, bad, bad});
-  EXPECT_EQ(rep.failed, 3u);
+    cfg.preflight = false;  // let the failure happen at runtime
+    gen::BatchEngine engine(tech::bicmos1u(), cfg);
+    gen::Job bad;
+    bad.name = "bad";
+    bad.script = "x = Nope()\n";
+    bad.entity = "";
+    bad.resultVar = "x";
+    const gen::BatchReport rep = engine.run({bad, bad, bad});
+    EXPECT_EQ(rep.failed, 3u);
 
-  obs::flight::setDumpStream(nullptr);
-  std::fclose(f);
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const std::string out = ss.str();
-  // Exactly one dump despite three failing jobs, and the failure breadcrumb
-  // made it into the rings.
-  EXPECT_NE(out.find("flight-recorder dump"), std::string::npos);
-  EXPECT_NE(out.find("gen.job.fail"), std::string::npos);
-  EXPECT_LT(out.size(), 64u * 1024u);
-  const std::size_t first = out.find("flight-recorder dump");
-  EXPECT_EQ(out.find("flight-recorder dump", first + 1), std::string::npos);
+    obs::flight::setDumpStream(nullptr);
+    std::fclose(f);
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    const std::string out = ss.str();
+    // Exactly one dump despite three failing jobs, and the failure
+    // breadcrumb made it into the rings.
+    EXPECT_NE(out.find("flight-recorder dump"), std::string::npos);
+    EXPECT_NE(out.find("gen.job.fail"), std::string::npos);
+    EXPECT_LT(out.size(), 64u * 1024u);
+    const std::size_t first = out.find("flight-recorder dump");
+    EXPECT_EQ(out.find("flight-recorder dump", first + 1), std::string::npos);
+  });
 }
 
 }  // namespace
