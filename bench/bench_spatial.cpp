@@ -7,8 +7,9 @@
 // consumer against its oracle on synthetic layouts up to ~10⁴ shapes,
 // verifies the results are identical (the determinism contract — the
 // indexed engine is not allowed to trade accuracy for speed), checks the
-// ≥5x speedup requirement at the largest size, and emits the raw numbers
-// as BENCH_spatial.json for the CI trend.
+// ≥5x speedup requirement at the largest size, emits the raw numbers as
+// BENCH_spatial.json for the CI trend, and exits 1 when an equivalence
+// check or the speedup requirement fails.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -152,13 +153,13 @@ void benchCompactor(int tiles, int k) {
   for (int i = 0; i < tiles; ++i) objs.push_back(tileObject(k, i, cols));
   const std::size_t n = static_cast<std::size_t>(tiles) * k * k;
 
-  // The indexed side is a successive-compaction session; the oracle runs
-  // the same steps with all-pairs scans and keeps no index at all.
+  // The indexed side is a successive build through compact(), which keeps
+  // its index on the target across these append-only steps; the oracle
+  // runs the same steps with all-pairs scans and keeps no index at all.
   db::Module mi(T(), "t");
   auto t0 = std::chrono::steady_clock::now();
-  compact::Compactor session(mi);
   for (int i = 0; i < tiles; ++i)
-    session.compact(objs[static_cast<std::size_t>(i)], Dir::South);
+    compact::compact(mi, objs[static_cast<std::size_t>(i)], Dir::South);
   record("compactor", n, "indexed", msSince(t0));
   db::Module mb(T(), "t");
   t0 = std::chrono::steady_clock::now();
@@ -166,15 +167,16 @@ void benchCompactor(int tiles, int k) {
     oracle::bruteCompact(mb, objs[static_cast<std::size_t>(i)], Dir::South);
   record("compactor", n, "brute", msSince(t0));
 
-  bool same = identicalModules(mi, mb);
-  if (tiles <= 64) {
-    // The session must also match the one-shot free function exactly.
-    db::Module mf(T(), "t");
-    for (int i = 0; i < tiles; ++i)
-      compact::compact(mf, objs[static_cast<std::size_t>(i)], Dir::South);
-    same = same && identicalModules(mi, mf);
+  // A target copied before every step carries no index, so each step
+  // rebuilds it; the kept index must give the same layout.
+  db::Module mr(T(), "t");
+  for (int i = 0; i < tiles; ++i) {
+    db::Module fresh = mr;
+    compact::compact(fresh, objs[static_cast<std::size_t>(i)], Dir::South);
+    mr = std::move(fresh);
   }
-  checkIdentical(same, "compacted layouts");
+  checkIdentical(identicalModules(mi, mb) && identicalModules(mi, mr),
+                 "compacted layouts");
 }
 
 double wallAt(const std::string& workload, const std::string& engine, std::size_t n) {
@@ -201,7 +203,8 @@ void writeJson(const char* path) {
   if (w.write(path)) std::printf("\nwrote %s\n", path);
 }
 
-void reportE11() {
+/// Runs E11; false when a self-check or the speedup requirement failed.
+bool reportE11() {
   std::printf("=== E11: shared spatial index vs brute-force scans ===\n\n");
 
   for (const int side : {23, 71}) {  // ~1.1e3 and ~1.0e4 shapes
@@ -223,6 +226,7 @@ void reportE11() {
   std::printf(">=5x speedup requirement: %s\n", fast ? "PASS" : "FAIL");
 
   writeJson("BENCH_spatial.json");
+  return allIdentical && fast;
 }
 
 void BM_DrcIndexed(benchmark::State& state) {
@@ -258,8 +262,8 @@ BENCHMARK(BM_ConnectivityBrute)->Arg(23)->Arg(45)->Unit(benchmark::kMillisecond)
 }  // namespace
 
 int main(int argc, char** argv) {
-  reportE11();
+  const bool ok = reportE11();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -168,6 +169,12 @@ void Server::serveConnection(int fd) {
     }
   } catch (const std::exception&) {
     // Torn frame or dead peer: drop the connection; the server survives.
+  }
+  // Forget the fd before closing it: once closed, the number may be
+  // reused, and drain() must not shut down a descriptor it does not own.
+  {
+    std::lock_guard<std::mutex> lock(connMu_);
+    connFds_.erase(std::find(connFds_.begin(), connFds_.end(), fd));
   }
   ::close(fd);
 }
@@ -359,12 +366,14 @@ void Server::drain() {
   }
   queueCv_.notify_all();
   if (dispatcher_.joinable()) dispatcher_.join();
+  // Join outside connMu_: each connection thread takes it to deregister
+  // its fd.  The acceptor is gone, so the list no longer grows.
+  std::vector<std::thread> connections;
   {
     std::lock_guard<std::mutex> lock(connMu_);
-    for (std::thread& t : connections_) t.join();
-    connections_.clear();
-    connFds_.clear();
+    connections.swap(connections_);
   }
+  for (std::thread& t : connections) t.join();
   if (wakePipe_[0] >= 0) ::close(wakePipe_[0]);
   if (wakePipe_[1] >= 0) ::close(wakePipe_[1]);
   wakePipe_[0] = wakePipe_[1] = -1;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <set>
 
@@ -118,18 +119,10 @@ Box crossBand(Dir d, const Box& b, Coord halo) {
   return Box{b.x1 - halo, -kFar, b.x2 + halo, kFar};
 }
 
-/// The index over the stationary target.  It stays valid through the
-/// variable-edge loop because edges only ever *shrink* there (a stale
-/// larger box makes the candidate set a superset, and the exact rule test
-/// runs on current boxes).
-geom::SpatialIndex buildTargetIndex(const Module& target) {
-  geom::SpatialIndex idx;
-  for (ShapeId id : target.shapeIds())
-    idx.insert(id, target.shape(id).layer, target.shape(id).box);
-  return idx;
-}
-
 /// The production candidate source: a geom::SpatialIndex over the target.
+/// It stays a superset through the variable-edge loop because edges only
+/// ever *shrink* there (a stale larger box widens the candidate set, and
+/// the exact rule test runs on current boxes).
 class IndexCandidates final : public detail::Candidates {
  public:
   explicit IndexCandidates(geom::SpatialIndex& idx) : idx_(idx) {}
@@ -165,7 +158,7 @@ std::vector<Constraint> computeConstraints(const Module& target, const Module& o
     cands.query(crossBand(dir, os.box, halo), cand);
     candTotal += cand.size();
     for (const ShapeId ti : cand) {
-      // A session-held index keeps ids retired by array rebuilds.
+      // A step's array rebuild retires ids the index still holds.
       if (!target.isAlive(ti)) continue;
       const Shape& ts = target.shape(ti);
       const bool sameNet =
@@ -230,6 +223,13 @@ bool extensionSafe(const Module& target, const RuleCache& rc, const Options& opt
       return false;
   }
   return true;
+}
+
+/// Insert the alive target shapes from raw id `from` on (a merge's
+/// arrivals) into `cands`.
+void insertArrivals(const Module& target, std::size_t from, detail::Candidates& cands) {
+  for (auto id = static_cast<ShapeId>(from); id < target.rawSize(); ++id)
+    if (target.isAlive(id)) cands.insert(id, target.shape(id).layer, target.shape(id).box);
 }
 
 /// Rebuild the cut arrays whose containers changed; when `cands` is given,
@@ -306,7 +306,7 @@ Coord maxShrink(const Module& m, ShapeId id, Side side) {
 
 Coord requiredTranslation(const Module& target, const Module& obj, Dir dir,
                           const Options& options) {
-  geom::SpatialIndex idx = buildTargetIndex(target);
+  geom::SpatialIndex idx = db::buildShapeIndex(target);
   Coord best = kNone;
   for (const Constraint& c :
        computeConstraints(target, obj, dir, options, IndexCandidates(idx)))
@@ -317,7 +317,7 @@ Coord requiredTranslation(const Module& target, const Module& obj, Dir dir,
 namespace detail {
 
 Result compactStep(db::Module& target, const db::Module& obj, Dir dir,
-                   const Options& options, Candidates& cands, bool session) {
+                   const Options& options, Candidates& cands, bool* editedTarget) {
   if (&target.technology() != &obj.technology())
     throw Error("compact: object and target use different technologies");
 
@@ -330,14 +330,13 @@ Result compactStep(db::Module& target, const db::Module& obj, Dir dir,
       .arg("obj_shapes", static_cast<std::uint64_t>(obj.shapeCount()));
 
   Result res;
+  if (editedTarget) *editedTarget = false;
 
   // "The first compaction command copies the first transistor into the
   // data structure."
   if (target.shapeCount() == 0) {
     res.idMap = target.merge(obj, geom::Transform{});
-    if (session)
-      for (ShapeId id : target.shapeIds())
-        cands.insert(id, target.shape(id).layer, target.shape(id).box);
+    insertArrivals(target, 0, cands);
     return res;
   }
 
@@ -427,24 +426,20 @@ Result compactStep(db::Module& target, const db::Module& obj, Dir dir,
   const std::size_t preMergeNets = target.netCount();
   res.idMap = target.merge(work, tf);
 
+  // The candidate source stayed a conservative superset through the
+  // variable-edge shrinks (stale larger boxes) and the array rebuild
+  // (containers/cuts re-inserted above); extending it with just the merged
+  // arrivals keeps it one, at a fraction of a re-snapshot of the target.
+  insertArrivals(target, preMergeCount, cands);
+
   if (options.autoConnect) {
     // "The geometries of these layers are connected automatically after the
     // compaction if they are on the same potential": extend a stationary
     // shape's facing edge to reach a same-net arrival across the movement
-    // axis, when no rule forbids it (Fig. 5a).
+    // axis, when no rule forbids it (Fig. 5a).  Each accepted extension
+    // re-inserts the grown box (union semantics keeps queries exact-over).
     const RuleCache& rc = target.technology().rules();
     std::set<ShapeId> extended;
-
-    // The constraint-loop index stayed a conservative superset through the
-    // variable-edge shrinks (stale larger boxes) and the array rebuild
-    // (containers/cuts re-inserted above), so instead of re-snapshotting
-    // the whole target — an O(n) cost that would dwarf the queries it
-    // serves — extend it with just the merged arrivals and keep
-    // maintaining it incrementally: each accepted extension re-inserts
-    // the grown box (union semantics keeps queries exact-over).
-    for (ShapeId ai = static_cast<ShapeId>(preMergeCount); ai < target.rawSize(); ++ai)
-      if (target.isAlive(ai))
-        cands.insert(ai, target.shape(ai).layer, target.shape(ai).box);
     std::vector<ShapeId> biCand, safetyCand;
 
     for (ShapeId ni = static_cast<ShapeId>(preMergeCount); ni < target.rawSize(); ++ni) {
@@ -501,10 +496,11 @@ Result compactStep(db::Module& target, const db::Module& obj, Dir dir,
         ++res.autoConnects;
       }
     }
-    // Only a session's candidate source outlives this point and needs the
-    // rebuilt arrays re-inserted; a per-call index is about to be discarded.
-    rebuildArraysFor(target, extended, session ? &cands : nullptr);
+    // The candidate source is not queried again, and it is no longer exact
+    // once `extended` is non-empty, so the rebuilt arrays are not inserted.
+    rebuildArraysFor(target, extended);
   }
+  if (editedTarget) *editedTarget = !changedTarget.empty() || res.autoConnects > 0;
   OBS_COUNT_N("compact.edge_moves", res.edgeMoves);
   OBS_COUNT_N("compact.autoconnect.extensions", res.autoConnects);
   span.arg("edge_moves", res.edgeMoves).arg("auto_connects", res.autoConnects);
@@ -515,9 +511,19 @@ Result compactStep(db::Module& target, const db::Module& obj, Dir dir,
 
 Result compact(db::Module& target, const db::Module& obj, Dir dir,
                const Options& options) {
-  geom::SpatialIndex idx = buildTargetIndex(target);
-  IndexCandidates cands(idx);
-  return detail::compactStep(target, obj, dir, options, cands, false);
+  std::unique_ptr<geom::SpatialIndex> idx = target.takeIndex();
+  if (!idx) {
+    OBS_COUNT("compact.index.rebuilds");
+    idx = std::make_unique<geom::SpatialIndex>(db::buildShapeIndex(target));
+  }
+  IndexCandidates cands(*idx);
+  bool edited = false;
+  Result res = detail::compactStep(target, obj, dir, options, cands, &edited);
+  // An append-only step left the index exact: it holds every alive shape
+  // with its current box.  A step that edited the target's own shapes left
+  // stale boxes or retired ids behind, and the next step rebuilds instead.
+  if (!edited) target.keepIndex(std::move(idx));
+  return res;
 }
 
 Result compact(db::Module& target, const db::Module& obj, Dir dir,
@@ -526,19 +532,6 @@ Result compact(db::Module& target, const db::Module& obj, Dir dir,
   for (std::string_view n : ignoreLayerNames)
     opt.ignoreLayers.push_back(target.technology().layer(n));
   return compact(target, obj, dir, opt);
-}
-
-Compactor::Compactor(db::Module& target, Options options)
-    : target_(target), options_(std::move(options)), idx_(buildTargetIndex(target_)) {}
-
-Result Compactor::compact(const db::Module& obj, Dir dir) {
-  return compact(obj, dir, options_);
-}
-
-Result Compactor::compact(const db::Module& obj, Dir dir,
-                          const Options& stepOptions) {
-  IndexCandidates cands(idx_);
-  return detail::compactStep(target_, obj, dir, stepOptions, cands, true);
 }
 
 }  // namespace amg::compact

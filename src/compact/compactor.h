@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "db/module.h"
-#include "geom/spatial.h"
 
 namespace amg::compact {
 
@@ -68,6 +67,15 @@ struct Result {
 /// Both modules must share the same Technology.  Shape pairs are
 /// enumerated through a geom::SpatialIndex over the target; the all-pairs
 /// oracle the tests compare against lives in tests/oracle/.
+///
+/// Successive construction keeps its state on the target: the index is
+/// parked in the module (db::Module::keepIndex) after a step that only
+/// appended shapes, and the next call reuses it if the module was not
+/// mutated in between.  A step that edited the target's own shapes (a
+/// variable-edge shrink, an array rebuild, an auto-connect extension), an
+/// out-of-band mutation, a move or a throw makes the next call rebuild it,
+/// and so does the first call on a copy (counter compact.index.rebuilds).
+/// Layouts do not depend on which.
 Result compact(db::Module& target, const db::Module& obj, Dir dir,
                const Options& options = {});
 
@@ -76,43 +84,11 @@ Result compact(db::Module& target, const db::Module& obj, Dir dir,
 Result compact(db::Module& target, const db::Module& obj, Dir dir,
                std::initializer_list<std::string_view> ignoreLayerNames);
 
-/// A successive-compaction session: the spatial index over the growing
-/// target survives across compact() calls instead of being rebuilt from
-/// scratch each time (the rebuild is O(target) and dwarfs the band queries
-/// it serves, so per-call indexing loses to brute force on long builds).
-/// The session maintains the index incrementally — merged arrivals and
-/// auto-connect extensions are inserted as they happen, variable-edge
-/// shrinks ride on stale-larger union semantics, and array rebuilds
-/// re-insert the affected containers and cuts — and produces results
-/// byte-identical to the free function.
-///
-/// The target must not be modified by anything else between calls.
-class Compactor {
- public:
-  /// Snapshots `target` into the index (alive shapes only).  The module
-  /// reference is held for the session's lifetime.
-  explicit Compactor(db::Module& target, Options options = {});
-
-  /// One successive-compaction step; see compact() above.
-  Result compact(const db::Module& obj, Dir dir);
-
-  /// One step with per-step options: the DSL's ignore-layer list varies
-  /// call-to-call while the session (and its incremental index) persists.
-  Result compact(const db::Module& obj, Dir dir, const Options& stepOptions);
-
-  const Options& options() const { return options_; }
-
- private:
-  db::Module& target_;
-  Options options_;
-  geom::SpatialIndex idx_;
-};
-
 /// The canonical-frame translation the rules require for `obj` against
 /// `target` (no mutation, no variable edges): the object must be translated
 /// by exactly this amount along the movement axis (positive = pushed back
-/// against the movement).  Exposed for the optimizer's lookahead, the fast
-/// contour engine's equivalence tests, and unit tests.  Returns
+/// against the movement).  Only the tests call it, as the reference for
+/// the contour engine (compact/fast.h) and the constraint rules.  Returns
 /// geom::Envelope::kNone when nothing constrains the object.
 Coord requiredTranslation(const db::Module& target, const db::Module& obj, Dir dir,
                           const Options& options = {});

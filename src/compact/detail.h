@@ -28,11 +28,14 @@ class Candidates {
                      std::vector<db::ShapeId>& out) const = 0;
 };
 
-/// One compaction step, the body of compact() and Compactor::compact().
-/// `cands` covers `target`.  With `session` set it outlives the call and is
-/// kept current through every mutation the step makes; otherwise it only
-/// has to stay a superset until the step returns.
+/// One compaction step, the body of compact().  `cands` covers `target`
+/// and stays a superset of it until the step returns; every shape the
+/// merge adds is inserted.  `*editedTarget` (when given) is set when the
+/// step changed a shape `target` already held — a variable-edge shrink,
+/// an array rebuild or an auto-connect extension.  Otherwise the step only
+/// appended, so a `cands` that was exact on entry is exact on return.
 Result compactStep(db::Module& target, const db::Module& obj, Dir dir,
-                   const Options& options, Candidates& cands, bool session);
+                   const Options& options, Candidates& cands,
+                   bool* editedTarget = nullptr);
 
 }  // namespace amg::compact::detail

@@ -1,7 +1,6 @@
 #include "compact/prefix.h"
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <unordered_map>
 
@@ -33,9 +32,6 @@ struct Sess {
   /// Parked snapshot of the logical state (deferred restore); non-null
   /// means the module's bytes lag the chain.
   PrefixCache::Blob pending;
-  /// Persistent compaction session (incremental spatial index); only kept
-  /// while the module's bytes are current.
-  std::unique_ptr<Compactor> session;
 };
 
 std::unordered_map<const db::Module*, Sess>& tlsSessions() {
@@ -49,7 +45,6 @@ void materialize(Sess& s, db::Module& m) {
   span.arg("bytes", static_cast<std::uint64_t>(s.pending->size()));
   m = io::deserializeSessionState(*s.pending, *s.tech);
   s.pending.reset();
-  s.session.reset();  // the index described the replaced store
   s.stamp = m.stamp();
   s.cache->noteMaterialization();
 }
@@ -150,20 +145,18 @@ bool prefixStep(PrefixCache& cache, db::Module& target, const db::Module& obj,
     // the recorded stamp stays valid) and skip the step entirely.
     s.pending = std::move(hit);
     s.chain = next;
-    s.session.reset();
     cache.noteRestoredStep();
     return true;
   }
   try {
     if (s.pending) materialize(s, target);
-    if (!s.session) s.session = std::make_unique<Compactor>(target, options);
-    s.session->compact(obj, dir, options);
+    compact(target, obj, dir, options);
     s.stamp = target.stamp();
     s.chain = next;
     cache.put(next, io::serializeSessionState(target));
   } catch (...) {
     // The step may have half-applied; the stale stamp would catch it, but
-    // drop the session eagerly so the blob is not pinned.
+    // drop the bookkeeping eagerly so the blob is not pinned.
     sessions.erase(&target);
     throw;
   }

@@ -1,4 +1,4 @@
-// Compactor-prefix cache: step-granular memoization of successive
+// The compactor-prefix cache: step-granular memoization of successive
 // compaction (docs/CACHING.md, tier 3).
 //
 // §2.3 builds a module by compacting "only one new object in each step" —
@@ -85,7 +85,8 @@ class PrefixCache {
 /// One successive-compaction step of `obj` onto `target` through the
 /// prefix cache.  On a chain hit the snapshot is parked for deferred
 /// restore and the step is skipped; on a miss any parked snapshot is
-/// materialized, the step executes through a persistent Compactor session
+/// materialized, the step runs through compact::compact() (which reuses
+/// the index parked on `target`, or rebuilds it after a materialization)
 /// and the new state is recorded.  Returns true when the step was served
 /// from cache.  Byte-identical to compact::compact() on every path.
 bool prefixStep(PrefixCache& cache, db::Module& target, const db::Module& obj,

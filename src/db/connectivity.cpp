@@ -42,8 +42,7 @@ Connectivity::Connectivity(const Module& m) : m_(&m) {
 
   // One shape-level index per module snapshot, reused by every geometric
   // lookup of the build (gate-poly cutters, cut shielding).
-  geom::SpatialIndex sidx;
-  for (ShapeId i : m.shapeIds()) sidx.insert(i, m.shape(i).layer, m.shape(i).box);
+  const geom::SpatialIndex sidx = buildShapeIndex(m);
   std::vector<std::uint32_t> cand;
 
   std::vector<tech::LayerId> polyLayers;

@@ -65,6 +65,12 @@ std::vector<ShapeId> Module::shapeIds() const {
   return out;
 }
 
+geom::SpatialIndex buildShapeIndex(const Module& m) {
+  geom::SpatialIndex idx;
+  for (ShapeId id : m.shapeIds()) idx.insert(id, m.shape(id).layer, m.shape(id).box);
+  return idx;
+}
+
 std::vector<ShapeId> Module::shapesOn(LayerId layer) const {
   std::vector<ShapeId> out;
   for (ShapeId i = 0; i < shapes_.size(); ++i)

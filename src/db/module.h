@@ -7,6 +7,7 @@
 // the parent on merge, exactly as the paper's successive construction does.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -15,6 +16,7 @@
 #include <cstdint>
 
 #include "db/shape.h"
+#include "geom/spatial.h"
 #include "geom/transform.h"
 
 namespace amg::db {
@@ -39,6 +41,27 @@ struct IdentityStamp {
   }
   std::uint64_t v;
   static std::uint64_t next();  // global relaxed counter, never reused
+};
+
+/// A spatial index parked on a module with the stamp at which it was
+/// exact.  A copy starts empty (the source, unchanged, keeps its index) and
+/// a move empties both sides, so an index never travels to another
+/// module's store.
+struct IndexSlot {
+  IndexSlot() = default;
+  IndexSlot(const IndexSlot&) {}
+  IndexSlot& operator=(const IndexSlot&) {
+    idx.reset();
+    return *this;
+  }
+  IndexSlot(IndexSlot&& o) noexcept { o.idx.reset(); }
+  IndexSlot& operator=(IndexSlot&& o) noexcept {
+    idx.reset();
+    o.idx.reset();
+    return *this;
+  }
+  std::unique_ptr<geom::SpatialIndex> idx;
+  std::uint64_t stamp = 0;
 };
 }  // namespace detail
 
@@ -99,6 +122,22 @@ class Module {
   /// compactor-prefix cache (compact/prefix.h) keys its per-module session
   /// validity on this.  Non-const accessors count as mutations.
   std::uint64_t stamp() const { return stamp_.v; }
+
+  /// --- compaction index --------------------------------------------------
+  /// The successive compactor (compact::compact()) parks its index over
+  /// this module here between steps.  keepIndex() stores an index the
+  /// caller vouches is exact now (buildShapeIndex() of the current store);
+  /// takeIndex() hands it back only if no mutation happened since, and
+  /// otherwise returns nullptr; either way the slot is left empty.  Neither
+  /// call counts as a mutation.
+  void keepIndex(std::unique_ptr<geom::SpatialIndex> idx) {
+    index_.idx = std::move(idx);
+    index_.stamp = stamp_.v;
+  }
+  std::unique_ptr<geom::SpatialIndex> takeIndex() {
+    if (index_.stamp != stamp_.v) index_.idx.reset();
+    return std::move(index_.idx);
+  }
 
   /// --- nets -------------------------------------------------------------
   /// Get-or-create a named potential.
@@ -189,6 +228,11 @@ class Module {
   std::vector<ArrayRecord> arrays_;
   std::vector<PortDef> ports_;
   detail::IdentityStamp stamp_;
+  detail::IndexSlot index_;
 };
+
+/// A geom::SpatialIndex over the alive shapes of `m`, bucketed by layer.
+/// The compactor, the DRC and the connectivity extractor all start from it.
+geom::SpatialIndex buildShapeIndex(const Module& m);
 
 }  // namespace amg::db

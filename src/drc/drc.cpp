@@ -72,13 +72,6 @@ using db::ShapeId;
 using tech::LayerKind;
 using tech::Technology;
 
-/// Layer-bucketed index over all alive shapes, ids ascending.
-geom::SpatialIndex buildShapeIndex(const Module& m) {
-  geom::SpatialIndex idx;
-  for (ShapeId id : m.shapeIds()) idx.insert(id, m.shape(id).layer, m.shape(id).box);
-  return idx;
-}
-
 /// Spacing candidates come from the index within the per-layer max-rule
 /// halo; ids ascending keeps the violation order canonical.
 void checkSpacings(const Module& m, const geom::SpatialIndex& idx,
@@ -192,7 +185,7 @@ std::vector<Violation> check(const db::Module& m, const CheckOptions& options) {
   std::vector<Violation> out;
   if (options.widths) detail::checkWidths(m, out);
   if (options.spacings || options.enclosures) {
-    const geom::SpatialIndex idx = buildShapeIndex(m);
+    const geom::SpatialIndex idx = db::buildShapeIndex(m);
     if (options.spacings) checkSpacings(m, idx, options.samePotentialExempt, out);
     if (options.enclosures) checkEnclosures(m, idx, out);
   }
@@ -264,7 +257,7 @@ int insertSubstrateContacts(db::Module& m, const std::string& netName) {
 
   // One index per insertion run, grown incrementally as contacts land —
   // the ring search probes hundreds of positions against the whole module.
-  geom::SpatialIndex idx = buildShapeIndex(m);
+  geom::SpatialIndex idx = db::buildShapeIndex(m);
   std::vector<std::uint32_t> scratch;
 
   int inserted = 0;

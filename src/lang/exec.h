@@ -38,7 +38,7 @@ struct ExecContext {
   db::Module* self = nullptr;  ///< entity under construction, or nullptr
   InterpStats* stats = nullptr;
   std::vector<std::string>* output = nullptr;  ///< print() sink
-  /// Compactor-prefix cache compact() steps go through (compact/prefix.h);
+  /// The compactor-prefix cache compact() steps go through (compact/prefix.h);
   /// nullptr executes every step.  When set, self may carry a *deferred*
   /// restore between compact statements — every builtin that reads or
   /// mutates self goes through requireSelf(), which flushes it first, and

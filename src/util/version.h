@@ -41,7 +41,7 @@ inline constexpr std::uint32_t kSessionFormatVersion = 1;
 /// v2 dropped the execution-engine and spatial-engine header bytes.
 inline constexpr std::uint32_t kTraceFormatVersion = 2;
 
-/// Compactor-prefix snapshot chain (compact/prefix.h); feeds the rolling
+/// The compactor-prefix snapshot chain (compact/prefix.h); feeds the rolling
 /// chain-key seed, so a bump silently invalidates every prefix entry.
 inline constexpr std::uint64_t kPrefixFormatVersion = 1;
 

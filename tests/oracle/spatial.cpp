@@ -16,7 +16,7 @@ using db::Shape;
 using db::ShapeId;
 
 // --------------------------------------------------------------------------
-// Compactor
+// Compaction
 // --------------------------------------------------------------------------
 
 namespace {
@@ -44,7 +44,7 @@ class EveryShape final : public compact::detail::Candidates {
 compact::Result bruteCompact(Module& target, const Module& obj, Dir dir,
                              const compact::Options& options) {
   EveryShape every(target);
-  return compact::detail::compactStep(target, obj, dir, options, every, false);
+  return compact::detail::compactStep(target, obj, dir, options, every);
 }
 
 // --------------------------------------------------------------------------

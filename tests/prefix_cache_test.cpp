@@ -1,4 +1,4 @@
-// Compactor-prefix cache (compact/prefix.h): the session-state serializer
+// The compactor-prefix cache (compact/prefix.h): the session-state serializer
 // round trip, the module identity stamp, and the tier's whole contract —
 // prefix-restored compaction is byte-identical to cold execution, across
 // shuffled job orders, eviction pressure, the disk tier, VARIANT

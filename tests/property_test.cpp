@@ -171,7 +171,7 @@ TEST(Property, OrientationsPreserveDimensionsAndCompose) {
 }
 
 // --------------------------------------------------------------------------
-// Compactor invariants
+// Compaction invariants
 // --------------------------------------------------------------------------
 
 Module randomObject(std::mt19937& rng, int idx) {

@@ -4,7 +4,15 @@
 // recording of served traffic, and graceful drain semantics.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
+#include <array>
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -245,6 +253,73 @@ TEST(ServeTest, DrainRejectsNewWorkAndShutdownFrameDrains) {
 
   // New connections are refused once the listener is gone.
   EXPECT_THROW(serve::Client{sock}, util::DiagError);
+}
+
+TEST(ServeTest, DrainLeavesReusedDescriptorNumbersAlone) {
+  // A finished connection's fd number goes back to the process; drain()
+  // must not shut down whatever descriptor reuses it.
+  const std::string sock = sockPath("fdreuse");
+  serve::Server server(baseConfig(sock));
+  server.start();
+
+  // The server's end of a connection is the new socket bound to `sock`.
+  auto serverEnd = [&]() {
+    for (int fd = 0; fd < 1024; ++fd) {
+      sockaddr_un addr = {};
+      socklen_t len = sizeof addr;
+      int listening = 1;
+      socklen_t optLen = sizeof listening;
+      if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0 &&
+          addr.sun_family == AF_UNIX && sock == addr.sun_path &&
+          ::getsockopt(fd, SOL_SOCKET, SO_ACCEPTCONN, &listening, &optLen) == 0 &&
+          !listening)
+        return fd;
+    }
+    return -1;
+  };
+  int freed = -1;
+  {
+    serve::Client client(sock);
+    client.ping();  // accepted: the server's end is open now
+    freed = serverEnd();
+  }
+  ASSERT_GE(freed, 0);
+  // The client hung up; the connection thread closes its end.
+  for (int i = 0; i < 200 && ::fcntl(freed, F_GETFD) != -1; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_EQ(::fcntl(freed, F_GETFD), -1);
+
+  // Socket pairs take the lowest free numbers; open them until one end
+  // holds the freed number.
+  std::vector<std::array<int, 2>> pairs;
+  int reused = -1;
+  while (reused < 0 && pairs.size() < 8) {
+    std::array<int, 2> sv{};
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv.data()), 0);
+    pairs.push_back(sv);
+    if (sv[0] == freed || sv[1] == freed) reused = static_cast<int>(pairs.size()) - 1;
+  }
+  ASSERT_GE(reused, 0);
+
+  server.drain();
+
+  // Neither end was shut down: with nothing queued a read would block
+  // (EOF would mean SHUT_RD landed), and a byte sent still arrives.
+  const std::array<int, 2> sv = pairs[static_cast<std::size_t>(reused)];
+  for (int end = 0; end < 2; ++end) {
+    char b = 0;
+    errno = 0;
+    EXPECT_EQ(::recv(sv[end], &b, 1, MSG_DONTWAIT), -1) << "end " << end;
+    EXPECT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << "end " << end;
+    const char x = 'x';
+    ASSERT_EQ(::send(sv[1 - end], &x, 1, 0), 1);
+    ASSERT_EQ(::recv(sv[end], &b, 1, 0), 1);
+    EXPECT_EQ(b, 'x');
+  }
+  for (const auto& p : pairs) {
+    ::close(p[0]);
+    ::close(p[1]);
+  }
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "db/connectivity.h"
 #include "drc/drc.h"
 #include "geom/spatial.h"
+#include "obs/obs.h"
 #include "oracle/spatial.h"
 #include "route/obstacles.h"
 #include "tech/builtin.h"
@@ -264,11 +265,32 @@ TEST(SpatialConsumers, CompactorIdenticalToBruteForce) {
   }
 }
 
-TEST(SpatialConsumers, CompactorSessionIdenticalToFreeFunction) {
-  // The Compactor session maintains its index incrementally across steps
-  // (arrivals, auto-connect extensions, variable-edge rebuilds, retired
-  // ids); it must match the free function, which rebuilds per call, and
-  // the all-pairs oracle, which keeps no index at all.
+void expectSameLayout(const Module& a, const Module& b, const std::string& where) {
+  ASSERT_EQ(a.rawSize(), b.rawSize()) << where;
+  for (db::ShapeId id = 0; id < a.rawSize(); ++id) {
+    EXPECT_EQ(a.isAlive(id), b.isAlive(id)) << where << " shape " << id;
+    if (!a.isAlive(id) || !b.isAlive(id)) continue;
+    EXPECT_EQ(a.shape(id).box, b.shape(id).box) << where << " shape " << id;
+    EXPECT_EQ(a.shape(id).layer, b.shape(id).layer) << where << " shape " << id;
+    EXPECT_EQ(a.shape(id).net, b.shape(id).net) << where << " shape " << id;
+  }
+}
+
+void expectSameStep(const compact::Result& a, const compact::Result& b,
+                    const std::string& where) {
+  EXPECT_EQ(a.translation, b.translation) << where;
+  EXPECT_EQ(a.edgeMoves, b.edgeMoves) << where;
+  EXPECT_EQ(a.autoConnects, b.autoConnects) << where;
+  EXPECT_EQ(a.idMap, b.idMap) << where;
+}
+
+TEST(SpatialConsumers, KeptIndexIdenticalToRebuiltAndBruteForce) {
+  // compact() keeps its index on the target across append-only steps and
+  // rebuilds it after a step that edited the target (arrivals, auto-connect
+  // extensions, variable-edge shrinks, array rebuilds with retired ids all
+  // occur here).  It must match a target copied before every step, whose
+  // index is therefore rebuilt on every step, and the all-pairs oracle,
+  // which keeps no index at all.
   std::mt19937 rng(88);
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<Module> objs;
@@ -277,30 +299,131 @@ TEST(SpatialConsumers, CompactorSessionIdenticalToFreeFunction) {
     std::vector<Dir> order;
     for (std::size_t i = 0; i < objs.size(); ++i) order.push_back(dirs[rng() % 4]);
 
-    Module ms(T(), "t"), mf(T(), "t"), mb(T(), "t");
-    compact::Compactor sessIdx(ms);
+    Module mk(T(), "t"), mr(T(), "t"), mb(T(), "t");
     for (std::size_t i = 0; i < objs.size(); ++i) {
-      const auto rs = sessIdx.compact(objs[i], order[i]);
-      const auto rf = compact::compact(mf, objs[i], order[i]);
+      const std::string where = "trial " + std::to_string(trial) + " step " +
+                                std::to_string(i);
+      const auto rk = compact::compact(mk, objs[i], order[i]);
+      Module fresh = mr;  // a copy carries no index
+      const auto rr = compact::compact(fresh, objs[i], order[i]);
+      mr = std::move(fresh);
       const auto rb = oracle::bruteCompact(mb, objs[i], order[i]);
-      EXPECT_EQ(rs.translation, rf.translation) << "trial " << trial << " step " << i;
-      EXPECT_EQ(rs.translation, rb.translation) << "trial " << trial << " step " << i;
-      EXPECT_EQ(rs.edgeMoves, rf.edgeMoves) << "trial " << trial << " step " << i;
-      EXPECT_EQ(rs.autoConnects, rf.autoConnects) << "trial " << trial << " step " << i;
-      EXPECT_EQ(rs.idMap, rf.idMap) << "trial " << trial << " step " << i;
+      expectSameStep(rk, rr, where + " (rebuilt)");
+      expectSameStep(rk, rb, where + " (brute)");
     }
-    ASSERT_EQ(ms.rawSize(), mf.rawSize()) << "trial " << trial;
-    ASSERT_EQ(ms.rawSize(), mb.rawSize()) << "trial " << trial;
-    for (db::ShapeId id = 0; id < ms.rawSize(); ++id) {
-      EXPECT_EQ(ms.isAlive(id), mf.isAlive(id)) << "trial " << trial << " shape " << id;
-      EXPECT_EQ(ms.isAlive(id), mb.isAlive(id)) << "trial " << trial << " shape " << id;
-      if (!ms.isAlive(id) || !mf.isAlive(id) || !mb.isAlive(id)) continue;
-      EXPECT_EQ(ms.shape(id).box, mf.shape(id).box)
-          << "trial " << trial << " shape " << id;
-      EXPECT_EQ(ms.shape(id).box, mb.shape(id).box)
-          << "trial " << trial << " shape " << id;
-    }
+    expectSameLayout(mk, mr, "trial " + std::to_string(trial) + " (rebuilt)");
+    expectSameLayout(mk, mb, "trial " + std::to_string(trial) + " (brute)");
   }
+}
+
+/// A rigid k×k checker of metal1/metal2 squares on a private net,
+/// pre-placed in column `idx % cols`: stacked with Dir::South it neither
+/// shrinks nor auto-connects anything, so every step only appends.
+Module tileObject(int k, int idx, int cols) {
+  Module o(T(), "tile");
+  const Coord x0 = (idx % cols) * (k * 4000 + 4000);
+  for (int i = 0; i < k; ++i)
+    for (int j = 0; j < k; ++j)
+      o.addShape(makeShape(Box::fromSize(x0 + i * 4000, j * 4000, 2500, 2500),
+                           T().layer((i + j) % 2 ? "metal2" : "metal1"),
+                           o.net("t" + std::to_string(idx))));
+  return o;
+}
+
+Module metalStrap(const Box& box, const std::string& net, bool variableTop = false) {
+  Module o(T(), "strap");
+  auto s = makeShape(box, T().layer("metal1"), o.net(net));
+  s.varEdges.setVariable(Side::Top, variableTop);
+  o.addShape(s);
+  return o;
+}
+
+TEST(SpatialConsumers, KeptIndexInsertsEachShapeOnceAndRebuildsAfterEdits) {
+  obs::enableStats(true);
+  obs::Stats& stats = obs::Stats::global();
+
+  // An append-only successive build inserts each shape into the index once
+  // (the parked index is reused), so the total is linear in the shapes,
+  // not quadratic; only the first step, onto the empty target, builds one.
+  stats.reset();
+  Module tiles(T(), "tiles"), tilesBrute(T(), "tiles");
+  for (int i = 0; i < 36; ++i) {
+    const Module tile = tileObject(3, i, 6);
+    compact::compact(tiles, tile, Dir::South);
+    oracle::bruteCompact(tilesBrute, tile, Dir::South);
+  }
+  EXPECT_EQ(stats.value("spatial.inserts"), tiles.shapeCount());
+  EXPECT_EQ(stats.value("compact.index.rebuilds"), 1u);
+  expectSameLayout(tiles, tilesBrute, "tiles");
+
+  // Each event that leaves the parked index stale costs exactly one
+  // rebuild, on the next step, and the layout stays the oracle's.
+  Module mk(T(), "t"), mb(T(), "t");
+  int n = 0;
+  auto step = [&](const Module& obj) {
+    const std::string where = "step " + std::to_string(n++);
+    const std::uint64_t before = stats.value("compact.index.rebuilds");
+    const auto rk = compact::compact(mk, obj, Dir::South);
+    const auto rb = oracle::bruteCompact(mb, obj, Dir::South);
+    expectSameStep(rk, rb, where);
+    expectSameLayout(mk, mb, where);
+    return std::pair{stats.value("compact.index.rebuilds") - before, rk};
+  };
+  Module pair(T(), "pair");
+  pair.addShape(makeShape(Box{0, 0, 1000, 3000}, T().layer("metal1"), pair.net("s")));
+  pair.addShape(makeShape(Box{5000, 0, 6000, 1500}, T().layer("metal1"), pair.net("s")));
+  EXPECT_EQ(step(pair).first, 1u);  // the empty target's first index
+  Coord y = 10000;
+  auto strap = [&](const std::string& net, bool variableTop = false) {
+    y += 20000;
+    return metalStrap(Box{0, y, 6000, y + 4000}, net, variableTop);
+  };
+
+  // An auto-connect extension: the short column grows to the strap.
+  const auto [extendRebuilds, extendResult] = step(strap("s"));
+  EXPECT_EQ(extendRebuilds, 0u);
+  EXPECT_GT(extendResult.autoConnects, 0);
+  EXPECT_EQ(step(strap("a")).first, 1u);
+  EXPECT_EQ(step(strap("b", true)).first, 0u);
+
+  // A target-side variable-edge shrink: the next strap binds on the
+  // variable top edge of the last one.
+  const auto [shrinkRebuilds, shrinkResult] = step(strap("c"));
+  EXPECT_EQ(shrinkRebuilds, 0u);
+  EXPECT_GT(shrinkResult.edgeMoves, 0);
+  EXPECT_EQ(step(strap("d")).first, 1u);
+  EXPECT_EQ(step(strap("e")).first, 0u);
+
+  // An out-of-band addShape.
+  mk.addShape(makeShape(Box{20000, 0, 21000, 1000}, T().layer("metal1")));
+  mb.addShape(makeShape(Box{20000, 0, 21000, 1000}, T().layer("metal1")));
+  EXPECT_EQ(step(strap("f")).first, 1u);
+  EXPECT_EQ(step(strap("g")).first, 0u);
+
+  // A copy starts without an index; the unchanged source keeps its own.
+  Module copy = mk;
+  const std::uint64_t before = stats.value("compact.index.rebuilds");
+  compact::compact(copy, strap("h"), Dir::South);
+  EXPECT_EQ(stats.value("compact.index.rebuilds") - before, 1u);
+  y -= 20000;  // the same strap again for mk
+  EXPECT_EQ(step(strap("h")).first, 0u);
+  expectSameLayout(copy, mk, "copy");
+  EXPECT_EQ(step(strap("i")).first, 0u);
+
+  // A move leaves neither side an index.
+  Module moved = std::move(mk);
+  mk = std::move(moved);
+  EXPECT_EQ(step(strap("j")).first, 1u);
+  EXPECT_EQ(step(strap("k")).first, 0u);
+
+  // A step that throws (a foreign technology) drops the index.
+  Module foreign(tech::cmos2u(), "foreign");
+  foreign.addShape(makeShape(Box{0, 0, 1000, 1000}, tech::cmos2u().layer("metal1")));
+  EXPECT_THROW(compact::compact(mk, foreign, Dir::South), Error);
+  EXPECT_EQ(step(strap("l")).first, 1u);
+  EXPECT_EQ(step(strap("m")).first, 0u);
+
+  obs::enableStats(false);
 }
 
 TEST(SpatialConsumers, ObstaclesIdenticalToBruteForce) {
