@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs-drift and link checker.
 
-Three checks, all run by CI (.github/workflows/ci.yml):
+Seven checks, all run by CI (.github/workflows/ci.yml):
 
 1. CLI drift: run every documented binary with --help and verify that
    each long flag it advertises appears in docs/CLI.md.  A flag added to
@@ -34,6 +34,10 @@ Three checks, all run by CI (.github/workflows/ci.yml):
    every documented function must still be declared in the header —
    both directions, so the C ABI reference can never silently drift
    from the shipped surface.
+
+7. Serializer-code registry: the AMG-IO-* codes raised under src/io and
+   the numbers listed on the `AMG-IO-*` row of docs/CLI.md must match,
+   both directions, so a retired code cannot stay documented.
 
 Usage:
     python3 scripts/check_docs.py [--bin-dir build/examples]
@@ -342,6 +346,43 @@ def check_embedding_registry():
     return errors
 
 
+IO_CODE_RE = re.compile(r'"AMG-IO-(\d{3})"')
+# The family row: | `AMG-IO-*` | layout serializer | 001 bad magic · ... |
+IO_DOC_ROW_RE = re.compile(r"^\|\s*`AMG-IO-\*`\s*\|[^|]*\|([^|]*)\|", re.M)
+
+
+def check_io_registry():
+    """AMG-IO codes raised under src/io <-> the docs/CLI.md family row."""
+    raised = set()
+    io_dir = os.path.join(REPO, "src", "io")
+    for entry in sorted(os.listdir(io_dir)):
+        if entry.endswith((".cpp", ".h")):
+            with open(os.path.join(io_dir, entry), encoding="utf-8") as f:
+                raised.update(IO_CODE_RE.findall(f.read()))
+    if not raised:
+        return ["no AMG-IO-* codes found under src/io; serializer registry "
+                "check would be vacuous"]
+
+    cli_md = os.path.join(REPO, "docs", "CLI.md")
+    try:
+        with open(cli_md, encoding="utf-8") as f:
+            rows = IO_DOC_ROW_RE.findall(f.read())
+    except OSError as e:
+        return [f"cannot read docs/CLI.md: {e}"]
+    if len(rows) != 1:
+        return [f"docs/CLI.md has {len(rows)} `AMG-IO-*` rows; expected one"]
+    documented = set(re.findall(r"\b(\d{3})\b", rows[0]))
+
+    errors = []
+    for num in sorted(raised - documented):
+        errors.append(f"AMG-IO-{num} is raised under src/io but is not listed "
+                      "on the AMG-IO-* row of docs/CLI.md")
+    for num in sorted(documented - raised):
+        errors.append(f"docs/CLI.md lists AMG-IO-{num} but src/io never "
+                      "raises it (stale entry?)")
+    return errors
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--bin-dir", default=os.path.join("build", "examples"),
@@ -361,11 +402,12 @@ def main():
     errors += check_opcode_registry()
     errors += check_obs_registry()
     errors += check_embedding_registry()
+    errors += check_io_registry()
     if errors:
         return fail(errors)
     print("check_docs: OK (CLI flags documented, markdown links resolve, "
-          "lint-code, verifier-code, opcode, observability and embedding "
-          "registries in sync)")
+          "lint-code, verifier-code, opcode, observability, embedding and "
+          "serializer-code registries in sync)")
     return 0
 
 

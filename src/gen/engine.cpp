@@ -1,8 +1,7 @@
 #include "gen/engine.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
+#include <bit>
 #include <string_view>
 #include <unordered_map>
 
@@ -66,17 +65,10 @@ std::uint64_t BatchEngine::keyOf(const Job& job) const {
   for (const auto& [k, v] : params) {
     h = fnv1a(k, h);
     // Numeric values hash by value, so "4", "4.0" and "04" coincide.
-    double num = 0;
-    char* end = nullptr;
-    num = std::strtod(v.c_str(), &end);
-    if (!v.empty() && end == v.c_str() + v.size()) {
-      std::uint64_t bits;
-      static_assert(sizeof bits == sizeof num);
-      std::memcpy(&bits, &num, sizeof bits);
-      h = fnv1a(bits, h);
-    } else {
+    if (const auto num = numericParam(v))
+      h = fnv1a(std::bit_cast<std::uint64_t>(*num), h);
+    else
       h = fnv1a(v, h);
-    }
   }
   return h;
 }
@@ -124,11 +116,8 @@ JobResult BatchEngine::runOne(const Job& job) {
       std::vector<std::pair<std::string, lang::Value>> args;
       args.reserve(job.params.size());
       for (const auto& [k, v] : job.params) {
-        double num = 0;
-        char* end = nullptr;
-        num = std::strtod(v.c_str(), &end);
-        if (!v.empty() && end == v.c_str() + v.size())
-          args.emplace_back(k, lang::Value::number(num));
+        if (const auto num = numericParam(v))
+          args.emplace_back(k, lang::Value::number(*num));
         else
           args.emplace_back(k, lang::Value::string(v));
       }
@@ -272,14 +261,10 @@ std::vector<std::size_t> BatchEngine::scheduleOrder(
   // sweep walks each axis monotonically (adjacent jobs differ minimally,
   // maximizing the shared compaction prefix between neighbours).
   const auto cmpVal = [](const std::string& a, const std::string& b) {
-    char* ea = nullptr;
-    char* eb = nullptr;
-    const double na = std::strtod(a.c_str(), &ea);
-    const double nb = std::strtod(b.c_str(), &eb);
-    const bool aNum = !a.empty() && ea == a.c_str() + a.size();
-    const bool bNum = !b.empty() && eb == b.c_str() + b.size();
-    if (aNum && bNum) return na < nb ? -1 : (nb < na ? 1 : 0);
-    if (aNum != bNum) return aNum ? -1 : 1;
+    const auto na = numericParam(a);
+    const auto nb = numericParam(b);
+    if (na && nb) return *na < *nb ? -1 : (*nb < *na ? 1 : 0);
+    if (na.has_value() != nb.has_value()) return na ? -1 : 1;
     return a < b ? -1 : (b < a ? 1 : 0);
   };
 

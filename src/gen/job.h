@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <utility>
@@ -29,6 +30,18 @@ struct Job {
   /// as numbers bind as numbers (micrometres), others as strings.
   std::vector<std::pair<std::string, std::string>> params;
 };
+
+/// The one rule for parameter values: a value that parses fully as a
+/// number is that number; anything else (including "") is a string.  The
+/// manifest's sweep ranges, the cache key, argument binding and the
+/// prefix-friendly schedule all decide through this.
+inline std::optional<double> numericParam(const std::string& v) {
+  if (v.empty()) return std::nullopt;
+  char* end = nullptr;
+  const double num = std::strtod(v.c_str(), &end);
+  if (end != v.c_str() + v.size()) return std::nullopt;
+  return num;
+}
 
 /// Outcome of one job.  Failed jobs carry the structured diagnostic; they
 /// never abort the batch.

@@ -1,6 +1,5 @@
 #include "gen/manifest.h"
 
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <set>
@@ -35,13 +34,6 @@ std::vector<std::string> splitWords(const std::string& line) {
 struct Range {
   double lo = 0, hi = 0, step = 0;
 };
-
-bool parseNumber(const std::string& s, double& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
-}
 
 /// Render a double the way the manifest grammar writes one (no trailing
 /// zeros), for sweep-point job names and parameter values.
@@ -152,9 +144,12 @@ class Parser {
     const std::size_t c2 = val.find(':', c1 + 1);
     if (c2 == std::string::npos || val.find(':', c2 + 1) != std::string::npos)
       return false;
-    return parseNumber(val.substr(0, c1), r.lo) &&
-           parseNumber(val.substr(c1 + 1, c2 - c1 - 1), r.hi) &&
-           parseNumber(val.substr(c2 + 1), r.step) && r.step > 0 && r.hi >= r.lo;
+    const auto lo = numericParam(val.substr(0, c1));
+    const auto hi = numericParam(val.substr(c1 + 1, c2 - c1 - 1));
+    const auto step = numericParam(val.substr(c2 + 1));
+    if (!lo || !hi || !step) return false;
+    r = Range{*lo, *hi, *step};
+    return r.step > 0 && r.hi >= r.lo;
   }
 
   void expand(const Job& base, const std::vector<std::pair<std::string, Range>>& ranges,

@@ -1,13 +1,21 @@
-// Tests for the SVG and CIF writers.
+// Tests for the SVG, CIF and GDS writers and for the module record
+// (AMGL layouts and AMGS session snapshots, io/layout.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <functional>
+#include <string_view>
 
 #include "io/cif.h"
 #include "io/gds.h"
+#include "io/layout.h"
 #include "io/svg.h"
 #include "modules/basic.h"
 #include "tech/builtin.h"
+#include "util/diag.h"
+#include "util/hash.h"
+#include "util/wire.h"
 
 namespace amg::io {
 namespace {
@@ -130,6 +138,172 @@ TEST(Gds, WriteFileAndErrors) {
   EXPECT_THROW(writeGds(sample(), "/nonexistent-dir/x.gds"), Error);
   EXPECT_THROW(parseGds({0x00, 0x01}), Error);          // truncated
   EXPECT_THROW(parseGds(std::vector<std::uint8_t>(8, 0)), Error);  // no ENDLIB
+}
+
+// --- the module record (AMGL / AMGS) -----------------------------------------
+
+/// Two nets, two ports, an array record, a shape removed mid-build (on a
+/// layer nothing else uses) and an enclosure record whose inner shape is
+/// the dead one: AMGL drops that shape, its layer and that record and
+/// renumbers the shapes after it; AMGS keeps all of them verbatim.
+db::Module recordModule() {
+  const tech::Technology& t = bicmos1u();
+  db::Module m(t, "golden");
+  const db::NetId a = m.net("a");
+  const db::NetId b = m.net("b");
+  const tech::LayerId poly = t.layer("poly");
+  const tech::LayerId metal1 = t.layer("metal1");
+  const tech::LayerId contact = t.layer("contact");
+  const db::ShapeId outer =
+      m.addShape(db::makeShape(Box{0, 0, um(10), um(4)}, poly, a));
+  db::Shape cover = db::makeShape(Box{um(1), um(1), um(9), um(3)}, metal1, a);
+  cover.varEdges = db::EdgeFlags::allVariable();
+  cover.avoidOverlap = true;
+  const db::ShapeId inner = m.addShape(cover);
+  const db::ShapeId dead =
+      m.addShape(db::makeShape(Box{um(12), 0, um(14), um(2)}, t.layer("pbase"), b));
+  const db::ShapeId c1 =
+      m.addShape(db::makeShape(Box{um(2), um(2), um(3), um(3)}, contact, a));
+  const db::ShapeId c2 =
+      m.addShape(db::makeShape(Box{um(6), um(2), um(7), um(3)}, contact, a));
+  m.addShape(db::makeShape(Box{um(11), um(5), um(15), um(6)}, metal1, b));
+  m.addEncloseRecord({{outer}, inner});
+  m.addEncloseRecord({{outer}, dead});
+  m.addArrayRecord({{outer, inner}, contact, a, {c1, c2}});
+  m.addPort("in", Point{0, um(2)}, poly, a);
+  m.addPort("out", Point{um(15), um(5)}, metal1, b);
+  m.removeShape(dead);
+  return m;
+}
+
+std::uint64_t digest(const std::vector<std::uint8_t>& bytes) {
+  return util::fnv1a(std::string_view(
+      reinterpret_cast<const char*>(bytes.data()), bytes.size()));
+}
+
+std::string codeOf(const std::function<void()>& decode) {
+  try {
+    decode();
+  } catch (const util::DiagError& e) {
+    return e.diag().code;
+  }
+  return "accepted";
+}
+
+/// Byte offset of the first shape in a record: both formats share the
+/// header, layer table, net table and shape-count prefix.
+std::size_t firstShapeOffset(const std::vector<std::uint8_t>& bytes) {
+  util::WireReader r(bytes, util::Diag{});
+  r.u32();  // magic
+  r.u32();  // version
+  r.str();  // module name
+  for (std::uint32_t n = r.u32(); n > 0; --n) r.str();  // layers
+  for (std::uint32_t n = r.u32(); n > 0; --n) r.str();  // nets
+  r.u32();  // shape count
+  return r.position();
+}
+
+TEST(ModuleRecord, GoldenBytesArePinned) {
+  const db::Module m = recordModule();
+  const std::vector<std::uint8_t> amgl = serializeLayout(m);
+  const std::vector<std::uint8_t> amgs = serializeSessionState(m);
+  EXPECT_EQ(amgl.size(), 384u);
+  EXPECT_EQ(digest(amgl), 0x5c0595330e9b7663ull);
+  EXPECT_EQ(amgs.size(), 445u);
+  EXPECT_EQ(digest(amgs), 0xc87455bc7d08e08bull);
+
+  const db::Module fromL = deserializeLayout(amgl, bicmos1u());
+  EXPECT_EQ(serializeLayout(fromL), amgl);
+  EXPECT_EQ(fromL.rawSize(), 5u);
+  EXPECT_EQ(fromL.encloseRecords().size(), 1u);
+  const db::Module fromS = deserializeSessionState(amgs, bicmos1u());
+  EXPECT_EQ(serializeSessionState(fromS), amgs);
+  EXPECT_EQ(serializeLayout(fromS), amgl);
+  EXPECT_EQ(fromS.rawSize(), 6u);
+  EXPECT_EQ(fromS.encloseRecords().size(), 2u);
+}
+
+TEST(ModuleRecord, HeaderErrorsCarryTheirCodes) {
+  const db::Module m = recordModule();
+  const std::vector<std::uint8_t> amgl = serializeLayout(m);
+  const std::vector<std::uint8_t> amgs = serializeSessionState(m);
+  const tech::Technology& t = bicmos1u();
+  EXPECT_EQ(codeOf([&] { deserializeLayout(amgs, t); }), "AMG-IO-001");
+  EXPECT_EQ(codeOf([&] { deserializeSessionState(amgl, t); }), "AMG-IO-001");
+  std::vector<std::uint8_t> bumpedL = amgl;
+  std::vector<std::uint8_t> bumpedS = amgs;
+  ++bumpedL[4];
+  ++bumpedS[4];
+  EXPECT_EQ(codeOf([&] { deserializeLayout(bumpedL, t); }), "AMG-IO-002");
+  EXPECT_EQ(codeOf([&] { deserializeSessionState(bumpedS, t); }), "AMG-IO-002");
+}
+
+TEST(ModuleRecord, CorruptFieldsAreRejectedWithIo003) {
+  const db::Module m = recordModule();
+  const tech::Technology& t = bicmos1u();
+  for (const bool session : {false, true}) {
+    SCOPED_TRACE(session ? "AMGS" : "AMGL");
+    const std::vector<std::uint8_t> good =
+        session ? serializeSessionState(m) : serializeLayout(m);
+    auto decode = [&](const std::vector<std::uint8_t>& bytes) {
+      return codeOf([&] {
+        if (session)
+          deserializeSessionState(bytes, t);
+        else
+          deserializeLayout(bytes, t);
+      });
+    };
+    // A net id past the net table (the shape's u16 net follows its box and
+    // layer index).
+    std::vector<std::uint8_t> badNet = good;
+    const std::size_t net = firstShapeOffset(good) + 4 * 8 + 4;
+    badNet[net] = 0x34;
+    badNet[net + 1] = 0x12;
+    EXPECT_EQ(decode(badNet), "AMG-IO-003");
+  }
+  // An empty box (x2 := x1) is a corrupt AMGL record, not a design-rule
+  // violation; AMGS takes any box its writer can produce.
+  std::vector<std::uint8_t> empty = serializeLayout(m);
+  const std::size_t box = firstShapeOffset(empty);
+  std::copy_n(empty.begin() + static_cast<std::ptrdiff_t>(box), 8,
+              empty.begin() + static_cast<std::ptrdiff_t>(box + 16));
+  EXPECT_EQ(codeOf([&] { deserializeLayout(empty, t); }), "AMG-IO-003");
+}
+
+TEST(ModuleRecord, SingleByteMutantsDecodeOrRaiseDiagErrors) {
+  const db::Module m = recordModule();
+  const tech::Technology& t = bicmos1u();
+  std::size_t accepted = 0, rejected = 0;
+  for (const bool session : {false, true}) {
+    const std::vector<std::uint8_t> good =
+        session ? serializeSessionState(m) : serializeLayout(m);
+    for (std::size_t i = 0; i < good.size(); ++i) {
+      for (const std::uint8_t mask : {0x01, 0x80, 0xFF}) {
+        std::vector<std::uint8_t> bytes = good;
+        bytes[i] ^= mask;
+        const std::string what = std::string(session ? "AMGS" : "AMGL") +
+                                 " byte " + std::to_string(i) + " ^ " +
+                                 std::to_string(mask);
+        try {
+          const db::Module back = session ? deserializeSessionState(bytes, t)
+                                          : deserializeLayout(bytes, t);
+          ++accepted;
+          if (session) (void)serializeSessionState(back);
+          const std::vector<std::uint8_t> amgl = serializeLayout(back);
+          try {
+            (void)deserializeLayout(amgl, t);
+          } catch (const util::DiagError&) {
+          }
+        } catch (const util::DiagError&) {
+          ++rejected;
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << what << " escaped as a non-diagnostic: " << e.what();
+        }
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace
