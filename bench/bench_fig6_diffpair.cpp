@@ -59,7 +59,7 @@ void reportFig6() {
               static_cast<double>(m.bbox().width()) / kMicron,
               static_cast<double>(m.bbox().height()) / kMicron);
   std::printf("DRC: %zu violation(s)\n",
-              drc::check(m, {true, true, true, false, true}).size());
+              drc::check(m, {.latchUp = false}).size());
 
   // DSL build for comparison.
   lang::Interpreter in(T());

@@ -19,7 +19,6 @@
 #include "modules/basic.h"
 #include "opt/parallel.h"
 #include "tech/builtin.h"
-#include "tech/rulecache.h"
 #include "util/thread_pool.h"
 
 using namespace amg;
@@ -133,34 +132,6 @@ void BM_ParallelOrderSearch_DiffPair(benchmark::State& state) {
 BENCHMARK(BM_ParallelOrderSearch_DiffPair)
     ->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
-
-/// The memoized rule table vs the Technology hash maps, on the innermost
-/// compactor query (minSpacing over all layer pairs).
-void BM_RuleQuery_TechnologyMaps(benchmark::State& state) {
-  const tech::Technology& t = T();
-  const auto n = static_cast<tech::LayerId>(t.layerCount());
-  for (auto _ : state) {
-    Coord sum = 0;
-    for (tech::LayerId a = 0; a < n; ++a)
-      for (tech::LayerId b = 0; b < n; ++b)
-        sum += t.minSpacing(a, b).value_or(0);
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_RuleQuery_TechnologyMaps);
-
-void BM_RuleQuery_RuleCache(benchmark::State& state) {
-  const tech::RuleCache& rc = T().rules();
-  const auto n = static_cast<tech::LayerId>(rc.layerCount());
-  for (auto _ : state) {
-    Coord sum = 0;
-    for (tech::LayerId a = 0; a < n; ++a)
-      for (tech::LayerId b = 0; b < n; ++b)
-        sum += rc.minSpacing(a, b).value_or(0);
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_RuleQuery_RuleCache);
 
 }  // namespace
 

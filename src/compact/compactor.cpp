@@ -12,7 +12,6 @@
 #include "geom/spatial.h"
 #include "obs/obs.h"
 #include "primitives/primitives.h"
-#include "tech/rulecache.h"
 
 namespace amg::compact {
 
@@ -24,7 +23,6 @@ using db::Shape;
 using db::ShapeId;
 using tech::LayerId;
 using tech::LayerKind;
-using tech::RuleCache;
 
 constexpr Coord kNone = geom::Envelope::kNone;
 
@@ -35,22 +33,22 @@ bool layerIgnored(const Options& opt, LayerId l) {
 
 /// The clearance two shapes must keep, or nullopt when they may overlap
 /// freely.  0 means "may abut but not overlap" — used both for the
-/// same-potential merge exemption and for avoid-overlap shapes.  Queries go
-/// through the flat RuleCache — this is the innermost loop of every
-/// compaction step (shape-pair × search-tree-node in optimization mode).
-std::optional<Coord> requiredGap(const RuleCache& rc, const Shape& a, const Shape& b,
+/// same-potential merge exemption and for avoid-overlap shapes.  This is the
+/// innermost loop of every compaction step (shape-pair × search-tree-node in
+/// optimization mode); each rule query is one table load.
+std::optional<Coord> requiredGap(const tech::Technology& t, const Shape& a, const Shape& b,
                                  bool sameNet, const Options& opt) {
   const bool ignored = layerIgnored(opt, a.layer) || layerIgnored(opt, b.layer);
   if (a.layer == b.layer) {
     // "Edges on the same potential are not considered during compaction,
     // because they can be merged": stop at abutment instead of the rule.
     if (sameNet || ignored) return 0;
-    if (auto s = rc.minSpacing(a.layer, a.layer)) return *s + opt.extraGap;
+    if (auto s = t.minSpacing(a.layer, a.layer)) return *s + opt.extraGap;
     if (a.avoidOverlap || b.avoidOverlap) return 0;
     return std::nullopt;
   }
   if (ignored) return std::nullopt;
-  if (auto s = rc.minSpacing(a.layer, b.layer)) return *s + opt.extraGap;
+  if (auto s = t.minSpacing(a.layer, b.layer)) return *s + opt.extraGap;
   if (a.avoidOverlap || b.avoidOverlap) return 0;
   return std::nullopt;
 }
@@ -147,14 +145,14 @@ class IndexCandidates final : public detail::Candidates {
 std::vector<Constraint> computeConstraints(const Module& target, const Module& obj,
                                            Dir dir, const Options& opt,
                                            const detail::Candidates& cands) {
-  const RuleCache& rc = target.technology().rules();
+  const tech::Technology& t = target.technology();
   const std::vector<NetId> netMap = matchNets(target, obj);
   std::vector<Constraint> out;
   std::vector<ShapeId> cand;
   std::uint64_t candTotal = 0;
   for (ShapeId oi : obj.shapeIds()) {
     const Shape& os = obj.shape(oi);
-    const Coord halo = std::max<Coord>(0, rc.maxSpacing(os.layer) + opt.extraGap);
+    const Coord halo = std::max<Coord>(0, t.maxSpacing(os.layer) + opt.extraGap);
     cands.query(crossBand(dir, os.box, halo), cand);
     candTotal += cand.size();
     for (const ShapeId ti : cand) {
@@ -163,7 +161,7 @@ std::vector<Constraint> computeConstraints(const Module& target, const Module& o
       const Shape& ts = target.shape(ti);
       const bool sameNet =
           os.net != db::kNoNet && netMap[os.net] != db::kNoNet && netMap[os.net] == ts.net;
-      const auto gap = requiredGap(rc, ts, os, sameNet, opt);
+      const auto gap = requiredGap(t, ts, os, sameNet, opt);
       if (!gap) continue;
       if (crossGap(dir, ts.box, os.box) >= *gap) continue;  // clear on the cross axis
       const Coord need = stationaryFront(dir, ts.box) + *gap - leadingEdge(dir, os.box);
@@ -206,17 +204,17 @@ void shrinkEdge(Module& m, ShapeId id, Side s, Coord d) {
 /// Exact auto-connect safety test over one candidate list: extending `b`
 /// (id `bi`) to `cand` must not create a device crossing or a rule
 /// violation against any listed shape other than `bi` and the arrival `ni`.
-bool extensionSafe(const Module& target, const RuleCache& rc, const Options& options,
+bool extensionSafe(const Module& target, const tech::Technology& t, const Options& options,
                    ShapeId bi, ShapeId ni, const Shape& b, const Shape& cand,
                    const std::vector<ShapeId>& candidates) {
   for (ShapeId ci : candidates) {
     if (ci == bi || ci == ni) continue;
     const Shape& c = target.shape(ci);
-    if (rc.formsDevice(cand.layer, c.layer) && cand.box.overlaps(c.box) &&
+    if (t.formsDevice(cand.layer, c.layer) && cand.box.overlaps(c.box) &&
         !b.box.overlaps(c.box))
       return false;
     const bool sameNet = c.net != db::kNoNet && c.net == cand.net;
-    const auto g = requiredGap(rc, c, cand, sameNet, options);
+    const auto g = requiredGap(t, c, cand, sameNet, options);
     if (!g) continue;
     if (gapX(c.box, cand.box) < *g && gapY(c.box, cand.box) < *g &&
         !(gapX(c.box, b.box) < *g && gapY(c.box, b.box) < *g))
@@ -257,15 +255,15 @@ void rebuildArraysFor(Module& m, const std::set<ShapeId>& changed,
 }  // namespace
 
 Coord maxShrink(const Module& m, ShapeId id, Side side) {
-  const RuleCache& rc = m.technology().rules();
+  const tech::Technology& t = m.technology();
   const Shape& s = m.shape(id);
   const bool horizontalEdge = (side == Side::Left || side == Side::Right);
   const Coord axisLen = horizontalEdge ? s.box.width() : s.box.height();
 
   // Cuts are fixed-size; their edges never move.
-  if (rc.kind(s.layer) == LayerKind::Cut) return 0;
+  if (t.info(s.layer).kind == LayerKind::Cut) return 0;
 
-  Coord limit = axisLen - rc.findMinWidth(s.layer).value_or(0);
+  Coord limit = axisLen - t.findMinWidth(s.layer).value_or(0);
 
   // Keep enclosed inbox shapes inside with their margin.
   for (const db::EncloseRecord& enc : m.encloseRecords()) {
@@ -274,7 +272,7 @@ Coord maxShrink(const Module& m, ShapeId id, Side side) {
     // Skip self-records where this shape is the inner as well.
     if (enc.inner == id) continue;
     const Shape& inner = m.shape(enc.inner);
-    const Coord margin = rc.enclosure(s.layer, inner.layer).value_or(0);
+    const Coord margin = t.enclosure(s.layer, inner.layer).value_or(0);
     Coord room = 0;
     switch (side) {
       case Side::Left: room = inner.box.x1 - margin - s.box.x1; break;
@@ -292,11 +290,8 @@ Coord maxShrink(const Module& m, ShapeId id, Side side) {
     if (std::find(rec.containers.begin(), rec.containers.end(), id) ==
         rec.containers.end())
       continue;
-    const auto cs = rc.findCutSize(rec.elemLayer);
-    // Cache miss means no cut size is registered; the Technology call keeps
-    // the original DesignRuleError diagnostics for that case.
-    const auto [cw, ch] = cs ? *cs : m.technology().cutSize(rec.elemLayer);
-    const Coord margin = rc.enclosure(s.layer, rec.elemLayer).value_or(0);
+    const auto [cw, ch] = t.cutSize(rec.elemLayer);
+    const Coord margin = t.enclosure(s.layer, rec.elemLayer).value_or(0);
     const Coord needed = (horizontalEdge ? cw : ch) + 2 * margin;
     limit = std::min(limit, axisLen - needed);
   }
@@ -438,14 +433,14 @@ Result compactStep(db::Module& target, const db::Module& obj, Dir dir,
     // shape's facing edge to reach a same-net arrival across the movement
     // axis, when no rule forbids it (Fig. 5a).  Each accepted extension
     // re-inserts the grown box (union semantics keeps queries exact-over).
-    const RuleCache& rc = target.technology().rules();
+    const tech::Technology& t = target.technology();
     std::set<ShapeId> extended;
     std::vector<ShapeId> biCand, safetyCand;
 
     for (ShapeId ni = static_cast<ShapeId>(preMergeCount); ni < target.rawSize(); ++ni) {
       if (!target.isAlive(ni)) continue;
       const Shape arrival = target.shape(ni);
-      if (!rc.conducting(arrival.layer)) continue;
+      if (!t.info(arrival.layer).conducting) continue;
       // Ignored layers were exempted from spacing because their shapes are
       // meant to merge; connect them even without declared potentials.
       const bool ignoredLayer = layerIgnored(options, arrival.layer);
@@ -482,14 +477,14 @@ Result compactStep(db::Module& target, const db::Module& obj, Dir dir,
         // with (a poly extension across diffusion would create a gate).
         Shape cand = b;
         cand.box = nb;
-        const Coord halo = std::max<Coord>(0, rc.maxSpacing(cand.layer) + options.extraGap);
+        const Coord halo = std::max<Coord>(0, t.maxSpacing(cand.layer) + options.extraGap);
         cands.query(nb.expanded(halo), safetyCand);
         // Array rebuilds left retired ids behind; drop them.
         safetyCand.erase(
             std::remove_if(safetyCand.begin(), safetyCand.end(),
                            [&](ShapeId ci) { return !target.isAlive(ci); }),
             safetyCand.end());
-        if (!extensionSafe(target, rc, options, bi, ni, b, cand, safetyCand)) continue;
+        if (!extensionSafe(target, t, options, bi, ni, b, cand, safetyCand)) continue;
         target.shape(bi).box = nb;
         cands.insert(bi, b.layer, nb);
         extended.insert(bi);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "tech/rulecache.h"
-
 namespace amg::compact {
 namespace {
 
@@ -17,7 +15,7 @@ bool layerIgnored(const Options& opt, tech::LayerId l) {
 }  // namespace
 
 FastCompactor::FastCompactor(const tech::Technology& tech, Dir dir)
-    : tech_(&tech), rules_(&tech.rules()), dir_(dir) {}
+    : tech_(&tech), dir_(dir) {}
 
 FastCompactor::NetId FastCompactor::internNet(const std::string& name) {
   if (name.empty()) return 0;
@@ -70,10 +68,10 @@ Coord FastCompactor::required(const db::Module& /*target*/, const db::Module& ob
         const bool sameNet = objNet != 0 && key.net == objNet;
         if (sameNet || ignored)
           gap = 0;
-        else if (auto s = rules_->minSpacing(os.layer, os.layer))
+        else if (auto s = tech_->minSpacing(os.layer, os.layer))
           gap = *s + options.extraGap;
       } else if (!ignored) {
-        if (auto s = rules_->minSpacing(key.layer, os.layer)) gap = *s + options.extraGap;
+        if (auto s = tech_->minSpacing(key.layer, os.layer)) gap = *s + options.extraGap;
       }
       if (!gap) continue;
       const Coord front = contour.requiredFront(os.box, *gap);

@@ -7,7 +7,7 @@
 // pair of the growing structure.  Placing the next object queries the
 // envelopes instead of scanning every stored rectangle, so a build of n
 // objects costs O(n log n)-ish instead of the Ω(n²) pairwise scan (and far
-// below the full constraint-graph baseline of src/baseline).
+// below the full constraint-graph baseline of tests/baseline).
 //
 // Restrictions of the fast path (it is a placement engine, not the full
 // featured compactor): variable edges, avoid-overlap properties and
@@ -23,10 +23,6 @@
 
 #include "compact/compactor.h"
 #include "geom/contour.h"
-
-namespace amg::tech {
-class RuleCache;
-}
 
 namespace amg::compact {
 
@@ -71,7 +67,6 @@ class FastCompactor {
   };
 
   const tech::Technology* tech_;
-  const tech::RuleCache* rules_;  ///< flat rule tables of *tech_, lock-free reads
   Dir dir_;
   std::map<Key, geom::Contour> contours_;
   std::unordered_map<std::string, NetId> netIds_;

@@ -11,7 +11,6 @@
 
 #include "drc/drc.h"
 #include "geom/subtract.h"
-#include "tech/rulecache.h"
 
 namespace amg::drc::detail {
 
@@ -22,20 +21,20 @@ std::string shapeDesc(const db::Module& m, db::ShapeId id);
 void checkWidths(const db::Module& m, std::vector<Violation>& out);
 
 /// The spacing violation between shapes `ia` < `ib`, if any.  `connected`
-/// answers whether two shapes are geometrically connected (consulted only
-/// for the same-layer same-potential exemption, so callers can build the
-/// extractor lazily).
+/// answers whether two shapes are geometrically connected; connected
+/// same-layer shapes are exempt, because the compactor's same-potential
+/// merge produces intentional abutments.  It is consulted only for that
+/// exemption, so callers can build the extractor lazily.
 template <class Connected>
-std::optional<Violation> spacingViolation(const db::Module& m, const tech::RuleCache& rc,
+std::optional<Violation> spacingViolation(const db::Module& m, const tech::Technology& t,
                                           db::ShapeId ia, db::ShapeId ib,
-                                          bool samePotentialExempt,
                                           Connected&& connected) {
   const db::Shape& a = m.shape(ia);
   const db::Shape& b = m.shape(ib);
-  const auto rule = rc.minSpacing(a.layer, b.layer);
+  const auto rule = t.minSpacing(a.layer, b.layer);
   if (!rule) return std::nullopt;
   if (gapX(a.box, b.box) >= *rule || gapY(a.box, b.box) >= *rule) return std::nullopt;
-  if (a.layer == b.layer && samePotentialExempt && connected(ia, ib)) return std::nullopt;
+  if (a.layer == b.layer && connected(ia, ib)) return std::nullopt;
   return Violation{ViolationKind::Spacing, ia, ib, a.box.unite(b.box),
                    "spacing < " + std::to_string(*rule) + " between " +
                        shapeDesc(m, ia) + " and " + shapeDesc(m, ib)};

@@ -9,7 +9,6 @@
 #include "geom/spatial.h"
 #include "geom/subtract.h"
 #include "obs/obs.h"
-#include "tech/rulecache.h"
 
 namespace amg::drc {
 
@@ -75,8 +74,8 @@ using tech::Technology;
 /// Spacing candidates come from the index within the per-layer max-rule
 /// halo; ids ascending keeps the violation order canonical.
 void checkSpacings(const Module& m, const geom::SpatialIndex& idx,
-                   bool samePotentialExempt, std::vector<Violation>& out) {
-  const tech::RuleCache& rc = m.technology().rules();
+                   std::vector<Violation>& out) {
+  const Technology& t = m.technology();
   const auto ids = m.shapeIds();
   // Built lazily: a clean, sparse layout may never need the exemption.
   std::optional<db::Connectivity> conn;
@@ -92,11 +91,11 @@ void checkSpacings(const Module& m, const geom::SpatialIndex& idx,
   std::uint64_t candTotal = 0;
   for (const ShapeId ia : ids) {
     const Shape& a = m.shape(ia);
-    idx.query(a.box.expanded(rc.maxSpacing(a.layer)), cand);
+    idx.query(a.box.expanded(t.maxSpacing(a.layer)), cand);
     for (const std::uint32_t ib : cand) {
       if (ib <= ia) continue;
       ++candTotal;
-      if (auto v = detail::spacingViolation(m, rc, ia, ib, samePotentialExempt, connected))
+      if (auto v = detail::spacingViolation(m, t, ia, ib, connected))
         out.push_back(std::move(*v));
     }
   }
@@ -183,12 +182,10 @@ std::vector<Violation> check(const db::Module& m, const CheckOptions& options) {
   span.arg("module", m.name())
       .arg("shapes", static_cast<std::uint64_t>(m.shapeCount()));
   std::vector<Violation> out;
-  if (options.widths) detail::checkWidths(m, out);
-  if (options.spacings || options.enclosures) {
-    const geom::SpatialIndex idx = db::buildShapeIndex(m);
-    if (options.spacings) checkSpacings(m, idx, options.samePotentialExempt, out);
-    if (options.enclosures) checkEnclosures(m, idx, out);
-  }
+  detail::checkWidths(m, out);
+  const geom::SpatialIndex idx = db::buildShapeIndex(m);
+  checkSpacings(m, idx, out);
+  checkEnclosures(m, idx, out);
   detail::checkRegions(m, options, out);
   // Violation counts by rule — the names are dynamic (one counter per
   // kind), so this goes through the registry directly, not OBS_COUNT.
@@ -224,12 +221,12 @@ namespace {
 /// max-rule halo can neither violate a rule nor overlap.
 bool placementLegal(const Module& m, const Shape& cand, const geom::SpatialIndex& idx,
                     std::vector<std::uint32_t>& scratch) {
-  const tech::RuleCache& rc = m.technology().rules();
-  idx.query(cand.box.expanded(rc.maxSpacing(cand.layer)), scratch);
+  const Technology& t = m.technology();
+  idx.query(cand.box.expanded(t.maxSpacing(cand.layer)), scratch);
   for (const std::uint32_t id : scratch) {
     const Shape& s = m.shape(id);
-    if (rc.kind(s.layer) == LayerKind::Marker) continue;
-    if (auto rule = rc.minSpacing(cand.layer, s.layer)) {
+    if (t.info(s.layer).kind == LayerKind::Marker) continue;
+    if (auto rule = t.minSpacing(cand.layer, s.layer)) {
       if (gapX(cand.box, s.box) < *rule && gapY(cand.box, s.box) < *rule) return false;
     } else if (cand.box.overlaps(s.box)) {
       return false;  // no rule, but a stray overlap would change devices

@@ -36,14 +36,10 @@ struct Violation {
   std::string message;           ///< human-readable diagnosis
 };
 
+/// The optional region checks of check(); widths, spacings (with the
+/// same-potential exemption) and cut enclosures always run.
 struct CheckOptions {
-  bool widths = true;
-  bool spacings = true;
-  bool enclosures = true;
   bool latchUp = true;
-  /// Exempt same-layer spacing between geometrically connected shapes —
-  /// the compactor's same-potential merge produces intentional abutments.
-  bool samePotentialExempt = true;
   /// Require every pdiff shape to lie inside an n-well with the rule
   /// margin (off by default: generic NMOS-style modules have no well;
   /// turn on after modules::nwellWithTap()).

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 #include <iomanip>
+#include <list>
 #include <sstream>
 #include <string_view>
 #include <unordered_map>
@@ -446,13 +447,19 @@ namespace {
 
 /// Keyed on the full source text, so a hit is the same program by
 /// construction — no digest, hence no collision that could hand one
-/// script another script's chunk.
+/// script another script's chunk.  At most kChunkCacheCapacity programs,
+/// least recently used out first; an evicted program lives on for whoever
+/// still holds it.
 struct ChunkCache {
+  using Entry = std::pair<std::string, std::shared_ptr<const CompiledProgram>>;
   util::Mutex mu;
-  std::unordered_map<std::string, std::shared_ptr<const CompiledProgram>> map
+  std::list<Entry> lru AMG_GUARDED_BY(mu);  // most recently used first
+  // Keys view the source text held by the list node.
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> map
       AMG_GUARDED_BY(mu);
   std::size_t hits AMG_GUARDED_BY(mu) = 0;
   std::size_t misses AMG_GUARDED_BY(mu) = 0;
+  std::size_t evictions AMG_GUARDED_BY(mu) = 0;
 };
 
 ChunkCache& chunkCache() {
@@ -485,7 +492,8 @@ std::shared_ptr<const CompiledProgram> compileCached(const std::string& source) 
     if (it != cc.map.end()) {
       ++cc.hits;
       OBS_COUNT("vm.chunk_cache.hits");
-      return it->second;
+      cc.lru.splice(cc.lru.begin(), cc.lru, it->second);
+      return it->second->second;
     }
   }
   OBS_COUNT("vm.chunk_cache.misses");
@@ -507,20 +515,30 @@ std::shared_ptr<const CompiledProgram> compileCached(const std::string& source) 
   ++cc.misses;
   // Two threads may race to compile the same text; the first published
   // program wins and both callers get an equivalent one.
-  return cc.map.emplace(source, std::move(prog)).first->second;
+  if (const auto it = cc.map.find(source); it != cc.map.end()) return it->second->second;
+  cc.lru.emplace_front(source, std::move(prog));
+  cc.map.emplace(cc.lru.front().first, cc.lru.begin());
+  if (cc.lru.size() > kChunkCacheCapacity) {
+    cc.map.erase(cc.lru.back().first);
+    cc.lru.pop_back();
+    ++cc.evictions;
+    OBS_COUNT("vm.chunk_cache.evictions");
+  }
+  return cc.lru.front().second;
 }
 
 ChunkCacheStats chunkCacheStats() {
   ChunkCache& cc = chunkCache();
   util::MutexLock lock(cc.mu);
-  return {cc.hits, cc.misses, cc.map.size()};
+  return {cc.hits, cc.misses, cc.evictions, cc.map.size()};
 }
 
 void clearChunkCache() {
   ChunkCache& cc = chunkCache();
   util::MutexLock lock(cc.mu);
   cc.map.clear();
-  cc.hits = cc.misses = 0;
+  cc.lru.clear();
+  cc.hits = cc.misses = cc.evictions = 0;
 }
 
 // --------------------------------------------------------------------------

@@ -28,7 +28,11 @@ namespace amg::lang {
 /// post-pass) can stamp the verified bits before publishing it as const.
 std::shared_ptr<CompiledProgram> compile(const Program& prog);
 
-/// Lex + parse + compile `source`, memoized process-wide on the raw text.
+/// Programs the chunk cache holds before it evicts the least recently used.
+inline constexpr std::size_t kChunkCacheCapacity = 256;
+
+/// Lex + parse + compile `source`, memoized process-wide on the raw text
+/// (at most kChunkCacheCapacity programs).
 /// Lex/parse errors (LangError) propagate and are never cached.  Every
 /// freshly compiled chunk must pass the bytecode verifier (assert in
 /// debug, LangError with the AMG-B diag in release) before it is stamped
@@ -40,6 +44,7 @@ std::shared_ptr<const CompiledProgram> compileCached(const std::string& source);
 struct ChunkCacheStats {
   std::size_t hits = 0;
   std::size_t misses = 0;
+  std::size_t evictions = 0;
   std::size_t entries = 0;
 };
 ChunkCacheStats chunkCacheStats();

@@ -30,6 +30,8 @@ int substrateRing(db::Module& m, const std::string& netName) {
 void substrateContactAt(db::Module& m, Point at, const std::string& netName) {
   const Technology& t = m.technology();
   const tech::LayerId tie = t.substrateTieLayer();
+  if (tie == tech::kNoLayer)
+    throw DesignRuleError("technology has no substrate tie layer");
   const tech::LayerId contact = t.layer("contact");
   const tech::LayerId metal1 = t.layer("metal1");
   const auto [cw, ch] = t.cutSize(contact);

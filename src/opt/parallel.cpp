@@ -55,9 +55,6 @@ OptimizeResult optimizeOrderParallel(const BuildPlan& plan,
   detail::SharedSearch shared(options.search);
   std::vector<detail::LocalBest> results(tasks.size());
   const db::Module start = detail::seedModule(plan);
-  // Build the rule cache before the workers race for it (the getter is
-  // thread-safe; this just keeps the build out of the measured region).
-  (void)plan.seed.technology().rules();
 
   obs::Span span("opt.search");
   span.arg("plan", plan.name)

@@ -1,7 +1,6 @@
 #include "route/obstacles.h"
 
 #include "obs/obs.h"
-#include "tech/rulecache.h"
 
 namespace amg::route {
 
@@ -15,16 +14,16 @@ void Obstacles::add(db::ShapeId id) {
 }
 
 std::optional<db::ShapeId> Obstacles::firstConflict(const db::Shape& s) const {
-  const tech::RuleCache& rc = m_->technology().rules();
-  if (rc.kind(s.layer) == tech::LayerKind::Marker) return std::nullopt;
+  const tech::Technology& t = m_->technology();
+  if (t.info(s.layer).kind == tech::LayerKind::Marker) return std::nullopt;
   OBS_COUNT("route.obstacles.probes");
   // Every conflict is within the largest spacing rule of s.layer (the
   // no-rule overlap case needs halo 0, subsumed by any non-negative halo).
-  idx_.query(s.box.expanded(rc.maxSpacing(s.layer)), scratch_);
+  idx_.query(s.box.expanded(t.maxSpacing(s.layer)), scratch_);
   OBS_COUNT_N("route.obstacles.candidates", scratch_.size());
   for (const db::ShapeId id : scratch_) {
     if (!m_->isAlive(id)) continue;
-    if (conflicts(rc, s, m_->shape(id))) {
+    if (conflicts(t, s, m_->shape(id))) {
       OBS_COUNT("route.obstacles.conflicts");
       return id;
     }

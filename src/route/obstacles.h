@@ -20,7 +20,6 @@
 
 #include "db/module.h"
 #include "geom/spatial.h"
-#include "tech/rulecache.h"
 
 namespace amg::route {
 
@@ -28,10 +27,10 @@ namespace amg::route {
 /// is on a non-marker layer, is not on the same (named) net as `s`, and
 /// either violates the spacing rule between the two layers or — when no
 /// rule exists — overlaps `s` outright.
-inline bool conflicts(const tech::RuleCache& rc, const db::Shape& s, const db::Shape& o) {
-  if (rc.kind(o.layer) == tech::LayerKind::Marker) return false;
+inline bool conflicts(const tech::Technology& t, const db::Shape& s, const db::Shape& o) {
+  if (t.info(o.layer).kind == tech::LayerKind::Marker) return false;
   if (s.net != db::kNoNet && o.net == s.net) return false;
-  if (auto rule = rc.minSpacing(s.layer, o.layer))
+  if (auto rule = t.minSpacing(s.layer, o.layer))
     return gapX(s.box, o.box) < *rule && gapY(s.box, o.box) < *rule;
   return s.box.overlaps(o.box);  // no rule, but a stray overlap changes devices
 }

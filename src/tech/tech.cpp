@@ -3,81 +3,102 @@
 #include <algorithm>
 #include <mutex>
 
-#include "tech/rulecache.h"
 #include "tech/techfile.h"
 #include "util/hash.h"
 
 namespace amg::tech {
 
-/// One lazily-built cache per rule-table state.  A mutation replaces the
-/// whole slot (never the cache inside a published slot), so readers that
-/// fetched rules() before the mutation keep a consistent snapshot.  The
-/// content fingerprint shares the slot: it is invalidated by exactly the
-/// same mutations.
-struct Technology::CacheSlot {
+/// One lazily computed fingerprint per rule-table state.  A mutation
+/// replaces the whole slot (never the value inside a published slot), so a
+/// copy that shares the old slot keeps its own answer.
+struct Technology::FingerprintSlot {
   std::once_flag once;
-  std::unique_ptr<const RuleCache> cache;
-  std::once_flag fpOnce;
-  std::uint64_t fingerprint = 0;
+  std::uint64_t value = 0;
 };
 
 Technology::Technology(std::string name)
-    : name_(std::move(name)), cacheSlot_(std::make_shared<CacheSlot>()) {}
-
-const RuleCache& Technology::rules() const {
-  CacheSlot& slot = *cacheSlot_;
-  std::call_once(slot.once,
-                 [&] { slot.cache = std::make_unique<const RuleCache>(*this); });
-  return *slot.cache;
-}
+    : name_(std::move(name)), fingerprint_(std::make_shared<FingerprintSlot>()) {}
 
 std::uint64_t Technology::contentFingerprint() const {
-  CacheSlot& slot = *cacheSlot_;
-  std::call_once(slot.fpOnce,
-                 [&] { slot.fingerprint = util::fnv1a(saveTechFile(*this)); });
-  return slot.fingerprint;
+  FingerprintSlot& slot = *fingerprint_;
+  std::call_once(slot.once, [&] { slot.value = util::fnv1a(saveTechFile(*this)); });
+  return slot.value;
 }
 
-void Technology::invalidateRules() { cacheSlot_ = std::make_shared<CacheSlot>(); }
+void Technology::invalidateFingerprint() {
+  fingerprint_ = std::make_shared<FingerprintSlot>();
+}
+
+void Technology::checkLayer(LayerId l) const {
+  if (l >= layers_.size())
+    throw DesignRuleError("technology '" + name_ + "': layer id " +
+                          std::to_string(l) + " is outside the deck");
+}
 
 LayerId Technology::addLayer(LayerInfo info) {
   if (byName_.contains(info.name))
     throw DesignRuleError("technology '" + name_ + "': duplicate layer '" + info.name + "'");
-  const LayerId id = static_cast<LayerId>(layers_.size());
+  const std::size_t n = layers_.size();
+  const auto id = static_cast<LayerId>(n);
+  // Re-lay the (n+1)^2 pair tables, keeping every old cell.
+  for (std::vector<Coord>* table : {&spacing_, &enclosure_, &extension_}) {
+    std::vector<Coord> grown((n + 1) * (n + 1), kNoRule);
+    for (std::size_t a = 0; a < n; ++a)
+      std::copy_n(table->begin() + a * n, n, grown.begin() + a * (n + 1));
+    *table = std::move(grown);
+  }
+  minWidth_.push_back(kNoRule);
+  cutSize_.emplace_back(kNoRule, kNoRule);
+  maxSpacing_.push_back(0);
   byName_.emplace(info.name, id);
   layers_.push_back(std::move(info));
-  invalidateRules();
+  invalidateFingerprint();
   return id;
 }
 
 void Technology::setMinWidth(LayerId l, Coord w) {
+  checkLayer(l);
   minWidth_[l] = w;
-  invalidateRules();
+  invalidateFingerprint();
 }
 
 void Technology::setMinSpacing(LayerId a, LayerId b, Coord s) {
-  spacing_[pairKey(a, b)] = s;
-  invalidateRules();
+  checkLayer(a);
+  checkLayer(b);
+  spacing_[cell(a, b)] = spacing_[cell(b, a)] = s;
+  // Recompute both halos: an overwrite may lower them.
+  for (const LayerId l : {a, b}) {
+    maxSpacing_[l] = 0;
+    for (LayerId k = 0; k < layers_.size(); ++k)
+      if (spacing_[cell(l, k)] != kNoRule)
+        maxSpacing_[l] = std::max(maxSpacing_[l], spacing_[cell(l, k)]);
+  }
+  invalidateFingerprint();
 }
 
 void Technology::setEnclosure(LayerId outer, LayerId inner, Coord e) {
-  enclosure_[orderedKey(outer, inner)] = e;
-  invalidateRules();
+  checkLayer(outer);
+  checkLayer(inner);
+  enclosure_[cell(outer, inner)] = e;
+  invalidateFingerprint();
 }
 
 void Technology::setExtension(LayerId a, LayerId b, Coord e) {
-  extension_[orderedKey(a, b)] = e;
-  invalidateRules();
+  checkLayer(a);
+  checkLayer(b);
+  extension_[cell(a, b)] = e;
+  invalidateFingerprint();
 }
 
 void Technology::setCutSize(LayerId cut, Coord w, Coord h) {
+  checkLayer(cut);
   cutSize_[cut] = {w, h};
-  invalidateRules();
+  invalidateFingerprint();
 }
 
 void Technology::addCutConnection(LayerId cut, LayerId a, LayerId b) {
   cutConns_.push_back(CutConn{cut, a, b});
-  invalidateRules();
+  invalidateFingerprint();
 }
 
 LayerId Technology::layer(std::string_view name) const {
@@ -93,43 +114,23 @@ std::optional<LayerId> Technology::findLayer(std::string_view name) const {
 }
 
 Coord Technology::minWidth(LayerId l) const {
+  checkLayer(l);
   if (auto w = findMinWidth(l)) return *w;
   throw DesignRuleError("technology '" + name_ + "': no minimum width for layer '" +
                         info(l).name + "'");
 }
 
 std::optional<Coord> Technology::findMinWidth(LayerId l) const {
-  auto it = minWidth_.find(l);
-  if (it != minWidth_.end()) return it->second;
-  if (auto cs = cutSize_.find(l); cs != cutSize_.end())
-    return std::min(cs->second.first, cs->second.second);
+  if (minWidth_[l] != kNoRule) return minWidth_[l];
+  if (const auto cs = findCutSize(l)) return std::min(cs->first, cs->second);
   return std::nullopt;
 }
 
-std::optional<Coord> Technology::minSpacing(LayerId a, LayerId b) const {
-  auto it = spacing_.find(pairKey(a, b));
-  if (it == spacing_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::optional<Coord> Technology::enclosure(LayerId outer, LayerId inner) const {
-  auto it = enclosure_.find(orderedKey(outer, inner));
-  if (it == enclosure_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::optional<Coord> Technology::extension(LayerId a, LayerId b) const {
-  auto it = extension_.find(orderedKey(a, b));
-  if (it == extension_.end()) return std::nullopt;
-  return it->second;
-}
-
 std::pair<Coord, Coord> Technology::cutSize(LayerId cut) const {
-  auto it = cutSize_.find(cut);
-  if (it == cutSize_.end())
-    throw DesignRuleError("technology '" + name_ + "': layer '" + info(cut).name +
-                          "' has no cut size");
-  return it->second;
+  checkLayer(cut);
+  if (auto cs = findCutSize(cut)) return *cs;
+  throw DesignRuleError("technology '" + name_ + "': layer '" + info(cut).name +
+                        "' has no cut size");
 }
 
 bool Technology::cutConnects(LayerId cut, LayerId a, LayerId b) const {

@@ -7,19 +7,18 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "geom/coord.h"
 
 namespace amg::tech {
-
-class RuleCache;
 
 /// Index into the technology's layer table.
 using LayerId = std::uint16_t;
@@ -51,6 +50,14 @@ struct LayerInfo {
 
 /// An immutable set of layers and design rules.
 ///
+/// The rules live in flat tables: one cell per (layer, layer) pair for
+/// spacing, enclosure and extension, one per layer for width, cut size and
+/// spacing halo.  Every query is one load, so the compactor's innermost loop
+/// asks the Technology directly.  The inline queries take ids below
+/// layerCount(); the setters, minWidth() and cutSize() check theirs.  A
+/// finished Technology is read lock-free by every worker of the parallel
+/// optimizer: nothing may mutate it after it is shared.
+///
 /// Rule queries follow the conventions:
 ///  * minSpacing(a, b): minimum separation between shapes on a and b that
 ///    are NOT on the same potential; std::nullopt means the layers may
@@ -76,12 +83,12 @@ class Technology {
   void addCutConnection(LayerId cut, LayerId a, LayerId b);
   /// Latch-up rule: every LOCOS area must be within `r` of a substrate
   /// contact (modelled as the guard rectangle of Fig. 1).
-  void setLatchUpRadius(Coord r) { latchUpRadius_ = r; }
+  void setLatchUpRadius(Coord r) { latchUpRadius_ = r; invalidateFingerprint(); }
   /// The marker layer drawn around substrate contacts for the latch-up
   /// check.
-  void setGuardLayer(LayerId l) { guardLayer_ = l; }
+  void setGuardLayer(LayerId l) { guardLayer_ = l; invalidateFingerprint(); }
   /// The layer substrate contacts are made of (tie diffusion).
-  void setSubstrateTieLayer(LayerId l) { tieLayer_ = l; }
+  void setSubstrateTieLayer(LayerId l) { tieLayer_ = l; invalidateFingerprint(); }
 
   /// --- queries ---------------------------------------------------------
   const std::string& name() const { return name_; }
@@ -100,15 +107,35 @@ class Technology {
   std::optional<Coord> findMinWidth(LayerId l) const;
   /// Minimum spacing between different-potential shapes, nullopt = layers
   /// may overlap (no rule between them).
-  std::optional<Coord> minSpacing(LayerId a, LayerId b) const;
+  std::optional<Coord> minSpacing(LayerId a, LayerId b) const {
+    return fromCell(spacing_[cell(a, b)]);
+  }
+  /// Largest spacing rule `l` has against any layer (0 when it has none):
+  /// the query halo a spatial-index consumer must use so that every pair
+  /// (l, *) with gap below its rule is among the candidates.
+  Coord maxSpacing(LayerId l) const { return maxSpacing_[l]; }
   /// Required margin of `outer` around `inner`; nullopt if no enclosure
   /// relation exists between the layers.
-  std::optional<Coord> enclosure(LayerId outer, LayerId inner) const;
+  std::optional<Coord> enclosure(LayerId outer, LayerId inner) const {
+    return fromCell(enclosure_[cell(outer, inner)]);
+  }
   /// Required crossing extension (gate endcap / source-drain overhang);
   /// nullopt if the layers have no crossing rule.
-  std::optional<Coord> extension(LayerId a, LayerId b) const;
-  /// Exact cut footprint (w, h); throws for non-cut layers.
+  std::optional<Coord> extension(LayerId a, LayerId b) const {
+    return fromCell(extension_[cell(a, b)]);
+  }
+  /// True when extension(a, b) or extension(b, a) exists: the compactor's
+  /// "these layers form a device when crossing" test.
+  bool formsDevice(LayerId a, LayerId b) const {
+    return extension_[cell(a, b)] != kNoRule || extension_[cell(b, a)] != kNoRule;
+  }
+  /// Exact cut footprint (w, h); throws for layers without a cut size.
   std::pair<Coord, Coord> cutSize(LayerId cut) const;
+  /// Like cutSize() but nullopt instead of throwing, for hot paths.
+  std::optional<std::pair<Coord, Coord>> findCutSize(LayerId l) const {
+    if (cutSize_[l].first == kNoRule) return std::nullopt;
+    return cutSize_[l];
+  }
   /// True when `cut` connects `a` and `b` (order-insensitive).
   bool cutConnects(LayerId cut, LayerId a, LayerId b) const;
   /// All (a, b) pairs connected by `cut`.
@@ -128,37 +155,35 @@ class Technology {
   /// same electrical node *by construction* (same conducting layer).
   bool sameConductor(LayerId a, LayerId b) const { return a == b; }
 
-  /// The memoized flat rule table (rulecache.h), built on first call.
-  /// Every rule mutation invalidates it; the returned reference stays valid
-  /// until the next mutation or the Technology's destruction.  Safe to call
-  /// from several threads concurrently; reads on the returned RuleCache are
-  /// lock-free, so hot paths should fetch the reference once and query it
-  /// directly.
-  const RuleCache& rules() const;
-
   /// FNV-1a digest of the saveTechFile() round-trip text: any rule or
-  /// layer edit changes it.  Memoized in the same copy-on-invalidate slot
-  /// as rules(), so per-step cache-key computation pays the serialization
-  /// cost once per rule-table state, not once per call.
+  /// layer edit changes it.  Memoized per rule-table state, so per-step
+  /// cache-key computation pays the serialization cost once, not per call;
+  /// safe to call from several threads concurrently.
   std::uint64_t contentFingerprint() const;
 
  private:
-  static std::uint32_t pairKey(LayerId a, LayerId b) {
-    if (a > b) std::swap(a, b);
-    return (static_cast<std::uint32_t>(a) << 16) | b;
+  /// Table cell value for "no rule".
+  static constexpr Coord kNoRule = std::numeric_limits<Coord>::min();
+
+  std::size_t cell(LayerId a, LayerId b) const {
+    return static_cast<std::size_t>(a) * layers_.size() + b;
   }
-  static std::uint32_t orderedKey(LayerId a, LayerId b) {
-    return (static_cast<std::uint32_t>(a) << 16) | b;
+  static std::optional<Coord> fromCell(Coord c) {
+    if (c == kNoRule) return std::nullopt;
+    return c;
   }
+  /// Throws DesignRuleError unless `l` names a layer of this deck.
+  void checkLayer(LayerId l) const;
 
   std::string name_;
   std::vector<LayerInfo> layers_;
   std::unordered_map<std::string, LayerId> byName_;
-  std::unordered_map<LayerId, Coord> minWidth_;
-  std::unordered_map<std::uint32_t, Coord> spacing_;     // pairKey
-  std::unordered_map<std::uint32_t, Coord> enclosure_;   // orderedKey
-  std::unordered_map<std::uint32_t, Coord> extension_;   // orderedKey
-  std::unordered_map<LayerId, std::pair<Coord, Coord>> cutSize_;
+  std::vector<Coord> minWidth_;                   // per layer, as set
+  std::vector<std::pair<Coord, Coord>> cutSize_;  // per layer (w, h)
+  std::vector<Coord> maxSpacing_;                 // per layer, 0 = no rule
+  std::vector<Coord> spacing_;                    // per pair, symmetric
+  std::vector<Coord> enclosure_;                  // per pair (outer, inner)
+  std::vector<Coord> extension_;                  // per pair, ordered
   struct CutConn {
     LayerId cut, a, b;
   };
@@ -167,12 +192,11 @@ class Technology {
   LayerId guardLayer_ = kNoLayer;
   LayerId tieLayer_ = kNoLayer;
 
-  // Lazily-built rule cache.  The slot is shared on copy (the cache is an
-  // immutable snapshot, so sharing is sound) and replaced wholesale by
-  // every rule mutation (copy-on-invalidate keeps copies independent).
-  struct CacheSlot;
-  void invalidateRules();
-  mutable std::shared_ptr<CacheSlot> cacheSlot_;
+  // Lazily computed content fingerprint.  The slot is shared on copy and
+  // replaced wholesale by every mutation, so copies stay independent.
+  struct FingerprintSlot;
+  void invalidateFingerprint();
+  mutable std::shared_ptr<FingerprintSlot> fingerprint_;
 };
 
 }  // namespace amg::tech

@@ -413,6 +413,17 @@ TEST(Guard, SingleContact) {
   EXPECT_NO_THROW(drc::expectClean(m));
 }
 
+TEST(Guard, SingleContactNeedsTieLayer) {
+  tech::Technology t("notie");
+  const auto contact = t.addLayer({"contact", tech::LayerKind::Cut, 1, "#000", "solid", true});
+  const auto metal1 = t.addLayer({"metal1", tech::LayerKind::Metal, 2, "#000", "solid", true});
+  t.setCutSize(contact, um(1), um(1));
+  t.setMinWidth(metal1, um(1));
+  t.addCutConnection(contact, metal1, metal1);
+  Module m(t, "x");
+  EXPECT_THROW(substrateContactAt(m, Point{0, 0}), DesignRuleError);
+}
+
 // --------------------------------------------------------------------------
 // Poly resistors
 // --------------------------------------------------------------------------

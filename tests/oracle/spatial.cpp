@@ -53,33 +53,27 @@ compact::Result bruteCompact(Module& target, const Module& obj, Dir dir,
 
 std::vector<drc::Violation> bruteCheck(const Module& m, const drc::CheckOptions& options) {
   std::vector<drc::Violation> out;
-  if (options.widths) drc::detail::checkWidths(m, out);
-  if (options.spacings) {
-    const tech::RuleCache& rc = m.technology().rules();
-    const auto ids = m.shapeIds();
-    std::optional<db::Connectivity> conn;
-    auto connected = [&](ShapeId a, ShapeId b) {
-      if (!conn) conn.emplace(m);
-      return conn->connected(a, b);
-    };
-    for (std::size_t i = 0; i < ids.size(); ++i)
-      for (std::size_t j = i + 1; j < ids.size(); ++j)
-        if (auto v = drc::detail::spacingViolation(m, rc, ids[i], ids[j],
-                                                   options.samePotentialExempt,
-                                                   connected))
-          out.push_back(std::move(*v));
-  }
-  if (options.enclosures) {
-    auto coversOn = [&](tech::LayerId l, const Box&) {
-      std::vector<Box> covers;
-      for (ShapeId sid : m.shapesOn(l)) covers.push_back(m.shape(sid).box);
-      return covers;
-    };
-    for (ShapeId id : m.shapeIds())
-      if (m.technology().info(m.shape(id).layer).kind == tech::LayerKind::Cut)
-        if (auto v = drc::detail::enclosureViolation(m, id, coversOn))
-          out.push_back(std::move(*v));
-  }
+  drc::detail::checkWidths(m, out);
+  const tech::Technology& t = m.technology();
+  const auto ids = m.shapeIds();
+  std::optional<db::Connectivity> conn;
+  auto connected = [&](ShapeId a, ShapeId b) {
+    if (!conn) conn.emplace(m);
+    return conn->connected(a, b);
+  };
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    for (std::size_t j = i + 1; j < ids.size(); ++j)
+      if (auto v = drc::detail::spacingViolation(m, t, ids[i], ids[j], connected))
+        out.push_back(std::move(*v));
+  auto coversOn = [&](tech::LayerId l, const Box&) {
+    std::vector<Box> covers;
+    for (ShapeId sid : m.shapesOn(l)) covers.push_back(m.shape(sid).box);
+    return covers;
+  };
+  for (ShapeId id : ids)
+    if (t.info(m.shape(id).layer).kind == tech::LayerKind::Cut)
+      if (auto v = drc::detail::enclosureViolation(m, id, coversOn))
+        out.push_back(std::move(*v));
   drc::detail::checkRegions(m, options, out);
   return out;
 }
@@ -177,10 +171,10 @@ void BruteObstacles::add(ShapeId id) {
 }
 
 std::optional<ShapeId> BruteObstacles::firstConflict(const Shape& s) const {
-  const tech::RuleCache& rc = m_->technology().rules();
-  if (rc.kind(s.layer) == tech::LayerKind::Marker) return std::nullopt;
+  const tech::Technology& t = m_->technology();
+  if (t.info(s.layer).kind == tech::LayerKind::Marker) return std::nullopt;
   for (const ShapeId id : ids_)
-    if (m_->isAlive(id) && route::conflicts(rc, s, m_->shape(id))) return id;
+    if (m_->isAlive(id) && route::conflicts(t, s, m_->shape(id))) return id;
   return std::nullopt;
 }
 

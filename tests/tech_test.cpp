@@ -2,8 +2,13 @@
 // technology-file round trip.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <utility>
+
 #include "tech/builtin.h"
 #include "tech/techfile.h"
+#include "util/hash.h"
 
 namespace amg::tech {
 namespace {
@@ -84,6 +89,160 @@ TEST(Technology, MissingWidthThrows) {
   const LayerId m = t.addLayer(LayerInfo{"m", LayerKind::Metal, 1, "#fff", "solid", true});
   EXPECT_THROW((void)t.minWidth(m), DesignRuleError);
   EXPECT_FALSE(t.findMinWidth(m).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Golden rule answers
+// ---------------------------------------------------------------------------
+
+std::uint64_t chain(std::uint64_t h, std::optional<Coord> v) {
+  h = util::fnv1a(v.has_value() ? 1u : 0u, h);
+  return util::fnv1a(static_cast<std::uint64_t>(v.value_or(0)), h);
+}
+
+/// FNV-1a over every rule answer of `t`: per layer the min width, cut size
+/// and spacing halo, per ordered layer pair spacing, enclosure, extension
+/// and the device-forming test.
+std::uint64_t ruleDigest(const Technology& t) {
+  std::uint64_t h = util::kFnvBasis;
+  const auto n = static_cast<LayerId>(t.layerCount());
+  for (LayerId a = 0; a < n; ++a) {
+    h = chain(h, t.findMinWidth(a));
+    const auto cut = t.findCutSize(a);
+    h = chain(h, cut ? std::optional<Coord>(cut->first) : std::nullopt);
+    h = chain(h, cut ? std::optional<Coord>(cut->second) : std::nullopt);
+    h = chain(h, t.maxSpacing(a));
+    for (LayerId b = 0; b < n; ++b) {
+      h = chain(h, t.minSpacing(a, b));
+      h = chain(h, t.enclosure(a, b));
+      h = chain(h, t.extension(a, b));
+      h = util::fnv1a(t.formsDevice(a, b) ? 1u : 0u, h);
+    }
+  }
+  return h;
+}
+
+constexpr std::uint64_t kBicmos1uRules = 0x77abd2be420a0d62ull;
+constexpr std::uint64_t kBicmos1uFingerprint = 0xacc7d562e88f2d6dull;
+constexpr std::uint64_t kCmos2uRules = 0x2a2775e6939ccaedull;
+constexpr std::uint64_t kCmos2uFingerprint = 0xe1f5e4c5d5b6bc8dull;
+
+// Pins every rule answer of both shipped decks, built in and parsed from
+// tech/, so a change to how Technology stores its rules cannot move one.
+TEST(Technology, GoldenRuleAnswers) {
+  const struct {
+    const Technology& builtin;
+    const char* file;
+    std::uint64_t rules, fingerprint;
+  } decks[] = {
+      {bicmos1u(), AMG_REPO_DIR "/tech/bicmos1u.tech", kBicmos1uRules,
+       kBicmos1uFingerprint},
+      {cmos2u(), AMG_REPO_DIR "/tech/cmos2u.tech", kCmos2uRules, kCmos2uFingerprint},
+  };
+  for (const auto& d : decks) {
+    const Technology parsed = loadTechFile(d.file);
+    for (const Technology* t : {&d.builtin, &parsed}) {
+      SCOPED_TRACE(d.file);
+      EXPECT_EQ(ruleDigest(*t), d.rules) << std::hex << ruleDigest(*t);
+      EXPECT_EQ(t->contentFingerprint(), d.fingerprint)
+          << std::hex << t->contentFingerprint();
+    }
+  }
+}
+
+TEST(Technology, MutationOfEveryRuleKind) {
+  Technology t("toy");
+  const LayerId m1 = t.addLayer({"m1", LayerKind::Metal, 1, "#000", "solid", true});
+  const LayerId via = t.addLayer({"v", LayerKind::Cut, 2, "#000", "solid", true});
+  const LayerId m2 = t.addLayer({"m2", LayerKind::Metal, 3, "#000", "solid", true});
+
+  EXPECT_EQ(t.findCutSize(via), std::nullopt);
+  EXPECT_THROW((void)t.cutSize(via), DesignRuleError);
+  t.setCutSize(via, 500, 400);
+  const std::optional<std::pair<Coord, Coord>> wantCut(std::in_place, 500, 400);
+  EXPECT_EQ(t.findCutSize(via), wantCut);
+  EXPECT_EQ(t.findMinWidth(via), std::optional<Coord>(400)) << "cut width fallback";
+
+  // Every further mutation must also move the memoized fingerprint.
+  std::uint64_t fp = t.contentFingerprint();
+  auto fingerprintMoved = [&] {
+    const std::uint64_t old = std::exchange(fp, t.contentFingerprint());
+    return fp != old;
+  };
+
+  EXPECT_EQ(t.findMinWidth(m1), std::nullopt);
+  t.setMinWidth(m1, 600);
+  EXPECT_EQ(t.findMinWidth(m1), std::optional<Coord>(600));
+  EXPECT_TRUE(fingerprintMoved());
+
+  EXPECT_EQ(t.minSpacing(m1, m2), std::nullopt);
+  EXPECT_EQ(t.maxSpacing(m1), 0);
+  t.setMinSpacing(m1, m2, 800);
+  EXPECT_EQ(t.minSpacing(m1, m2), std::optional<Coord>(800));
+  EXPECT_EQ(t.minSpacing(m2, m1), std::optional<Coord>(800)) << "spacing is symmetric";
+  EXPECT_EQ(t.maxSpacing(m1), 800);
+  EXPECT_EQ(t.maxSpacing(m2), 800);
+  t.setMinSpacing(m2, m1, 500);
+  EXPECT_EQ(t.maxSpacing(m1), 500) << "an overwritten spacing lowers the halo";
+  EXPECT_EQ(t.maxSpacing(m2), 500);
+  EXPECT_TRUE(fingerprintMoved());
+
+  t.setEnclosure(m1, via, 200);
+  EXPECT_EQ(t.enclosure(m1, via), std::optional<Coord>(200));
+  EXPECT_EQ(t.enclosure(via, m1), std::nullopt) << "enclosure is ordered";
+  EXPECT_TRUE(fingerprintMoved());
+
+  t.setExtension(m1, m2, 300);
+  EXPECT_EQ(t.extension(m1, m2), std::optional<Coord>(300));
+  EXPECT_EQ(t.extension(m2, m1), std::nullopt) << "extension is ordered";
+  EXPECT_TRUE(t.formsDevice(m1, m2));
+  EXPECT_TRUE(t.formsDevice(m2, m1));
+  EXPECT_FALSE(t.formsDevice(m1, via));
+  EXPECT_TRUE(fingerprintMoved());
+
+  t.addCutConnection(via, m1, m2);
+  EXPECT_TRUE(fingerprintMoved());
+  t.setLatchUpRadius(9000);
+  EXPECT_TRUE(fingerprintMoved());
+  t.setSubstrateTieLayer(m1);
+  EXPECT_TRUE(fingerprintMoved());
+  t.setGuardLayer(m2);
+  EXPECT_TRUE(fingerprintMoved());
+
+  // addLayer re-lays the pair tables: every old cell keeps its answer.
+  const LayerId m3 = t.addLayer({"m3", LayerKind::Metal, 4, "#000", "solid", true});
+  EXPECT_TRUE(fingerprintMoved());
+  EXPECT_EQ(t.findMinWidth(m1), std::optional<Coord>(600));
+  EXPECT_EQ(t.minSpacing(m1, m2), std::optional<Coord>(500));
+  EXPECT_EQ(t.enclosure(m1, via), std::optional<Coord>(200));
+  EXPECT_EQ(t.extension(m1, m2), std::optional<Coord>(300));
+  EXPECT_EQ(t.findCutSize(via), wantCut);
+  EXPECT_EQ(t.maxSpacing(m1), 500);
+  EXPECT_EQ(t.findMinWidth(m3), std::nullopt);
+  EXPECT_EQ(t.maxSpacing(m3), 0);
+  for (LayerId l = 0; l <= m3; ++l) {
+    EXPECT_EQ(t.minSpacing(l, m3), std::nullopt) << l;
+    EXPECT_EQ(t.enclosure(m3, l), std::nullopt) << l;
+    EXPECT_FALSE(t.formsDevice(l, m3)) << l;
+  }
+
+  // A setter rejects an id outside the deck instead of writing past it.
+  EXPECT_THROW(t.setMinSpacing(m1, kNoLayer, 1), DesignRuleError);
+  EXPECT_THROW(t.setMinWidth(static_cast<LayerId>(m3 + 1), 1), DesignRuleError);
+}
+
+TEST(Technology, CopyIsIndependentAfterMutation) {
+  Technology a = loadTechFile(AMG_REPO_DIR "/tech/bicmos1u.tech");
+  const std::uint64_t before = a.contentFingerprint();  // memoized pre-copy
+  Technology b = a;
+  b.setMinSpacing(0, 1, 77777);
+  EXPECT_EQ(b.minSpacing(0, 1), std::optional<Coord>(77777));
+  EXPECT_EQ(b.maxSpacing(0), 77777);
+  EXPECT_NE(b.contentFingerprint(), before);
+  EXPECT_EQ(a.minSpacing(0, 1), bicmos1u().minSpacing(0, 1))
+      << "mutating the copy must not disturb the original";
+  EXPECT_EQ(a.contentFingerprint(), before);
+  EXPECT_EQ(ruleDigest(a), kBicmos1uRules);
 }
 
 // ---------------------------------------------------------------------------

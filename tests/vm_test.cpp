@@ -379,6 +379,36 @@ TEST(Compiler, CacheKeysOnTheWholeSourceText) {
   lang::clearChunkCache();
 }
 
+TEST(Compiler, ChunkCacheEvictsLeastRecentlyUsedAtCapacity) {
+  lang::clearChunkCache();
+  auto script = [](std::size_t i) {
+    return "ENT E" + std::to_string(i) + "()\n  INBOX(\"metal1\", 2, 2)\n";
+  };
+  // Script 0's entity is handed out before the cache overflows.
+  lang::Interpreter in(tech::bicmos1u());
+  in.loadEntities(script(0), "e0.amg");
+  for (std::size_t i = 1; i <= lang::kChunkCacheCapacity; ++i) {
+    (void)lang::compileCached(script(i));
+    EXPECT_LE(lang::chunkCacheStats().entries, lang::kChunkCacheCapacity);
+  }
+  lang::ChunkCacheStats cs = lang::chunkCacheStats();
+  EXPECT_EQ(cs.entries, lang::kChunkCacheCapacity);
+  EXPECT_EQ(cs.evictions, 1u);
+  EXPECT_EQ(cs.misses, lang::kChunkCacheCapacity + 1);
+
+  // The evicted program still runs for its holder.
+  EXPECT_EQ(in.instantiate("E0").shapeCount(), 1u);
+  // Compiling the evicted text again is a miss; a survivor still hits.
+  (void)lang::compileCached(script(0));
+  (void)lang::compileCached(script(lang::kChunkCacheCapacity));
+  cs = lang::chunkCacheStats();
+  EXPECT_EQ(cs.misses, lang::kChunkCacheCapacity + 2);
+  EXPECT_EQ(cs.hits, 1u);
+  EXPECT_EQ(cs.entries, lang::kChunkCacheCapacity);
+  EXPECT_EQ(cs.evictions, 2u);
+  lang::clearChunkCache();
+}
+
 // --- disassembler goldens ---------------------------------------------------
 
 TEST(Disassembler, GoldenListing) {
