@@ -31,29 +31,12 @@
 #include "io/layout.h"
 #include "obs/obs.h"
 #include "obs/stats_writer.h"
+#include "sweep.h"
 #include "tech/builtin.h"
 
 using namespace amg;
 
 namespace {
-
-// A cheap-to-build cell (no inner compaction) so the sweep's cost is the
-// successive compaction of the growing layout, not object construction —
-// exactly the work the prefix tier memoizes.
-const char* kSweepLib = R"(
-ENT Cell(<W>, <L>)
-  TWORECTS("poly", "pdiff", W, L)
-  INBOX("metal1")
-
-ENT Sweep(rows, <W>)
-  INBOX("pdiff", 4, 4)
-  FOR k = 1 TO rows DO
-    c = Cell(W = 6, L = 2)
-    compact(c, EAST, "poly")
-  ENDFOR
-  tail = Cell(W = W, L = 2)
-  compact(tail, EAST, "poly")
-)";
 
 constexpr std::size_t kJobs = 60;
 constexpr int kPrefixRows = 80;  // shared compaction steps per job
@@ -66,13 +49,7 @@ std::vector<gen::Job> sweepJobs(std::size_t count, int rows = kPrefixRows) {
   for (std::size_t i = 0; i < count; ++i) {
     char w[32];
     std::snprintf(w, sizeof w, "%g", 6.0 + 0.2 * static_cast<double>(i));
-    gen::Job j;
-    j.name = "sweep" + std::to_string(i);
-    j.script = kSweepLib;
-    j.scriptPath = "<bench>";
-    j.entity = "Sweep";
-    j.params = {{"rows", std::to_string(rows)}, {"W", w}};
-    jobs.push_back(std::move(j));
+    jobs.push_back(bench::sweepJob("sweep" + std::to_string(i), rows, w));
   }
   return jobs;
 }

@@ -10,6 +10,11 @@
 // ≥5x speedup requirement at the largest size, emits the raw numbers as
 // BENCH_spatial.json for the CI trend, and exits 1 when an equivalence
 // check or the speedup requirement fails.
+//
+// A second series checks the paper's §2.3 claim on the engine production
+// runs: the cold DSL Sweep (bench/sweep.h) at 100–800 rows, whose
+// log-log slope of build time against rows must stay <= 2.5
+// (`compact_scaling_exponent`, gated by `compact_scaling_ok`).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -22,8 +27,10 @@
 #include "compact/compactor.h"
 #include "db/connectivity.h"
 #include "drc/drc.h"
+#include "gen/engine.h"
 #include "obs/stats_writer.h"
 #include "oracle/spatial.h"
+#include "sweep.h"
 #include "tech/builtin.h"
 
 using namespace amg;
@@ -179,6 +186,43 @@ void benchCompactor(int tiles, int k) {
                  "compacted layouts");
 }
 
+/// Largest tolerated log-log slope of cold Sweep build time against rows.
+constexpr double kMaxScalingExponent = 2.5;
+/// Reported when a Sweep job fails, so the scaling gate fails too.
+constexpr double kFailedExponent = 99.0;
+
+/// Cold build time of one Sweep job at each row count (best of up to
+/// three runs for the short ones), and the least-squares slope of
+/// log(time) against log(rows).
+double sweepScalingExponent() {
+  gen::EngineConfig cfg;
+  cfg.threads = 1;
+  cfg.useCache = false;
+  cfg.prefixCache = false;
+  gen::BatchEngine engine(T(), cfg);
+  double sx = 0, sy = 0, sxx = 0, sxy = 0;
+  int points = 0;
+  for (const int rows : {100, 200, 400, 800}) {
+    double best = -1.0;
+    for (int rep = 0; rep < 3 && (rep == 0 || best < 100.0); ++rep) {
+      const gen::BatchReport r = engine.run({bench::sweepJob("sweep", rows, "6")});
+      if (r.failed != 0) {
+        std::printf("  *** Sweep at %d rows failed ***\n", rows);
+        return kFailedExponent;
+      }
+      if (best < 0 || r.wallMs < best) best = r.wallMs;
+    }
+    record("sweep_cold", static_cast<std::size_t>(rows), "cold", best);
+    const double x = std::log(rows), y = std::log(std::max(best, 1e-3));
+    sx += x;
+    sy += y;
+    sxx += x * x;
+    sxy += x * y;
+    ++points;
+  }
+  return (points * sxy - sx * sy) / (points * sxx - sx * sx);
+}
+
 double wallAt(const std::string& workload, const std::string& engine, std::size_t n) {
   for (const Sample& s : samples)
     if (s.workload == workload && s.engine == engine && s.n == n) return s.wallMs;
@@ -194,12 +238,14 @@ double speedupOf(const std::string& workload) {
   return wallAt(workload, "brute", n) / wallAt(workload, "indexed", n);
 }
 
-void writeJson(const char* path) {
+void writeJson(const char* path, double scalingExponent) {
   obs::StatsWriter w("spatial");
   for (const Sample& s : samples) w.sample(s.workload, s.n, s.engine, s.wallMs);
   w.flag("identical_results", allIdentical);
   for (const char* wl : {"drc", "connectivity", "compactor"})
     w.metric(std::string("speedup_") + wl, speedupOf(wl));
+  w.metric("compact_scaling_exponent", scalingExponent);
+  w.flag("compact_scaling_ok", scalingExponent <= kMaxScalingExponent);
   if (w.write(path)) std::printf("\nwrote %s\n", path);
 }
 
@@ -214,6 +260,7 @@ bool reportE11() {
   benchCompactor(40, 5);   // 1.0e3 shapes
   benchCompactor(104, 5);  // 2.6e3 shapes
   benchCompactor(400, 5);  // 1.0e4 shapes
+  const double exponent = sweepScalingExponent();
 
   std::printf("\nspeedups at the largest head-to-head size:\n");
   bool fast = true;
@@ -224,9 +271,12 @@ bool reportE11() {
   }
   std::printf("\nequivalence self-checks: %s\n", allIdentical ? "ok" : "FAILED");
   std::printf(">=5x speedup requirement: %s\n", fast ? "PASS" : "FAIL");
+  const bool scales = exponent <= kMaxScalingExponent;
+  std::printf("cold Sweep scaling exponent %.2f (<= %.1f requirement: %s)\n", exponent,
+              kMaxScalingExponent, scales ? "PASS" : "FAIL");
 
-  writeJson("BENCH_spatial.json");
-  return allIdentical && fast;
+  writeJson("BENCH_spatial.json", exponent);
+  return allIdentical && fast && scales;
 }
 
 void BM_DrcIndexed(benchmark::State& state) {

@@ -127,8 +127,8 @@ class IndexCandidates final : public detail::Candidates {
   void insert(ShapeId id, LayerId layer, const Box& box) override {
     idx_.insert(id, layer, box);
   }
-  void query(const Box& window, std::vector<ShapeId>& out) const override {
-    idx_.query(window, out);
+  bool visit(const Box& window, geom::SpatialIndex::Visitor fn) const override {
+    return idx_.visit(window, fn);
   }
   void query(LayerId layer, const Box& window, std::vector<ShapeId>& out) const override {
     idx_.query(layer, window, out);
@@ -138,35 +138,62 @@ class IndexCandidates final : public detail::Candidates {
   geom::SpatialIndex& idx_;
 };
 
+/// Drops the repeats of a visit: `stamp[id] == epoch` once `id` was seen
+/// in the current epoch.  Reused across visits, so a new epoch costs no
+/// clearing.
+class SeenIds {
+ public:
+  /// Start an epoch over ids below `n`.
+  void next(std::size_t n) {
+    if (stamp_.size() < n) stamp_.resize(n, 0);
+    if (++epoch_ == 0) {  // wrapped: old stamps could collide
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 1;
+    }
+  }
+  /// True the first time `id` is seen in this epoch.
+  bool first(ShapeId id) {
+    if (stamp_[id] == epoch_) return false;
+    stamp_[id] = epoch_;
+    return true;
+  }
+
+ private:
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t epoch_ = 0;
+};
+
 /// Constraint generation: candidate targets come from a cross-axis band
-/// query with the per-layer max-rule halo, then the exact pair predicate
-/// runs on each candidate.  Output is sorted by (target, object) shape id
-/// so the variable-edge rule sees a canonical order.
+/// visit with the per-layer max-rule halo, then the exact pair predicate
+/// runs on each distinct candidate.  Output is sorted by (target, object)
+/// shape id so the variable-edge rule sees a canonical order.
 std::vector<Constraint> computeConstraints(const Module& target, const Module& obj,
                                            Dir dir, const Options& opt,
-                                           const detail::Candidates& cands) {
+                                           const detail::Candidates& cands,
+                                           SeenIds& seen) {
   const tech::Technology& t = target.technology();
   const std::vector<NetId> netMap = matchNets(target, obj);
   std::vector<Constraint> out;
-  std::vector<ShapeId> cand;
   std::uint64_t candTotal = 0;
   for (ShapeId oi : obj.shapeIds()) {
     const Shape& os = obj.shape(oi);
     const Coord halo = std::max<Coord>(0, t.maxSpacing(os.layer) + opt.extraGap);
-    cands.query(crossBand(dir, os.box, halo), cand);
-    candTotal += cand.size();
-    for (const ShapeId ti : cand) {
+    seen.next(target.rawSize());
+    cands.visit(crossBand(dir, os.box, halo), [&](ShapeId ti) {
+      if (!seen.first(ti)) return false;
+      ++candTotal;
       // A step's array rebuild retires ids the index still holds.
-      if (!target.isAlive(ti)) continue;
+      if (!target.isAlive(ti)) return false;
       const Shape& ts = target.shape(ti);
       const bool sameNet =
           os.net != db::kNoNet && netMap[os.net] != db::kNoNet && netMap[os.net] == ts.net;
       const auto gap = requiredGap(t, ts, os, sameNet, opt);
-      if (!gap) continue;
-      if (crossGap(dir, ts.box, os.box) >= *gap) continue;  // clear on the cross axis
+      if (!gap) return false;
+      if (crossGap(dir, ts.box, os.box) >= *gap) return false;  // clear on the cross axis
       const Coord need = stationaryFront(dir, ts.box) + *gap - leadingEdge(dir, os.box);
       out.push_back(Constraint{need, ti, oi});
-    }
+      return false;
+    });
   }
   std::sort(out.begin(), out.end(), [](const Constraint& a, const Constraint& b) {
     return a.targetShape != b.targetShape ? a.targetShape < b.targetShape
@@ -201,26 +228,18 @@ void shrinkEdge(Module& m, ShapeId id, Side s, Coord d) {
   }
 }
 
-/// Exact auto-connect safety test over one candidate list: extending `b`
-/// (id `bi`) to `cand` must not create a device crossing or a rule
-/// violation against any listed shape other than `bi` and the arrival `ni`.
-bool extensionSafe(const Module& target, const tech::Technology& t, const Options& options,
-                   ShapeId bi, ShapeId ni, const Shape& b, const Shape& cand,
-                   const std::vector<ShapeId>& candidates) {
-  for (ShapeId ci : candidates) {
-    if (ci == bi || ci == ni) continue;
-    const Shape& c = target.shape(ci);
-    if (t.formsDevice(cand.layer, c.layer) && cand.box.overlaps(c.box) &&
-        !b.box.overlaps(c.box))
-      return false;
-    const bool sameNet = c.net != db::kNoNet && c.net == cand.net;
-    const auto g = requiredGap(t, c, cand, sameNet, options);
-    if (!g) continue;
-    if (gapX(c.box, cand.box) < *g && gapY(c.box, cand.box) < *g &&
-        !(gapX(c.box, b.box) < *g && gapY(c.box, b.box) < *g))
-      return false;
-  }
-  return true;
+/// Exact auto-connect blocker test: extending `b` to `cand` would create a
+/// device crossing or a new rule violation against target shape `c`.
+bool blocksExtension(const tech::Technology& t, const Options& options, const Shape& b,
+                     const Shape& cand, const Shape& c) {
+  if (t.formsDevice(cand.layer, c.layer) && cand.box.overlaps(c.box) &&
+      !b.box.overlaps(c.box))
+    return true;
+  const bool sameNet = c.net != db::kNoNet && c.net == cand.net;
+  const auto g = requiredGap(t, c, cand, sameNet, options);
+  if (!g) return false;
+  return gapX(c.box, cand.box) < *g && gapY(c.box, cand.box) < *g &&
+         !(gapX(c.box, b.box) < *g && gapY(c.box, b.box) < *g);
 }
 
 /// Insert the alive target shapes from raw id `from` on (a merge's
@@ -302,9 +321,10 @@ Coord maxShrink(const Module& m, ShapeId id, Side side) {
 Coord requiredTranslation(const Module& target, const Module& obj, Dir dir,
                           const Options& options) {
   geom::SpatialIndex idx = db::buildShapeIndex(target);
+  SeenIds seen;
   Coord best = kNone;
   for (const Constraint& c :
-       computeConstraints(target, obj, dir, options, IndexCandidates(idx)))
+       computeConstraints(target, obj, dir, options, IndexCandidates(idx), seen))
     best = std::max(best, c.need);
   return best;
 }
@@ -342,8 +362,9 @@ Result compactStep(db::Module& target, const db::Module& obj, Dir dir,
   // The candidate source stays conservative through the auto-expand loop
   // below, which only shrinks edges (no per-iteration rescan).
   Coord tc = kNone;
+  SeenIds seen;
   for (int iter = 0; iter < 64; ++iter) {
-    const auto cons = computeConstraints(target, work, dir, options, cands);
+    const auto cons = computeConstraints(target, work, dir, options, cands, seen);
     OBS_HIST("compact.step.constraints", cons.size());
     if (cons.empty()) {
       tc = bboxAbutTranslation(target, work, dir);
@@ -435,7 +456,8 @@ Result compactStep(db::Module& target, const db::Module& obj, Dir dir,
     // re-inserts the grown box (union semantics keeps queries exact-over).
     const tech::Technology& t = target.technology();
     std::set<ShapeId> extended;
-    std::vector<ShapeId> biCand, safetyCand;
+    std::vector<ShapeId> biCand;
+    std::uint64_t partners = 0, safetyCandidates = 0;
 
     for (ShapeId ni = static_cast<ShapeId>(preMergeCount); ni < target.rawSize(); ++ni) {
       if (!target.isAlive(ni)) continue;
@@ -475,16 +497,19 @@ Result compactStep(db::Module& target, const db::Module& obj, Dir dir,
         // Safety: the extension must not violate a rule against any other
         // shape, and must not newly cross a layer this layer forms devices
         // with (a poly extension across diffusion would create a gate).
+        // The test is an AND over current boxes, so the visit stops at the
+        // first blocker.
+        ++partners;
         Shape cand = b;
         cand.box = nb;
         const Coord halo = std::max<Coord>(0, t.maxSpacing(cand.layer) + options.extraGap);
-        cands.query(nb.expanded(halo), safetyCand);
-        // Array rebuilds left retired ids behind; drop them.
-        safetyCand.erase(
-            std::remove_if(safetyCand.begin(), safetyCand.end(),
-                           [&](ShapeId ci) { return !target.isAlive(ci); }),
-            safetyCand.end());
-        if (!extensionSafe(target, t, options, bi, ni, b, cand, safetyCand)) continue;
+        const bool blocked = cands.visit(nb.expanded(halo), [&](ShapeId ci) {
+          ++safetyCandidates;
+          // Array rebuilds left retired ids behind; skip them.
+          if (ci == bi || ci == ni || !target.isAlive(ci)) return false;
+          return blocksExtension(t, options, b, cand, target.shape(ci));
+        });
+        if (blocked) continue;
         target.shape(bi).box = nb;
         cands.insert(bi, b.layer, nb);
         extended.insert(bi);
@@ -494,6 +519,8 @@ Result compactStep(db::Module& target, const db::Module& obj, Dir dir,
     // The candidate source is not queried again, and it is no longer exact
     // once `extended` is non-empty, so the rebuilt arrays are not inserted.
     rebuildArraysFor(target, extended);
+    OBS_COUNT_N("compact.autoconnect.partners", partners);
+    OBS_COUNT_N("compact.autoconnect.safety_candidates", safetyCandidates);
   }
   if (editedTarget) *editedTarget = !changedTarget.empty() || res.autoConnects > 0;
   OBS_COUNT_N("compact.edge_moves", res.edgeMoves);

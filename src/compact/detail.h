@@ -1,29 +1,38 @@
 // Internal to the compactor: the seam through which the step driver finds
 // the target shapes near a window.  Production answers from a
 // geom::SpatialIndex over the target; the all-pairs oracle under
-// tests/oracle/ substitutes a source that lists every shape and runs the
+// tests/oracle/ substitutes a source that offers every shape and runs the
 // same driver, so the differential tests compare candidate enumeration
-// only.  Not part of the public API.
+// only.  Two lookups cross the seam: an any-layer visit for the callers
+// whose answer does not depend on order (constraint generation collects
+// pairs it sorts itself; the auto-connect safety test is an AND over a
+// pure predicate and stops at its first blocker), and a sorted one-layer
+// query for the auto-connect partner loop, where an accepted extension
+// changes the boxes later partners see, so id order fixes the result.
+// Not part of the public API.
 #pragma once
 
 #include <vector>
 
 #include "compact/compactor.h"
+#include "geom/spatial.h"
 
 namespace amg::compact::detail {
 
 /// Target shapes that may interact with a window.  An answer may be any
-/// superset, in ascending id order, of the live target shapes whose boxes
-/// touch the window — retired, stale or distant ids included — because the
-/// driver runs the exact rule predicates on every candidate.
+/// superset of the live target shapes whose boxes touch the window —
+/// retired, stale or distant ids included — because the driver runs the
+/// exact rule predicates on every candidate.
 class Candidates {
  public:
   virtual ~Candidates() = default;
   /// Target shape `id` on `layer` was added or now covers `box`.
   virtual void insert(db::ShapeId id, tech::LayerId layer, const Box& box) = 0;
-  /// Candidates on any layer; `out` is cleared first.
-  virtual void query(const Box& window, std::vector<db::ShapeId>& out) const = 0;
-  /// Candidates on `layer`; `out` is cleared first.
+  /// Calls `fn(id)` for candidates on any layer — in no particular order,
+  /// an id possibly more than once — until `fn` returns true.  Returns
+  /// true when `fn` stopped the walk.
+  virtual bool visit(const Box& window, geom::SpatialIndex::Visitor fn) const = 0;
+  /// Candidates on `layer` in ascending id order; `out` is cleared first.
   virtual void query(tech::LayerId layer, const Box& window,
                      std::vector<db::ShapeId>& out) const = 0;
 };

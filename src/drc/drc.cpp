@@ -216,23 +216,19 @@ void expectClean(const db::Module& m, const CheckOptions& options) {
 namespace {
 
 /// True when `cand` can be added to `m` without breaking spacing rules or
-/// overlapping existing mask geometry.  Candidates come from a halo query
-/// on `idx` (which must cover every alive shape of `m`); shapes beyond the
-/// max-rule halo can neither violate a rule nor overlap.
-bool placementLegal(const Module& m, const Shape& cand, const geom::SpatialIndex& idx,
-                    std::vector<std::uint32_t>& scratch) {
+/// overlapping existing mask geometry.  Candidates come from a halo visit
+/// on `idx` (which must cover every alive shape of `m`) that stops at the
+/// first conflict; shapes beyond the max-rule halo can neither violate a
+/// rule nor overlap.
+bool placementLegal(const Module& m, const Shape& cand, const geom::SpatialIndex& idx) {
   const Technology& t = m.technology();
-  idx.query(cand.box.expanded(t.maxSpacing(cand.layer)), scratch);
-  for (const std::uint32_t id : scratch) {
+  return !idx.visit(cand.box.expanded(t.maxSpacing(cand.layer)), [&](std::uint32_t id) {
     const Shape& s = m.shape(id);
-    if (t.info(s.layer).kind == LayerKind::Marker) continue;
-    if (auto rule = t.minSpacing(cand.layer, s.layer)) {
-      if (gapX(cand.box, s.box) < *rule && gapY(cand.box, s.box) < *rule) return false;
-    } else if (cand.box.overlaps(s.box)) {
-      return false;  // no rule, but a stray overlap would change devices
-    }
-  }
-  return true;
+    if (t.info(s.layer).kind == LayerKind::Marker) return false;
+    if (auto rule = t.minSpacing(cand.layer, s.layer))
+      return gapX(cand.box, s.box) < *rule && gapY(cand.box, s.box) < *rule;
+    return cand.box.overlaps(s.box);  // no rule, but a stray overlap would change devices
+  });
 }
 
 }  // namespace
@@ -255,7 +251,6 @@ int insertSubstrateContacts(db::Module& m, const std::string& netName) {
   // One index per insertion run, grown incrementally as contacts land —
   // the ring search probes hundreds of positions against the whole module.
   geom::SpatialIndex idx = db::buildShapeIndex(m);
-  std::vector<std::uint32_t> scratch;
 
   int inserted = 0;
   for (int round = 0; round < 64; ++round) {
@@ -284,9 +279,8 @@ int insertSubstrateContacts(db::Module& m, const std::string& netName) {
           const Shape metShape = db::makeShape(
               tieShape.box.expanded(-(tieEnc - metEnc)), metal1, net);
           const Shape cutShape = db::makeShape(Box::centredOn(c, cw, ch), contact, net);
-          if (!placementLegal(m, tieShape, idx, scratch) ||
-              !placementLegal(m, metShape, idx, scratch) ||
-              !placementLegal(m, cutShape, idx, scratch))
+          if (!placementLegal(m, tieShape, idx) || !placementLegal(m, metShape, idx) ||
+              !placementLegal(m, cutShape, idx))
             continue;
 
           idx.insert(m.addShape(tieShape), tieShape.layer, tieShape.box);

@@ -77,8 +77,8 @@ void SpatialIndex::insert(std::uint32_t id, std::uint32_t bucket, const Box& box
   }
 }
 
-void SpatialIndex::gather(const Bucket& b, const Box& window,
-                          std::vector<std::uint32_t>& out) const {
+template <class Fn>
+bool SpatialIndex::gather(const Bucket& b, const Box& window, Fn&& fn) const {
   // Clamp the cell walk to the content bounds: consumers issue band
   // queries that are unbounded along one axis (the compactor's cross-axis
   // bands), and nothing lives outside bounds_ by construction.
@@ -86,8 +86,9 @@ void SpatialIndex::gather(const Bucket& b, const Box& window,
   const Coord wx2 = std::min(window.x2, bounds_.x2);
   const Coord wy1 = std::max(window.y1, bounds_.y1);
   const Coord wy2 = std::min(window.y2, bounds_.y2);
-  if (wx1 > wx2 || wy1 > wy2) return;  // window misses all content
+  if (wx1 > wx2 || wy1 > wy2) return false;  // window misses all content
 
+  auto offer = [&](const Entry& e) { return closedIntersects(e.box, window) && fn(e.id); };
   if (!b.table.empty()) {
     const std::size_t mask = b.table.size() - 1;
     const std::int64_t cx1 = cellOf(wx1, cell_), cx2 = cellOf(wx2, cell_);
@@ -108,37 +109,62 @@ void SpatialIndex::gather(const Bucket& b, const Box& window,
       // the window's cell count.
       auto it = std::lower_bound(col->cells.begin(), col->cells.end(), cy1,
                                  [](const Cell& c, std::int64_t v) { return c.cy < v; });
-      for (; it != col->cells.end() && it->cy <= cy2; ++it) {
-        for (std::int32_t s = it->head; s >= 0; s = b.slots[s].next) {
-          const Entry& e = entries_[b.slots[s].entry];
-          if (closedIntersects(e.box, window)) out.push_back(e.id);
-        }
-      }
+      for (; it != col->cells.end() && it->cy <= cy2; ++it)
+        for (std::int32_t s = it->head; s >= 0; s = b.slots[s].next)
+          if (offer(entries_[b.slots[s].entry])) return true;
     }
   }
   for (const std::uint32_t idx : b.large)
-    if (closedIntersects(entries_[idx].box, window))
-      out.push_back(entries_[idx].id);
+    if (offer(entries_[idx])) return true;
+  return false;
 }
 
-void SpatialIndex::query(const Box& window, std::vector<std::uint32_t>& out) const {
-  out.clear();
-  for (const Bucket& b : buckets_) gather(b, window, out);
+bool SpatialIndex::visit(const Box& window, Visitor fn) const {
+  std::size_t yielded = 0;
+  auto counted = [&](std::uint32_t id) {
+    ++yielded;
+    return fn(id);
+  };
+  bool stopped = false;
+  for (const Bucket& b : buckets_)
+    if ((stopped = gather(b, window, counted))) break;
+  OBS_COUNT("spatial.queries");
+  OBS_COUNT_N("spatial.candidates", yielded);
+  return stopped;
+}
+
+namespace {
+
+/// query()'s collector: appends every offered id to `out`, never stops.
+auto appendTo(std::vector<std::uint32_t>& out) {
+  return [&out](std::uint32_t id) {
+    out.push_back(id);
+    return false;
+  };
+}
+
+/// The id-ordered answer of query(): every gathered id, sorted, once.
+void sortUnique(std::vector<std::uint32_t>& out) {
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   OBS_COUNT("spatial.queries");
   OBS_COUNT_N("spatial.candidates", out.size());
+}
+
+}  // namespace
+
+void SpatialIndex::query(const Box& window, std::vector<std::uint32_t>& out) const {
+  out.clear();
+  for (const Bucket& b : buckets_) gather(b, window, appendTo(out));
+  sortUnique(out);
 }
 
 void SpatialIndex::query(std::uint32_t bucket, const Box& window,
                          std::vector<std::uint32_t>& out) const {
   out.clear();
   if (bucket >= buckets_.size()) return;
-  gather(buckets_[bucket], window, out);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  OBS_COUNT("spatial.queries");
-  OBS_COUNT_N("spatial.candidates", out.size());
+  gather(buckets_[bucket], window, appendTo(out));
+  sortUnique(out);
 }
 
 }  // namespace amg::geom

@@ -12,13 +12,19 @@
 //
 // Contract — designed so consumers stay byte-identical to brute force:
 //
-//  * query() returns a *superset-exact* candidate set: every entry whose
-//    box closed-intersects the window (per-axis gap <= 0, corner touch
+//  * the candidate set is *superset-exact*: every entry whose box
+//    closed-intersects the window (per-axis gap <= 0, corner touch
 //    included).  Consumers expand the window by their rule halo and apply
 //    their exact predicate to the candidates; any predicate implying
 //    closed intersection with the expanded window is answered exactly.
-//  * results are sorted ascending by id and deduplicated, so iteration
-//    order matches a brute-force scan in id order.
+//  * visit() walks the grid and hands each candidate to a callback in no
+//    particular order, may hand the same id more than once (an entry
+//    spanning several cells, a re-inserted id), and stops as soon as the
+//    callback returns true.  Yes/no tests ("is anything in the way?")
+//    stop at their first blocker instead of listing every shape.
+//  * query() is the same walk plus sort+unique: ascending, deduplicated
+//    ids, so iteration order matches a brute-force scan in id order — for
+//    the consumers whose answer depends on that order.
 //  * the index is incremental: insert() accepts new entries at any time
 //    (the growing structure of successive compaction).  Re-inserting an
 //    id with a new box *widens* that id's coverage (union semantics) —
@@ -31,6 +37,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "geom/box.h"
@@ -45,10 +53,34 @@ class SpatialIndex {
 
   explicit SpatialIndex(Coord cellSize = kDefaultCellSize);
 
+  /// A non-owning reference to a callable `bool(std::uint32_t id)`;
+  /// returning true stops the walk.  Pass a lambda straight into visit():
+  /// the reference must not outlive the callable.
+  class Visitor {
+   public:
+    template <class F, class = std::enable_if_t<
+                           !std::is_same_v<std::decay_t<F>, Visitor>>>
+    Visitor(F&& f)  // implicit: a lambda converts at the call
+        : fn_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+          call_([](void* fn, std::uint32_t id) {
+            return static_cast<bool>((*static_cast<std::remove_reference_t<F>*>(fn))(id));
+          }) {}
+    bool operator()(std::uint32_t id) const { return call_(fn_, id); }
+
+   private:
+    void* fn_;
+    bool (*call_)(void*, std::uint32_t);
+  };
+
   /// Add one box under `id` to `bucket`.  Ids need not be unique: duplicate
   /// ids union their coverage (see header).  Buckets are dense small
   /// integers (consumers use tech::LayerId).
   void insert(std::uint32_t id, std::uint32_t bucket, const Box& box);
+
+  /// Call `fn(id)` for the entries (any bucket) whose box closed-intersects
+  /// `window` — unordered, an id possibly more than once — until `fn`
+  /// returns true.  Returns true when `fn` stopped the walk.
+  bool visit(const Box& window, Visitor fn) const;
 
   /// Ids of all entries (any bucket) whose box closed-intersects `window`,
   /// ascending and deduplicated.  `out` is cleared first; reuse it across
@@ -129,8 +161,11 @@ class SpatialIndex {
 
   static Column& columnFor(Bucket& b, std::int64_t cx);
   static void growTable(Bucket& b);
-  void gather(const Bucket& b, const Box& window,
-              std::vector<std::uint32_t>& out) const;
+  /// The cell walk behind visit() and query(): hands `b`'s entries that
+  /// closed-intersect `window` to `fn` until it returns true (then returns
+  /// true).  A template so query()'s collector inlines into the walk.
+  template <class Fn>
+  bool gather(const Bucket& b, const Box& window, Fn&& fn) const;
 
   Coord cell_;
   Box bounds_;

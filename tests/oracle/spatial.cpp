@@ -23,16 +23,18 @@ namespace {
 
 /// Every live target shape, whatever the window: the all-pairs scan.  It
 /// ignores inserts because it reads the target's current shapes on each
-/// query.
+/// lookup.
 class EveryShape final : public compact::detail::Candidates {
  public:
   explicit EveryShape(const Module& target) : target_(target) {}
   void insert(ShapeId, tech::LayerId, const Box&) override {}
-  void query(const Box&, std::vector<ShapeId>& out) const override {
-    out = target_.shapeIds();
+  bool visit(const Box&, geom::SpatialIndex::Visitor fn) const override {
+    for (ShapeId id : target_.shapeIds())
+      if (fn(id)) return true;
+    return false;
   }
-  void query(tech::LayerId, const Box& window, std::vector<ShapeId>& out) const override {
-    query(window, out);
+  void query(tech::LayerId, const Box&, std::vector<ShapeId>& out) const override {
+    out = target_.shapeIds();
   }
 
  private:

@@ -2,8 +2,9 @@
 //
 // Two layers of randomized checking:
 //  1. the index itself — query() must return exactly the closed-intersecting
-//     entries (superset-exact contract) in ascending id order, and the
-//     incremental structure must answer like a freshly rebuilt one;
+//     entries (superset-exact contract) in ascending id order, visit() must
+//     offer the same ids and stop when told to, and the incremental
+//     structure must answer like a freshly rebuilt one;
 //  2. every consumer — the compactor, the DRC, the connectivity extractor
 //     and the router obstacles must be *identical* to their all-pairs
 //     oracles (tests/oracle/spatial.h): same violations in the same order,
@@ -12,6 +13,7 @@
 
 #include <limits>
 #include <random>
+#include <set>
 
 #include "compact/compactor.h"
 #include "db/connectivity.h"
@@ -152,6 +154,61 @@ TEST(SpatialIndex, ReinsertUnionsCoverage) {
   // ...and the id is reported once, not once per covering insert.
   idx.query(Box{0, 0, 6000, 1000}, got);
   EXPECT_EQ(got, (std::vector<std::uint32_t>{7}));
+}
+
+TEST(SpatialIndex, VisitOffersQueryIdsAndStopsWhenTold) {
+  // Tiny, multi-cell and overflow ("large", > 64 cells) boxes, some ids
+  // re-inserted with a grown box: visit() may repeat an id and offers them
+  // in any order, but as a set it is query(), and a true return ends it.
+  std::mt19937 rng(99);
+  std::uniform_int_distribution<Coord> pos(-60000, 60000);
+  std::uniform_int_distribution<Coord> small(1, 9000);
+  std::uniform_int_distribution<Coord> big(33000, 90000);
+  std::uniform_int_distribution<std::uint32_t> bucketPick(0, 2);
+  int stoppedEarly = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    SpatialIndex idx;
+    std::vector<RefEntry> ref;
+    for (std::uint32_t i = 0; i < 150; ++i) {
+      const bool large = rng() % 10 == 0;
+      const Box b = Box::fromSize(pos(rng), pos(rng), large ? big(rng) : small(rng),
+                                  large ? big(rng) : small(rng));
+      const std::uint32_t bucket = bucketPick(rng);
+      idx.insert(i, bucket, b);
+      ref.push_back(RefEntry{i, bucket, b});
+      if (i % 7 == 3) {  // re-insert an earlier id, grown
+        const RefEntry& e = ref[rng() % ref.size()];
+        const Box grown = e.box.unite(Box::fromSize(pos(rng), pos(rng), small(rng), small(rng)));
+        idx.insert(e.id, e.bucket, grown);
+        ref.push_back(RefEntry{e.id, e.bucket, grown});
+      }
+    }
+    std::vector<std::uint32_t> want;
+    for (int q = 0; q < 40; ++q) {
+      const Box w = Box::fromSize(pos(rng), pos(rng), small(rng) * 3, small(rng) * 3);
+      idx.query(w, want);
+      EXPECT_EQ(want, bruteQuery(ref, w, std::nullopt)) << "trial " << trial;
+
+      std::multiset<std::uint32_t> offered;
+      EXPECT_FALSE(idx.visit(w, [&](std::uint32_t id) {
+        offered.insert(id);
+        return false;
+      }));
+      const std::set<std::uint32_t> distinct(offered.begin(), offered.end());
+      EXPECT_EQ(std::vector<std::uint32_t>(distinct.begin(), distinct.end()), want)
+          << "trial " << trial << " q " << q;
+
+      // Stopping at the k-th offer makes exactly k calls.
+      for (const std::size_t k : {std::size_t{1}, offered.size() / 2, offered.size()}) {
+        if (k == 0 || k > offered.size()) continue;
+        std::size_t calls = 0;
+        EXPECT_TRUE(idx.visit(w, [&](std::uint32_t) { return ++calls == k; }));
+        EXPECT_EQ(calls, k) << "trial " << trial << " q " << q;
+        if (k < offered.size()) ++stoppedEarly;
+      }
+    }
+  }
+  EXPECT_GT(stoppedEarly, 0);  // the walks really were cut short
 }
 
 // --------------------------------------------------------------------------
@@ -314,6 +371,74 @@ TEST(SpatialConsumers, KeptIndexIdenticalToRebuiltAndBruteForce) {
     expectSameLayout(mk, mr, "trial " + std::to_string(trial) + " (rebuilt)");
     expectSameLayout(mk, mb, "trial " + std::to_string(trial) + " (brute)");
   }
+}
+
+/// `(a1, c1)-(a2, c2)` in the frame of a step in direction `d`: `a` runs
+/// along the movement axis (the object's leading edge is its low-`a` side),
+/// `c` across it.
+Box oriented(Dir d, Coord a1, Coord c1, Coord a2, Coord c2) {
+  switch (d) {
+    case Dir::West: return Box{a1, c1, a2, c2};
+    case Dir::East: return Box{-a2, c1, -a1, c2};
+    case Dir::South: return Box{c1, a1, c2, a2};
+    case Dir::North: return Box{c1, -a2, c2, -a1};
+  }
+  return {};
+}
+
+/// Cell `k` of a row built by successive compaction in direction `d`: a
+/// metal1 "bus" stub and a poly "g" stub (the same-net partners every later
+/// cell meets), a private metal1 spacer outside both bands that sets the
+/// pitch, and — by `rng` — a private metal1 blocker in the bus band and an
+/// ndiff blocker in the poly band, which a poly extension may not cross.
+Module rowCell(Dir d, int k, std::mt19937& rng) {
+  Module o(T(), "cell");
+  auto add = [&](const char* layer, const std::string& net, Coord a1, Coord c1, Coord a2,
+                 Coord c2) {
+    o.addShape(makeShape(oriented(d, a1, c1, a2, c2), T().layer(layer),
+                         net.empty() ? db::kNoNet : o.net(net)));
+  };
+  add("metal1", "bus", 0, 0, 2000, 2000);
+  add("poly", "g", 0, 6000, 1000, 7000);
+  add("metal1", "s" + std::to_string(k), 0, 10000, 5000, 12000);
+  if (rng() % 2) add("metal1", "b" + std::to_string(k), 3200, 0, 4800, 2000);
+  if (rng() % 2) add("ndiff", "", 2000, 4000, 4000, 9000);
+  return o;
+}
+
+TEST(SpatialConsumers, RowAutoConnectIdenticalToBruteForceInEveryDirection) {
+  // Every cell's bus and poly stubs face the same-net stubs of all earlier
+  // cells: the far ones are blocked by the cells in between, the previous
+  // one is extended when its cell drew no blocker.  The early-exit safety
+  // visit and the deduplicated constraint visit must step exactly like the
+  // all-pairs oracle.
+  obs::enableStats(true);
+  obs::Stats& stats = obs::Stats::global();
+  std::mt19937 rng(1234);
+  for (const Dir d : {Dir::West, Dir::East, Dir::South, Dir::North}) {
+    stats.reset();
+    const int cells = 60 + static_cast<int>(rng() % 61);
+    Module mk(T(), "row"), mb(T(), "row");
+    int autoConnects = 0;
+    for (int k = 0; k < cells; ++k) {
+      const std::string where =
+          std::string(dirName(d)) + " cell " + std::to_string(k);
+      const Module cell = rowCell(d, k, rng);
+      const auto rk = compact::compact(mk, cell, d);
+      const auto rb = oracle::bruteCompact(mb, cell, d);
+      expectSameStep(rk, rb, where);
+      autoConnects += rk.autoConnects;
+    }
+    expectSameLayout(mk, mb, dirName(d));
+    // Both index and oracle ran, so halve the shared counters.
+    const std::uint64_t extensions = stats.value("compact.autoconnect.extensions") / 2;
+    const std::uint64_t partners = stats.value("compact.autoconnect.partners") / 2;
+    EXPECT_EQ(extensions, static_cast<std::uint64_t>(autoConnects)) << dirName(d);
+    EXPECT_GT(autoConnects, 0) << dirName(d);
+    EXPECT_GT(partners, extensions) << dirName(d) << ": no partner was blocked";
+    EXPECT_GT(stats.value("compact.autoconnect.safety_candidates"), 0u) << dirName(d);
+  }
+  obs::enableStats(false);
 }
 
 /// A rigid k×k checker of metal1/metal2 squares on a private net,
