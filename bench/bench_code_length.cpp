@@ -7,16 +7,16 @@
 // this source code and were much more difficult to construct and to
 // maintain [11]."  The paper also quotes ~180 lines for module E's source.
 //
-// The coordinate-level baselines live in src/modules/handcrafted.cpp and
+// The coordinate-level baselines live in tests/baseline/handcrafted.cpp and
 // are measured with __LINE__ markers; the DSL sources are the scripts the
 // tests execute.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 
+#include "baseline/handcrafted.h"
 #include "lang/interp.h"
 #include "modules/dsl_sources.h"
-#include "modules/handcrafted.h"
 #include "tech/builtin.h"
 
 using namespace amg;

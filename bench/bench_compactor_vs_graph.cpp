@@ -7,9 +7,8 @@
 // and no general edge graph must be created.  This speeds up the compaction
 // time."
 //
-// Three engines build the same row of contact-row-like objects:
-//   reference  — pairwise successive compactor (full feature set)
-//   contour    — FastCompactor, the outer-edge envelope fast path
+// Two engines build the same row of contact-row-like objects:
+//   successive — compact::compact, the compactor production runs
 //   graph      — baseline: merge then re-run full constraint-graph solve
 // The report prints wall time and final extent per engine and object count.
 #include <benchmark/benchmark.h>
@@ -21,7 +20,6 @@
 
 #include "baseline/graph_compactor.h"
 #include "compact/compactor.h"
-#include "compact/fast.h"
 #include "tech/builtin.h"
 
 using namespace amg;
@@ -50,20 +48,10 @@ std::vector<db::Module> makeObjects(int n, unsigned seed) {
   return out;
 }
 
-double runReference(const std::vector<db::Module>& objs, Coord* extent) {
+double runSuccessive(const std::vector<db::Module>& objs, Coord* extent) {
   const auto t0 = std::chrono::steady_clock::now();
-  db::Module m(T(), "ref");
+  db::Module m(T(), "successive");
   for (const auto& o : objs) compact::compact(m, o, Dir::West);
-  const auto t1 = std::chrono::steady_clock::now();
-  *extent = m.bbox().width();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-double runContour(const std::vector<db::Module>& objs, Coord* extent) {
-  const auto t0 = std::chrono::steady_clock::now();
-  db::Module m(T(), "fast");
-  compact::FastCompactor fc(T(), Dir::West);
-  for (const auto& o : objs) fc.place(m, o);
   const auto t1 = std::chrono::steady_clock::now();
   *extent = m.bbox().width();
   return std::chrono::duration<double>(t1 - t0).count();
@@ -80,47 +68,33 @@ double runGraph(const std::vector<db::Module>& objs, Coord* extent) {
 
 void reportE7() {
   std::printf("=== E7 / §2.3: successive vs. constraint-graph compaction ===\n");
-  std::printf("%8s %14s %14s %14s %12s %12s\n", "objects", "reference (ms)",
-              "contour (ms)", "graph (ms)", "speedup r/g", "speedup c/g");
+  std::printf("%8s %16s %14s %10s %14s\n", "objects", "successive (ms)", "graph (ms)",
+              "speedup", "extent (nm)");
   for (const int n : {20, 50, 100, 200, 400}) {
     const auto objs = makeObjects(n, 42);
-    Coord er = 0, ec = 0, eg = 0;
-    const double tr = runReference(objs, &er);
-    const double tc = runContour(objs, &ec);
+    Coord es = 0, eg = 0;
+    const double ts = runSuccessive(objs, &es);
     const double tg = runGraph(objs, &eg);
-    std::printf("%8d %14.2f %14.2f %14.2f %11.1fx %11.1fx\n", n, tr * 1e3, tc * 1e3,
-                tg * 1e3, tg / tr, tg / tc);
-    if (er != ec || er != eg)
-      std::printf("         (extents: ref %ld, contour %ld, graph %ld nm)\n",
-                  static_cast<long>(er), static_cast<long>(ec),
-                  static_cast<long>(eg));
+    std::printf("%8d %16.2f %14.2f %9.1fx %14ld\n", n, ts * 1e3, tg * 1e3, tg / ts,
+                static_cast<long>(es));
+    if (es != eg)
+      std::printf("         (extents differ: successive %ld, graph %ld nm)\n",
+                  static_cast<long>(es), static_cast<long>(eg));
   }
   std::printf("(paper claim: the successive method \"speeds up the compaction "
               "time\" — the ratio grows with module size)\n\n");
 }
 
-void BM_SuccessiveReference(benchmark::State& state) {
+void BM_Successive(benchmark::State& state) {
   const auto objs = makeObjects(static_cast<int>(state.range(0)), 1);
   for (auto _ : state) {
-    db::Module m(T(), "ref");
+    db::Module m(T(), "successive");
     for (const auto& o : objs) compact::compact(m, o, Dir::West);
     benchmark::DoNotOptimize(m.area());
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_SuccessiveReference)->Range(16, 256)->Complexity();
-
-void BM_SuccessiveContour(benchmark::State& state) {
-  const auto objs = makeObjects(static_cast<int>(state.range(0)), 1);
-  for (auto _ : state) {
-    db::Module m(T(), "fast");
-    compact::FastCompactor fc(T(), Dir::West);
-    for (const auto& o : objs) fc.place(m, o);
-    benchmark::DoNotOptimize(m.area());
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_SuccessiveContour)->Range(16, 256)->Complexity();
+BENCHMARK(BM_Successive)->Range(16, 256)->Complexity();
 
 void BM_GraphBaseline(benchmark::State& state) {
   const auto objs = makeObjects(static_cast<int>(state.range(0)), 1);

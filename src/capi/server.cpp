@@ -122,13 +122,27 @@ void Server::acceptLoop() {
       break;
     }
     OBS_COUNT("serve.connections");
-    std::lock_guard<std::mutex> lock(connMu_);
-    if (draining_.load()) {  // drain won the race: refuse late arrivals
-      ::close(fd);
-      break;
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(connMu_);
+      if (draining_.load()) {  // drain won the race: refuse late arrivals
+        ::close(fd);
+        break;
+      }
+      // Reap the connections that ended since the last accept, so the
+      // thread list holds live connections, not the daemon's history.
+      for (const std::thread::id id : finished_) {
+        const auto it = std::find_if(connections_.begin(), connections_.end(),
+                                     [&](const std::thread& t) { return t.get_id() == id; });
+        finished.push_back(std::move(*it));
+        connections_.erase(it);
+      }
+      finished_.clear();
+      connFds_.push_back(fd);
+      connections_.emplace_back([this, fd] { serveConnection(fd); });
     }
-    connFds_.push_back(fd);
-    connections_.emplace_back([this, fd] { serveConnection(fd); });
+    // Join outside connMu_, as drain() does.
+    for (std::thread& t : finished) t.join();
   }
 }
 
@@ -172,9 +186,11 @@ void Server::serveConnection(int fd) {
   }
   // Forget the fd before closing it: once closed, the number may be
   // reused, and drain() must not shut down a descriptor it does not own.
+  // Then report this thread finished, for the acceptor to join.
   {
     std::lock_guard<std::mutex> lock(connMu_);
     connFds_.erase(std::find(connFds_.begin(), connFds_.end(), fd));
+    finished_.push_back(std::this_thread::get_id());
   }
   ::close(fd);
 }

@@ -4,7 +4,8 @@
 // flag-parsing shell around this class).
 //
 // Threading model.  One acceptor thread owns the listening socket and
-// spawns a thread per connection; connection threads decode frames and
+// spawns a thread per connection (joining, before each spawn, the ones
+// that have finished); connection threads decode frames and
 // *enqueue* generation work.  A single dispatcher thread drains the
 // queue, coalescing everything pending into one amg_generate_batch call —
 // the batch engine's worker pool (util/thread_pool.h is a one-controller
@@ -97,7 +98,9 @@ class Server {
   std::thread acceptor_;
   std::thread dispatcher_;
   std::mutex connMu_;
-  std::vector<std::thread> connections_;
+  std::vector<std::thread> connections_;  ///< not yet joined
+  /// Connection threads that returned; the acceptor joins them.
+  std::vector<std::thread::id> finished_;
   std::vector<int> connFds_;  ///< open connection fds, for drain shutdown()
 
   std::mutex statsMu_;

@@ -5,10 +5,10 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "compact/detail.h"
 #include "db/connectivity.h"
-#include "geom/contour.h"
 #include "geom/spatial.h"
 #include "obs/obs.h"
 #include "primitives/primitives.h"
@@ -24,7 +24,8 @@ using db::ShapeId;
 using tech::LayerId;
 using tech::LayerKind;
 
-constexpr Coord kNone = geom::Envelope::kNone;
+/// "Nothing constrains the object yet": below every real translation.
+constexpr Coord kNone = std::numeric_limits<Coord>::min();
 
 bool layerIgnored(const Options& opt, LayerId l) {
   return std::find(opt.ignoreLayers.begin(), opt.ignoreLayers.end(), l) !=
@@ -138,39 +139,15 @@ class IndexCandidates final : public detail::Candidates {
   geom::SpatialIndex& idx_;
 };
 
-/// Drops the repeats of a visit: `stamp[id] == epoch` once `id` was seen
-/// in the current epoch.  Reused across visits, so a new epoch costs no
-/// clearing.
-class SeenIds {
- public:
-  /// Start an epoch over ids below `n`.
-  void next(std::size_t n) {
-    if (stamp_.size() < n) stamp_.resize(n, 0);
-    if (++epoch_ == 0) {  // wrapped: old stamps could collide
-      std::fill(stamp_.begin(), stamp_.end(), 0);
-      epoch_ = 1;
-    }
-  }
-  /// True the first time `id` is seen in this epoch.
-  bool first(ShapeId id) {
-    if (stamp_[id] == epoch_) return false;
-    stamp_[id] = epoch_;
-    return true;
-  }
-
- private:
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t epoch_ = 0;
-};
-
 /// Constraint generation: candidate targets come from a cross-axis band
 /// visit with the per-layer max-rule halo, then the exact pair predicate
-/// runs on each distinct candidate.  Output is sorted by (target, object)
-/// shape id so the variable-edge rule sees a canonical order.
+/// runs on each candidate.  Output is sorted by (target, object) shape id,
+/// one constraint per pair, so the variable-edge rule sees a canonical
+/// order (a visit repeats only re-inserted ids, and a step re-inserts
+/// none before its last call here).
 std::vector<Constraint> computeConstraints(const Module& target, const Module& obj,
                                            Dir dir, const Options& opt,
-                                           const detail::Candidates& cands,
-                                           SeenIds& seen) {
+                                           const detail::Candidates& cands) {
   const tech::Technology& t = target.technology();
   const std::vector<NetId> netMap = matchNets(target, obj);
   std::vector<Constraint> out;
@@ -178,9 +155,7 @@ std::vector<Constraint> computeConstraints(const Module& target, const Module& o
   for (ShapeId oi : obj.shapeIds()) {
     const Shape& os = obj.shape(oi);
     const Coord halo = std::max<Coord>(0, t.maxSpacing(os.layer) + opt.extraGap);
-    seen.next(target.rawSize());
     cands.visit(crossBand(dir, os.box, halo), [&](ShapeId ti) {
-      if (!seen.first(ti)) return false;
       ++candTotal;
       // A step's array rebuild retires ids the index still holds.
       if (!target.isAlive(ti)) return false;
@@ -195,10 +170,10 @@ std::vector<Constraint> computeConstraints(const Module& target, const Module& o
       return false;
     });
   }
-  std::sort(out.begin(), out.end(), [](const Constraint& a, const Constraint& b) {
-    return a.targetShape != b.targetShape ? a.targetShape < b.targetShape
-                                          : a.objShape < b.objShape;
-  });
+  const auto key = [](const Constraint& c) { return std::pair(c.targetShape, c.objShape); };
+  std::sort(out.begin(), out.end(), [&](auto& a, auto& b) { return key(a) < key(b); });
+  out.erase(std::unique(out.begin(), out.end(), [&](auto& a, auto& b) { return key(a) == key(b); }),
+            out.end());
   const auto universe =
       static_cast<std::uint64_t>(target.shapeCount()) * obj.shapeCount();
   OBS_COUNT_N("compact.constraints.universe", universe);
@@ -318,17 +293,6 @@ Coord maxShrink(const Module& m, ShapeId id, Side side) {
   return std::max<Coord>(limit, 0);
 }
 
-Coord requiredTranslation(const Module& target, const Module& obj, Dir dir,
-                          const Options& options) {
-  geom::SpatialIndex idx = db::buildShapeIndex(target);
-  SeenIds seen;
-  Coord best = kNone;
-  for (const Constraint& c :
-       computeConstraints(target, obj, dir, options, IndexCandidates(idx), seen))
-    best = std::max(best, c.need);
-  return best;
-}
-
 namespace detail {
 
 Result compactStep(db::Module& target, const db::Module& obj, Dir dir,
@@ -362,9 +326,8 @@ Result compactStep(db::Module& target, const db::Module& obj, Dir dir,
   // The candidate source stays conservative through the auto-expand loop
   // below, which only shrinks edges (no per-iteration rescan).
   Coord tc = kNone;
-  SeenIds seen;
   for (int iter = 0; iter < 64; ++iter) {
-    const auto cons = computeConstraints(target, work, dir, options, cands, seen);
+    const auto cons = computeConstraints(target, work, dir, options, cands);
     OBS_HIST("compact.step.constraints", cons.size());
     if (cons.empty()) {
       tc = bboxAbutTranslation(target, work, dir);

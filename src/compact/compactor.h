@@ -84,15 +84,6 @@ Result compact(db::Module& target, const db::Module& obj, Dir dir,
 Result compact(db::Module& target, const db::Module& obj, Dir dir,
                std::initializer_list<std::string_view> ignoreLayerNames);
 
-/// The canonical-frame translation the rules require for `obj` against
-/// `target` (no mutation, no variable edges): the object must be translated
-/// by exactly this amount along the movement axis (positive = pushed back
-/// against the movement).  Only the tests call it, as the reference for
-/// the contour engine (compact/fast.h) and the constraint rules.  Returns
-/// geom::Envelope::kNone when nothing constrains the object.
-Coord requiredTranslation(const db::Module& target, const db::Module& obj, Dir dir,
-                          const Options& options = {});
-
 /// How far side `s` of shape `id` may move inwards without violating its
 /// own minimum width, its enclosure records, or the ability of its cut
 /// arrays to hold at least one element.

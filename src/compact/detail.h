@@ -29,8 +29,8 @@ class Candidates {
   /// Target shape `id` on `layer` was added or now covers `box`.
   virtual void insert(db::ShapeId id, tech::LayerId layer, const Box& box) = 0;
   /// Calls `fn(id)` for candidates on any layer — in no particular order,
-  /// an id possibly more than once — until `fn` returns true.  Returns
-  /// true when `fn` stopped the walk.
+  /// an id repeating only when it was re-inserted — until `fn` returns
+  /// true.  Returns true when `fn` stopped the walk.
   virtual bool visit(const Box& window, geom::SpatialIndex::Visitor fn) const = 0;
   /// Candidates on `layer` in ascending id order; `out` is cleared first.
   virtual void query(tech::LayerId layer, const Box& window,

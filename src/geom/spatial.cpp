@@ -51,14 +51,14 @@ SpatialIndex::Column& SpatialIndex::columnFor(Bucket& b, std::int64_t cx) {
 
 void SpatialIndex::insert(std::uint32_t id, std::uint32_t bucket, const Box& box) {
   OBS_COUNT("spatial.inserts");
+  const std::int64_t cx1 = cellOf(box.x1, cell_), cx2 = cellOf(box.x2, cell_);
+  const std::int64_t cy1 = cellOf(box.y1, cell_), cy2 = cellOf(box.y2, cell_);
   const auto idx = static_cast<std::uint32_t>(entries_.size());
-  entries_.push_back(Entry{box, id});
+  entries_.push_back(Entry{box, cx1, cy1, id});
   bounds_ = bounds_.unite(box);
   if (bucket >= buckets_.size()) buckets_.resize(bucket + 1);
   Bucket& b = buckets_[bucket];
 
-  const std::int64_t cx1 = cellOf(box.x1, cell_), cx2 = cellOf(box.x2, cell_);
-  const std::int64_t cy1 = cellOf(box.y1, cell_), cy2 = cellOf(box.y2, cell_);
   if ((cx2 - cx1 + 1) * (cy2 - cy1 + 1) > kMaxCellsPerEntry) {
     b.large.push_back(idx);
     return;
@@ -106,12 +106,17 @@ bool SpatialIndex::gather(const Bucket& b, const Box& window, Fn&& fn) const {
       if (!col) continue;
       // Only occupied cells in [cy1, cy2] are visited: a band window
       // spanning the whole structure costs the column's population, not
-      // the window's cell count.
+      // the window's cell count.  An entry sits in every cell it covers,
+      // so it is reported only from the first cell (per axis) it shares
+      // with the walk.
       auto it = std::lower_bound(col->cells.begin(), col->cells.end(), cy1,
                                  [](const Cell& c, std::int64_t v) { return c.cy < v; });
       for (; it != col->cells.end() && it->cy <= cy2; ++it)
-        for (std::int32_t s = it->head; s >= 0; s = b.slots[s].next)
-          if (offer(entries_[b.slots[s].entry])) return true;
+        for (std::int32_t s = it->head; s >= 0; s = b.slots[s].next) {
+          const Entry& e = entries_[b.slots[s].entry];
+          if (std::max(e.cx1, cx1) == cx && std::max(e.cy1, cy1) == it->cy && offer(e))
+            return true;
+        }
     }
   }
   for (const std::uint32_t idx : b.large)

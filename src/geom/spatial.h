@@ -18,10 +18,11 @@
 //    their exact predicate to the candidates; any predicate implying
 //    closed intersection with the expanded window is answered exactly.
 //  * visit() walks the grid and hands each candidate to a callback in no
-//    particular order, may hand the same id more than once (an entry
-//    spanning several cells, a re-inserted id), and stops as soon as the
-//    callback returns true.  Yes/no tests ("is anything in the way?")
-//    stop at their first blocker instead of listing every shape.
+//    particular order and stops as soon as the callback returns true.
+//    Each entry is handed over once per walk, however many cells it
+//    covers, so an id repeats only when it was re-inserted.  Yes/no tests
+//    ("is anything in the way?") stop at their first blocker instead of
+//    listing every shape.
 //  * query() is the same walk plus sort+unique: ascending, deduplicated
 //    ids, so iteration order matches a brute-force scan in id order — for
 //    the consumers whose answer depends on that order.
@@ -78,8 +79,9 @@ class SpatialIndex {
   void insert(std::uint32_t id, std::uint32_t bucket, const Box& box);
 
   /// Call `fn(id)` for the entries (any bucket) whose box closed-intersects
-  /// `window` — unordered, an id possibly more than once — until `fn`
-  /// returns true.  Returns true when `fn` stopped the walk.
+  /// `window` — unordered, each entry once (an id repeats only when it was
+  /// re-inserted) — until `fn` returns true.  Returns true when `fn`
+  /// stopped the walk.
   bool visit(const Box& window, Visitor fn) const;
 
   /// Ids of all entries (any bucket) whose box closed-intersects `window`,
@@ -99,8 +101,11 @@ class SpatialIndex {
   const Box& bounds() const { return bounds_; }
 
  private:
+  /// `cx1`/`cy1` is the entry's low grid cell: a walk reports a
+  /// multi-cell entry only from the first cell it shares with the window.
   struct Entry {
     Box box;
+    std::int64_t cx1, cy1;
     std::uint32_t id;
   };
   /// One occupied grid cell within a column: `head` chains its entries
@@ -161,9 +166,10 @@ class SpatialIndex {
 
   static Column& columnFor(Bucket& b, std::int64_t cx);
   static void growTable(Bucket& b);
-  /// The cell walk behind visit() and query(): hands `b`'s entries that
-  /// closed-intersect `window` to `fn` until it returns true (then returns
-  /// true).  A template so query()'s collector inlines into the walk.
+  /// The cell walk behind visit() and query(): hands each of `b`'s entries
+  /// that closed-intersect `window` to `fn` once, until it returns true
+  /// (then returns true).  A template so query()'s collector inlines into
+  /// the walk.
   template <class Fn>
   bool gather(const Bucket& b, const Box& window, Fn&& fn) const;
 

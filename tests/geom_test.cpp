@@ -4,7 +4,6 @@
 #include <random>
 
 #include "geom/box.h"
-#include "geom/contour.h"
 #include "geom/subtract.h"
 #include "geom/transform.h"
 
@@ -228,68 +227,6 @@ TEST(UnionArea, OverlapsCountedOnce) {
 TEST(BoundingBox, OfSet) {
   EXPECT_EQ(boundingBox({Box{0, 0, 1, 1}, Box{5, -3, 6, 2}}), (Box{0, -3, 6, 2}));
   EXPECT_TRUE(boundingBox({}).empty());
-}
-
-// ---------------------------------------------------------------------------
-// Envelope / Contour
-// ---------------------------------------------------------------------------
-
-TEST(Envelope, MaxMergeAndQuery) {
-  Envelope e;
-  EXPECT_EQ(e.query(0, 100), Envelope::kNone);
-  e.add(0, 50, 10);
-  e.add(25, 75, 20);
-  EXPECT_EQ(e.query(0, 10), 10);
-  EXPECT_EQ(e.query(30, 40), 20);
-  EXPECT_EQ(e.query(0, 100), 20);
-  EXPECT_EQ(e.query(80, 90), Envelope::kNone);
-  EXPECT_EQ(e.query(50, 75), 20);  // [50,75) covered by second add
-  e.add(0, 100, 5);                // lower value must not mask higher
-  EXPECT_EQ(e.query(0, 10), 10);
-  EXPECT_EQ(e.query(80, 90), 5);
-}
-
-TEST(Envelope, HalfOpenSemantics) {
-  Envelope e;
-  e.add(10, 20, 7);
-  EXPECT_EQ(e.query(0, 10), Envelope::kNone);  // [0,10) does not touch
-  EXPECT_EQ(e.query(20, 30), Envelope::kNone);
-  EXPECT_EQ(e.query(19, 20), 7);
-}
-
-TEST(Contour, WestPlacement) {
-  Contour c(Dir::West);
-  c.add(Box{0, 0, 100, 50});  // stationary; object arrives from the east
-  const Box moving{500, 10, 520, 30};
-  // gap 7: leading edge (x1) must be at least 107.
-  EXPECT_EQ(c.requiredFront(moving, 7), 107);
-  const Point tr = c.translationFor(moving, 107);
-  EXPECT_EQ(tr.x, -393);
-  EXPECT_EQ(tr.y, 0);
-}
-
-TEST(Contour, CrossAxisEscape) {
-  Contour c(Dir::West);
-  c.add(Box{0, 0, 100, 50});
-  // Object entirely north of the stationary box by more than the gap.
-  EXPECT_EQ(c.requiredFront(Box{500, 60, 520, 80}, 7), geom::Envelope::kNone);
-  // Within the gap diagonal: constrained.
-  EXPECT_NE(c.requiredFront(Box{500, 55, 520, 80}, 7), geom::Envelope::kNone);
-  // Exactly at the gap: not constrained (corner-to-corner distance == gap).
-  EXPECT_EQ(c.requiredFront(Box{500, 57, 520, 80}, 7), geom::Envelope::kNone);
-}
-
-TEST(Contour, AllDirectionsSymmetry) {
-  for (Dir d : {Dir::West, Dir::East, Dir::South, Dir::North}) {
-    Contour c(d);
-    c.add(Box{-10, -10, 10, 10});
-    Box moving{-5, -5, 5, 5};  // overlapping: must be pushed out
-    const Coord front = c.requiredFront(moving, 3);
-    ASSERT_NE(front, geom::Envelope::kNone) << dirName(d);
-    const Point tr = c.translationFor(moving, front);
-    const Box placed = moving.translated(tr.x, tr.y);
-    EXPECT_EQ(boxGap(placed, Box{-10, -10, 10, 10}), 3) << dirName(d);
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@
 // must hold.
 #include <gtest/gtest.h>
 
+#include "baseline/handcrafted.h"
 #include "db/connectivity.h"
 #include "drc/drc.h"
 #include "modules/basic.h"
 #include "modules/bipolar.h"
 #include "modules/centroid.h"
 #include "modules/guard.h"
-#include "modules/handcrafted.h"
 #include "modules/interdigitated.h"
 #include "modules/resistor.h"
 #include "tech/builtin.h"

@@ -13,7 +13,6 @@
 #include "drc/drc.h"
 #include "place/slicing.h"
 #include "route/router.h"
-#include "geom/contour.h"
 #include "geom/subtract.h"
 #include "geom/transform.h"
 #include "primitives/primitives.h"
@@ -32,72 +31,6 @@ drc::CheckOptions noLatchUp() {
   drc::CheckOptions o;
   o.latchUp = false;
   return o;
-}
-
-// --------------------------------------------------------------------------
-// Envelope vs. brute force
-// --------------------------------------------------------------------------
-
-TEST(Property, EnvelopeMatchesBruteForce) {
-  std::mt19937 rng(101);
-  std::uniform_int_distribution<Coord> c(-100, 100);
-  std::uniform_int_distribution<Coord> v(-50, 50);
-  for (int trial = 0; trial < 100; ++trial) {
-    geom::Envelope env;
-    struct Seg {
-      Coord lo, hi, val;
-    };
-    std::vector<Seg> segs;
-    for (int i = 0; i < 20; ++i) {
-      Coord lo = c(rng), hi = c(rng);
-      if (lo > hi) std::swap(lo, hi);
-      const Coord val = v(rng);
-      env.add(lo, hi, val);
-      segs.push_back(Seg{lo, hi, val});
-    }
-    for (int q = 0; q < 20; ++q) {
-      Coord lo = c(rng), hi = c(rng);
-      if (lo > hi) std::swap(lo, hi);
-      Coord expect = geom::Envelope::kNone;
-      for (const Seg& s : segs) {
-        // Overlap of half-open [lo,hi) with [s.lo,s.hi); empty intervals
-        // overlap nothing.
-        if (lo < hi && s.lo < hi && s.hi > lo && s.lo < s.hi)
-          expect = std::max(expect, s.val);
-      }
-      EXPECT_EQ(env.query(lo, hi), expect) << "trial " << trial;
-    }
-  }
-}
-
-TEST(Property, ContourMatchesPairwiseMax) {
-  std::mt19937 rng(202);
-  std::uniform_int_distribution<Coord> p(0, 1000);
-  std::uniform_int_distribution<Coord> s(10, 200);
-  for (Dir d : {Dir::West, Dir::East, Dir::South, Dir::North}) {
-    for (int trial = 0; trial < 40; ++trial) {
-      geom::Contour contour(d);
-      std::vector<Box> boxes;
-      for (int i = 0; i < 15; ++i) {
-        const Box b = Box::fromSize(p(rng), p(rng), s(rng), s(rng));
-        boxes.push_back(b);
-        contour.add(b);
-      }
-      const Box moving = Box::fromSize(p(rng), p(rng), s(rng), s(rng));
-      const Coord gap = 25;
-
-      // Brute force: the same computation pairwise.
-      geom::Envelope dummy;
-      Coord expect = geom::Envelope::kNone;
-      for (const Box& b : boxes) {
-        geom::Contour one(d);
-        one.add(b);
-        expect = std::max(expect, one.requiredFront(moving, gap));
-      }
-      EXPECT_EQ(contour.requiredFront(moving, gap), expect)
-          << dirName(d) << " trial " << trial;
-    }
-  }
 }
 
 // --------------------------------------------------------------------------

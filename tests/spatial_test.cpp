@@ -3,7 +3,7 @@
 // Two layers of randomized checking:
 //  1. the index itself — query() must return exactly the closed-intersecting
 //     entries (superset-exact contract) in ascending id order, visit() must
-//     offer the same ids and stop when told to, and the incremental
+//     offer each entry once and stop when told to, and the incremental
 //     structure must answer like a freshly rebuilt one;
 //  2. every consumer — the compactor, the DRC, the connectivity extractor
 //     and the router obstacles must be *identical* to their all-pairs
@@ -158,8 +158,9 @@ TEST(SpatialIndex, ReinsertUnionsCoverage) {
 
 TEST(SpatialIndex, VisitOffersQueryIdsAndStopsWhenTold) {
   // Tiny, multi-cell and overflow ("large", > 64 cells) boxes, some ids
-  // re-inserted with a grown box: visit() may repeat an id and offers them
-  // in any order, but as a set it is query(), and a true return ends it.
+  // re-inserted with a grown box: visit() offers each entry once, in any
+  // order (a re-inserted id once per entry), as a set it is query(), and a
+  // true return ends it.
   std::mt19937 rng(99);
   std::uniform_int_distribution<Coord> pos(-60000, 60000);
   std::uniform_int_distribution<Coord> small(1, 9000);
@@ -197,6 +198,12 @@ TEST(SpatialIndex, VisitOffersQueryIdsAndStopsWhenTold) {
       const std::set<std::uint32_t> distinct(offered.begin(), offered.end());
       EXPECT_EQ(std::vector<std::uint32_t>(distinct.begin(), distinct.end()), want)
           << "trial " << trial << " q " << q;
+      // Each entry is offered once, however many cells it covers: an id
+      // repeats only as often as it was inserted with a box touching `w`.
+      std::multiset<std::uint32_t> entries;
+      for (const RefEntry& e : ref)
+        if (closedIntersects(e.box, w)) entries.insert(e.id);
+      EXPECT_EQ(offered, entries) << "trial " << trial << " q " << q;
 
       // Stopping at the k-th offer makes exactly k calls.
       for (const std::size_t k : {std::size_t{1}, offered.size() / 2, offered.size()}) {
@@ -292,6 +299,25 @@ Module randomCompactObject(std::mt19937& rng, int idx) {
   return o;
 }
 
+void expectSameLayout(const Module& a, const Module& b, const std::string& where) {
+  ASSERT_EQ(a.rawSize(), b.rawSize()) << where;
+  for (db::ShapeId id = 0; id < a.rawSize(); ++id) {
+    EXPECT_EQ(a.isAlive(id), b.isAlive(id)) << where << " shape " << id;
+    if (!a.isAlive(id) || !b.isAlive(id)) continue;
+    EXPECT_EQ(a.shape(id).box, b.shape(id).box) << where << " shape " << id;
+    EXPECT_EQ(a.shape(id).layer, b.shape(id).layer) << where << " shape " << id;
+    EXPECT_EQ(a.shape(id).net, b.shape(id).net) << where << " shape " << id;
+  }
+}
+
+void expectSameStep(const compact::Result& a, const compact::Result& b,
+                    const std::string& where) {
+  EXPECT_EQ(a.translation, b.translation) << where;
+  EXPECT_EQ(a.edgeMoves, b.edgeMoves) << where;
+  EXPECT_EQ(a.autoConnects, b.autoConnects) << where;
+  EXPECT_EQ(a.idMap, b.idMap) << where;
+}
+
 TEST(SpatialConsumers, CompactorIdenticalToBruteForce) {
   std::mt19937 rng(66);
   for (int trial = 0; trial < 12; ++trial) {
@@ -320,25 +346,30 @@ TEST(SpatialConsumers, CompactorIdenticalToBruteForce) {
       EXPECT_EQ(mi.shape(id).net, mb.shape(id).net) << "trial " << trial;
     }
   }
-}
 
-void expectSameLayout(const Module& a, const Module& b, const std::string& where) {
-  ASSERT_EQ(a.rawSize(), b.rawSize()) << where;
-  for (db::ShapeId id = 0; id < a.rawSize(); ++id) {
-    EXPECT_EQ(a.isAlive(id), b.isAlive(id)) << where << " shape " << id;
-    if (!a.isAlive(id) || !b.isAlive(id)) continue;
-    EXPECT_EQ(a.shape(id).box, b.shape(id).box) << where << " shape " << id;
-    EXPECT_EQ(a.shape(id).layer, b.shape(id).layer) << where << " shape " << id;
-    EXPECT_EQ(a.shape(id).net, b.shape(id).net) << where << " shape " << id;
+  // Scattered targets: overlapping random boxes on named nets and on no
+  // net, one object arriving from far east, in each direction.
+  std::uniform_int_distribution<Coord> pos(0, 40000);
+  std::uniform_int_distribution<Coord> sz(1600, 6000);
+  std::uniform_int_distribution<int> pick(0, 2);
+  const char* layers[] = {"metal1", "metal2", "poly"};
+  const char* nets[] = {"", "a", "b"};
+  for (Dir d : {Dir::West, Dir::East, Dir::South, Dir::North}) {
+    for (int trial = 0; trial < 25; ++trial) {
+      Module mi(T(), "t");
+      for (int i = 0; i < 12; ++i)
+        mi.addShape(makeShape(Box::fromSize(pos(rng), pos(rng), sz(rng), sz(rng)),
+                              T().layer(layers[pick(rng)]), mi.net(nets[pick(rng)])));
+      Module obj(T(), "obj");
+      for (int i = 0; i < 4; ++i)
+        obj.addShape(makeShape(Box::fromSize(pos(rng) + 100000, pos(rng), sz(rng), sz(rng)),
+                               T().layer(layers[pick(rng)]), obj.net(nets[pick(rng)])));
+      Module mb = mi;
+      const std::string where = std::string(dirName(d)) + " trial " + std::to_string(trial);
+      expectSameStep(compact::compact(mi, obj, d), oracle::bruteCompact(mb, obj, d), where);
+      expectSameLayout(mi, mb, where);
+    }
   }
-}
-
-void expectSameStep(const compact::Result& a, const compact::Result& b,
-                    const std::string& where) {
-  EXPECT_EQ(a.translation, b.translation) << where;
-  EXPECT_EQ(a.edgeMoves, b.edgeMoves) << where;
-  EXPECT_EQ(a.autoConnects, b.autoConnects) << where;
-  EXPECT_EQ(a.idMap, b.idMap) << where;
 }
 
 TEST(SpatialConsumers, KeptIndexIdenticalToRebuiltAndBruteForce) {
