@@ -51,7 +51,7 @@ void usage(const char* argv0, std::FILE* out) {
       "  --no-prefix-cache     disable the compactor-prefix cache (every\n"
       "                  compaction step executes; docs/CACHING.md)\n"
       "  --prefix-cache-mb N   prefix-cache memory budget in MiB (default 64)\n"
-      "  --prefix-cache-dir D  also keep prefix snapshots on disk under D\n"
+      "  --prefix-cache-dir D  also keep prefix entries on disk under D\n"
       "  --report FILE   write the aggregate JSON report to FILE\n"
       "  --record FILE   record every job to an AMGT request trace; re-run\n"
       "                  and verify it with amg_replay (docs/OBSERVABILITY.md)\n"

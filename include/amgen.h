@@ -97,7 +97,7 @@ typedef struct amg_version_info {
   uint32_t layout_format;  /* "AMGL" end-of-build layout record */
   uint32_t session_format; /* "AMGS" mid-build session snapshot */
   uint32_t trace_format;   /* "AMGT" request trace */
-  uint64_t prefix_format;  /* compactor-prefix snapshot chain */
+  uint64_t prefix_format;  /* compactor-prefix entry format */
   uint64_t engine;         /* generation-behavior generation (cache keys) */
   uint64_t bytecode;       /* compiled-chunk equivalence generation */
 } amg_version_info;

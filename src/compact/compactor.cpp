@@ -225,15 +225,25 @@ void insertArrivals(const Module& target, std::size_t from, detail::Candidates& 
 }
 
 /// Rebuild the cut arrays whose containers changed; when `cands` is given,
-/// re-insert the rebuilt containers and cuts so it stays a superset.
+/// re-insert the rebuilt containers and cuts so it stays a superset.  When
+/// `edits` is given, report the record, its containers (a rebuild may grow
+/// them) and its retired cuts.
 void rebuildArraysFor(Module& m, const std::set<ShapeId>& changed,
-                      detail::Candidates* cands = nullptr) {
+                      detail::Candidates* cands, detail::Edits* edits) {
   if (changed.empty()) return;
-  for (db::ArrayRecord& rec : m.arrayRecords()) {
+  std::vector<db::ArrayRecord>& recs = m.arrayRecords();
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    db::ArrayRecord& rec = recs[i];
     const bool affected = std::any_of(
         rec.containers.begin(), rec.containers.end(),
         [&](ShapeId id) { return changed.count(id) != 0; });
     if (!affected) continue;
+    if (edits) {
+      edits->arrays.push_back(i);
+      edits->shapes.insert(edits->shapes.end(), rec.containers.begin(),
+                           rec.containers.end());
+      edits->shapes.insert(edits->shapes.end(), rec.elems.begin(), rec.elems.end());
+    }
     prim::rebuildArray(m, rec);
     if (!cands) continue;
     // Keep a live index a superset across the rebuild: it may grow
@@ -296,7 +306,7 @@ Coord maxShrink(const Module& m, ShapeId id, Side side) {
 namespace detail {
 
 Result compactStep(db::Module& target, const db::Module& obj, Dir dir,
-                   const Options& options, Candidates& cands, bool* editedTarget) {
+                   const Options& options, Candidates& cands, Edits* edits) {
   if (&target.technology() != &obj.technology())
     throw Error("compact: object and target use different technologies");
 
@@ -309,7 +319,6 @@ Result compactStep(db::Module& target, const db::Module& obj, Dir dir,
       .arg("obj_shapes", static_cast<std::uint64_t>(obj.shapeCount()));
 
   Result res;
-  if (editedTarget) *editedTarget = false;
 
   // "The first compaction command copies the first transistor into the
   // data structure."
@@ -374,6 +383,7 @@ Result compactStep(db::Module& target, const db::Module& obj, Dir dir,
         if (d > 0) {
           shrinkEdge(target, c.targetShape, tSide, d);
           changedTarget.insert(c.targetShape);
+          if (edits) edits->shapes.push_back(c.targetShape);
           ++res.edgeMoves;
           progressed = true;
           continue;
@@ -395,8 +405,8 @@ Result compactStep(db::Module& target, const db::Module& obj, Dir dir,
   if (tc == kNone) tc = bboxAbutTranslation(target, work, dir);
 
   // "The objects affected by the movement are rebuilt automatically."
-  rebuildArraysFor(target, changedTarget, &cands);
-  rebuildArraysFor(work, changedWork);
+  rebuildArraysFor(target, changedTarget, &cands, edits);
+  rebuildArraysFor(work, changedWork, nullptr, nullptr);
 
   res.translation = actualTranslation(dir, tc);
   const auto tf =
@@ -476,16 +486,16 @@ Result compactStep(db::Module& target, const db::Module& obj, Dir dir,
         target.shape(bi).box = nb;
         cands.insert(bi, b.layer, nb);
         extended.insert(bi);
+        if (edits) edits->shapes.push_back(bi);
         ++res.autoConnects;
       }
     }
     // The candidate source is not queried again, and it is no longer exact
     // once `extended` is non-empty, so the rebuilt arrays are not inserted.
-    rebuildArraysFor(target, extended);
+    rebuildArraysFor(target, extended, nullptr, edits);
     OBS_COUNT_N("compact.autoconnect.partners", partners);
     OBS_COUNT_N("compact.autoconnect.safety_candidates", safetyCandidates);
   }
-  if (editedTarget) *editedTarget = !changedTarget.empty() || res.autoConnects > 0;
   OBS_COUNT_N("compact.edge_moves", res.edgeMoves);
   OBS_COUNT_N("compact.autoconnect.extensions", res.autoConnects);
   span.arg("edge_moves", res.edgeMoves).arg("auto_connects", res.autoConnects);
@@ -494,21 +504,27 @@ Result compactStep(db::Module& target, const db::Module& obj, Dir dir,
 
 }  // namespace detail
 
-Result compact(db::Module& target, const db::Module& obj, Dir dir,
-               const Options& options) {
+Result detail::compact(db::Module& target, const db::Module& obj, Dir dir,
+                       const Options& options, Edits& edits) {
   std::unique_ptr<geom::SpatialIndex> idx = target.takeIndex();
   if (!idx) {
     OBS_COUNT("compact.index.rebuilds");
     idx = std::make_unique<geom::SpatialIndex>(db::buildShapeIndex(target));
   }
   IndexCandidates cands(*idx);
-  bool edited = false;
-  Result res = detail::compactStep(target, obj, dir, options, cands, &edited);
+  const std::size_t editsBefore = edits.shapes.size();
+  Result res = detail::compactStep(target, obj, dir, options, cands, &edits);
   // An append-only step left the index exact: it holds every alive shape
   // with its current box.  A step that edited the target's own shapes left
   // stale boxes or retired ids behind, and the next step rebuilds instead.
-  if (!edited) target.keepIndex(std::move(idx));
+  if (edits.shapes.size() == editsBefore) target.keepIndex(std::move(idx));
   return res;
+}
+
+Result compact(db::Module& target, const db::Module& obj, Dir dir,
+               const Options& options) {
+  detail::Edits edits;
+  return detail::compact(target, obj, dir, options, edits);
 }
 
 Result compact(db::Module& target, const db::Module& obj, Dir dir,

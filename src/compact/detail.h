@@ -37,14 +37,28 @@ class Candidates {
                      std::vector<db::ShapeId>& out) const = 0;
 };
 
+/// What a step rewrote in place among the shape slots and array records
+/// `target` held when it began — variable-edge shrinks, auto-connect
+/// extensions, array rebuilds (grown containers, retired cuts, the record
+/// itself).  Everything else a step does is appending.  Ids may repeat and
+/// may name entries the step appended; the prefix tier stores exactly these
+/// plus the appended tail (io::SessionDelta).
+struct Edits {
+  std::vector<db::ShapeId> shapes;
+  std::vector<std::size_t> arrays;
+};
+
 /// One compaction step, the body of compact().  `cands` covers `target`
 /// and stays a superset of it until the step returns; every shape the
-/// merge adds is inserted.  `*editedTarget` (when given) is set when the
-/// step changed a shape `target` already held — a variable-edge shrink,
-/// an array rebuild or an auto-connect extension.  Otherwise the step only
-/// appended, so a `cands` that was exact on entry is exact on return.
+/// merge adds is inserted.  `edits` (when given) collects what the step
+/// rewrote; when it stays empty the step only appended, so a `cands` that
+/// was exact on entry is exact on return.
 Result compactStep(db::Module& target, const db::Module& obj, Dir dir,
                    const Options& options, Candidates& cands,
-                   bool* editedTarget = nullptr);
+                   Edits* edits = nullptr);
+
+/// compact(), also reporting what the step rewrote (the prefix tier).
+Result compact(db::Module& target, const db::Module& obj, Dir dir,
+               const Options& options, Edits& edits);
 
 }  // namespace amg::compact::detail

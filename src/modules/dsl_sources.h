@@ -31,7 +31,4 @@ inline constexpr const char* kDiffPair = R"(ENT DiffPair(<W>, <L>)
   compact(diffcon, WEST, "pdiff")     // step 5
 )";
 
-/// Count the source lines of a script (non-empty lines).
-int lineCount(const char* src);
-
 }  // namespace amg::modules::dsl

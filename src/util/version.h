@@ -41,9 +41,11 @@ inline constexpr std::uint32_t kSessionFormatVersion = 1;
 /// v2 dropped the execution-engine and spatial-engine header bytes.
 inline constexpr std::uint32_t kTraceFormatVersion = 2;
 
-/// The compactor-prefix snapshot chain (compact/prefix.h); feeds the rolling
-/// chain-key seed, so a bump silently invalidates every prefix entry.
-inline constexpr std::uint64_t kPrefixFormatVersion = 1;
+/// The compactor-prefix entry chain (compact/prefix.h): written into every
+/// entry header and fed into the rolling chain-key seed, so a bump silently
+/// invalidates every prefix entry.  v2: delta entries between power-of-two
+/// snapshots, each behind a checked header.
+inline constexpr std::uint64_t kPrefixFormatVersion = 2;
 
 /// Generation behavior generation (gen/engine.cpp cache keys).
 inline constexpr std::uint64_t kEngineVersion = 1;

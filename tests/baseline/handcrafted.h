@@ -13,6 +13,12 @@
 
 #include "db/module.h"
 
+namespace amg::modules::dsl {
+/// Count the source lines of a script (one per newline); measures the
+/// DSL side of the CodeSize comparisons below.
+int lineCount(const char* src);
+}  // namespace amg::modules::dsl
+
 namespace amg::modules::handcrafted {
 
 /// Coordinate-level contact row equivalent to modules::contactRow().

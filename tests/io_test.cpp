@@ -306,5 +306,96 @@ TEST(ModuleRecord, SingleByteMutantsDecodeOrRaiseDiagErrors) {
   EXPECT_GT(rejected, 0u);
 }
 
+/// recordModule() after a step-like change: a grown slot, a retired slot,
+/// a rebuilt array record, and a net, slot, port, enclosure and array
+/// record appended.  `d` names the rewritten entries.
+db::Module stepped(SessionDelta& d) {
+  db::Module m = recordModule();
+  d = SessionDelta::startingAt(m);
+  const tech::Technology& t = m.technology();
+  const db::NetId c = m.net("c");
+  m.shape(0).box.x2 += um(2);
+  m.removeShape(3);
+  const db::ShapeId cut =
+      m.addShape(db::makeShape(Box{um(4), um(2), um(5), um(3)}, t.layer("contact"), 1));
+  m.arrayRecords()[0].elems = {4, cut};
+  const db::ShapeId wire =
+      m.addShape(db::makeShape(Box{um(20), 0, um(22), um(8)}, t.layer("metal2"), c));
+  m.addPort("c", Point{um(21), um(4)}, t.layer("metal2"), c);
+  m.addEncloseRecord({{0}, cut});
+  m.addArrayRecord({{wire}, t.layer("via"), c, {}});
+  d.editedShapes = {3, 0, 0, cut};
+  d.editedArrays = {0};
+  return m;
+}
+
+TEST(ModuleRecord, DeltaRebuildsTheModuleItWasTakenFrom) {
+  SessionDelta d;
+  const db::Module after = stepped(d);
+  const std::vector<std::uint8_t> delta = serializeSessionDelta(after, d);
+  EXPECT_LT(delta.size(), serializeSessionState(after).size());
+
+  db::Module rebuilt = recordModule();
+  applySessionDelta(rebuilt, delta);
+  EXPECT_EQ(serializeSessionState(rebuilt), serializeSessionState(after));
+
+  // Behind a header, from an offset.
+  std::vector<std::uint8_t> framed(7 + delta.size(), 0xAB);
+  std::copy(delta.begin(), delta.end(), framed.begin() + 7);
+  db::Module offset = recordModule();
+  applySessionDelta(offset, framed, 7);
+  EXPECT_EQ(serializeSessionState(offset), serializeSessionState(after));
+
+  // A module at another length is not the one the delta extends.
+  db::Module wrongBase = after;
+  try {
+    applySessionDelta(wrongBase, delta);
+    FAIL() << "expected AMG-IO-003";
+  } catch (const util::DiagError& e) {
+    EXPECT_EQ(e.diag().code, "AMG-IO-003");
+  }
+  try {
+    applySessionDelta(rebuilt, serializeSessionState(after));
+    FAIL() << "expected AMG-IO-001";
+  } catch (const util::DiagError& e) {
+    EXPECT_EQ(e.diag().code, "AMG-IO-001");
+  }
+}
+
+TEST(ModuleRecord, SessionDigestHashesTheSessionBytes) {
+  SessionDelta d;
+  for (const db::Module& m : {recordModule(), stepped(d), sample()}) {
+    const std::vector<std::uint8_t> bytes = serializeSessionState(m);
+    EXPECT_EQ(sessionStateDigest(m), util::wordHash(bytes.data(), bytes.size()));
+  }
+  EXPECT_NE(sessionStateDigest(recordModule()), sessionStateDigest(stepped(d)));
+}
+
+TEST(ModuleRecord, DeltaMutantsApplyOrRaiseDiagErrors) {
+  SessionDelta d;
+  const db::Module after = stepped(d);
+  const std::vector<std::uint8_t> good = serializeSessionDelta(after, d);
+  std::size_t accepted = 0, rejected = 0;
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    for (const std::uint8_t mask : {0x01, 0x80, 0xFF}) {
+      std::vector<std::uint8_t> bytes = good;
+      bytes[i] ^= mask;
+      db::Module m = recordModule();
+      try {
+        applySessionDelta(m, bytes);
+        ++accepted;
+        (void)serializeSessionState(m);
+      } catch (const util::DiagError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "AMGD byte " << i << " ^ " << int{mask}
+                      << " escaped as a non-diagnostic: " << e.what();
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
 }  // namespace
 }  // namespace amg::io

@@ -3,11 +3,16 @@
 // prefix-restored compaction is byte-identical to cold execution, across
 // shuffled job orders, eviction pressure, the disk tier, VARIANT
 // backtracking, and the VM and the tree-walking oracle sharing one tier.
-// Every BatchEngine test runs with the tier on and off.
+// Every BatchEngine test runs with the tier on and off.  The entry format
+// is checked step by step: the state rebuilt from a snapshot plus deltas
+// matches the executed module after every step of chains that shrink
+// variable edges, rebuild arrays and auto-connect, and a dropped, flipped
+// or truncated entry only costs one executed step.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <random>
 #include <string>
@@ -15,6 +20,7 @@
 
 #include "compact/prefix.h"
 #include "db/module.h"
+#include "obs/obs.h"
 #include "gen/engine.h"
 #include "io/layout.h"
 #include "lang/interp.h"
@@ -22,6 +28,7 @@
 #include "prefix_tier.h"
 #include "tech/builtin.h"
 #include "util/diag.h"
+#include "util/hash.h"
 
 namespace amg {
 namespace {
@@ -376,6 +383,378 @@ ENT V(<W>)
 )";
   expectCachedMatchesPlain<lang::Interpreter>(script, "vm");
   expectCachedMatchesPlain<oracle::TreeInterpreter>(script, "tree");
+}
+
+// --- delta entries ---------------------------------------------------------
+
+// The DSL parts of three of the chains below; the chains themselves are
+// replayed step by step in C++ (Chain), mirroring the Sweep entity,
+// library.amg's Interdig (its rows widened and given variable metal edges)
+// and Fig. 7's DiffPair.
+const char* kChainParts = R"(
+ENT Start()
+  INBOX("pdiff", 4, 4)
+
+ENT Cell(<W>, <L>)
+  TWORECTS("poly", "pdiff", W, L)
+  INBOX("metal1")
+
+ENT ContactRow(layer, <W>, <L>)
+  INBOX(layer, W, L)
+  INBOX("metal1")
+  ARRAY("contact")
+
+ENT Trans(<W>, <L>)
+  TWORECTS("poly", "pdiff", W, L, "g")
+  polycon = ContactRow(layer = "poly", W = L)
+  diffcon = ContactRow(layer = "pdiff", L = W)
+  compact(polycon, SOUTH, "poly")
+  compact(diffcon, EAST, "pdiff")
+
+ENT Row(<W>, which)
+  INBOX("pdiff", 6, W)
+  setnet("pdiff", which)
+  INBOX("metal1")
+  setnet("metal1", which)
+  varedge("metal1", "all")
+  ARRAY("contact")
+  setnet("contact", which)
+
+ENT Gate(<W>, <L>)
+  TWORECTS("poly", "pdiff", W, L, "g")
+)";
+
+struct ChainStep {
+  db::Module obj;
+  Dir dir;
+  compact::Options opt;
+};
+
+struct Chain {
+  db::Module start;
+  std::vector<ChainStep> steps;
+};
+
+class Parts {
+ public:
+  Parts() : in_(bicmos1u()) { in_.loadEntities(kChainParts, "<test>"); }
+  db::Module make(const std::string& entity,
+                  std::vector<std::pair<std::string, lang::Value>> args = {}) {
+    return in_.instantiate(entity, args);
+  }
+  compact::Options ignoring(const char* layer) {
+    compact::Options o;
+    o.ignoreLayers.push_back(bicmos1u().layer(layer));
+    return o;
+  }
+
+ private:
+  lang::Interpreter in_;
+};
+
+lang::Value num(double v) { return lang::Value::number(v); }
+
+/// Sweep: a column of cells compacted EAST, then a wider tail.
+Chain sweepChain(int rows) {
+  Parts p;
+  Chain c{p.make("Start"), {}};
+  const db::Module cell = p.make("Cell", {{"W", num(6)}, {"L", num(2)}});
+  for (int k = 0; k < rows; ++k) c.steps.push_back({cell, Dir::East, p.ignoring("poly")});
+  c.steps.push_back({p.make("Cell", {{"W", num(7)}, {"L", num(2)}}), Dir::East,
+                     p.ignoring("poly")});
+  return c;
+}
+
+/// Interdig: alternating source/drain rows around gates, WEST, with wide
+/// rows whose metal edges are variable; a second row lands straight on
+/// each row.
+Chain interdigChain(int fingers) {
+  Parts p;
+  Chain c{db::Module(bicmos1u(), "Interdig"), {}};
+  auto row = [&](const char* which) {
+    return p.make("Row", {{"W", num(12)}, {"which", lang::Value::string(which)}});
+  };
+  const db::Module gate = p.make("Gate", {{"W", num(12)}, {"L", num(2)}});
+  c.steps.push_back({row("s"), Dir::West, p.ignoring("pdiff")});
+  for (int i = 1; i <= fingers; ++i) {
+    c.steps.push_back({gate, Dir::West, p.ignoring("pdiff")});
+    c.steps.push_back({row(i % 2 ? "d" : "s"), Dir::West, p.ignoring("pdiff")});
+    // A row straight onto a row: the metal spacing binds on variable
+    // edges, which shrink, and both contact arrays are rebuilt.
+    c.steps.push_back({row(i % 2 ? "s" : "d"), Dir::West, p.ignoring("pdiff")});
+  }
+  return c;
+}
+
+/// DiffPair: transistor, transistor, diffusion contact row, repeated.
+Chain diffPairChain(int pairs) {
+  Parts p;
+  Chain c{db::Module(bicmos1u(), "DiffPair"), {}};
+  const db::Module trans = p.make("Trans", {{"W", num(12)}, {"L", num(2)}});
+  const db::Module diffcon =
+      p.make("ContactRow", {{"layer", lang::Value::string("pdiff")}, {"L", num(12)}});
+  for (int i = 0; i < pairs; ++i)
+    for (const db::Module* obj : {&trans, &trans, &diffcon})
+      c.steps.push_back({*obj, Dir::West, p.ignoring("pdiff")});
+  return c;
+}
+
+/// Fig. 5 on shapes no array record holds: same-net metal columns and
+/// straps stacked SOUTH, so each strap lands on the tall column and the
+/// short one is extended to it (5a); then metal bars with a variable right
+/// edge pushed WEST against each other, each shrinking the bar it lands on
+/// (5b).
+Chain fig5Chain(int rounds) {
+  const tech::Technology& t = bicmos1u();
+  const tech::LayerId metal1 = t.layer("metal1");
+  auto shapes = [&](const char* net, std::initializer_list<Box> boxes,
+                    db::EdgeFlags edges = {}) {
+    db::Module m(t, "part");
+    const db::NetId n = m.net(net);
+    for (const Box& b : boxes) {
+      db::Shape s = db::makeShape(b, metal1, n);
+      s.varEdges = edges;
+      m.addShape(s);
+    }
+    return m;
+  };
+  const db::Module columns =
+      shapes("s", {Box{0, 0, um(1), um(3)}, Box{um(5), 0, um(6), um(1.5)}});
+  const db::Module strap = shapes("s", {Box{0, um(10), um(6), um(11)}});
+  Chain c{columns, {}};
+  c.start.setName("Fig5");
+  for (int i = 0; i < rounds; ++i) {
+    c.steps.push_back({strap, Dir::South, {}});
+    c.steps.push_back({columns, Dir::South, {}});
+  }
+  db::EdgeFlags right;  // only the side the next bar lands on moves
+  right.setVariable(Side::Right, true);
+  for (int i = 0; i < 2 * rounds; ++i)
+    c.steps.push_back(
+        {shapes(i % 2 ? "s" : "d", {Box{um(40), 0, um(46), um(2)}}, right), Dir::West, {}});
+  return c;
+}
+
+/// The executed session state after each step of `c` (plain compact()),
+/// with the chain's edge moves, array rebuilds and auto-connects.
+struct Executed {
+  std::vector<std::vector<std::uint8_t>> states;
+  int edgeMoves = 0, autoConnects = 0;
+};
+
+Executed execute(const Chain& c) {
+  Executed e;
+  db::Module m = c.start;
+  for (const ChainStep& s : c.steps) {
+    const compact::Result r = compact::compact(m, s.obj, s.dir, s.opt);
+    e.edgeMoves += r.edgeMoves;
+    e.autoConnects += r.autoConnects;
+    e.states.push_back(io::serializeSessionState(m));
+  }
+  return e;
+}
+
+/// The first `steps` steps of `c` through `cache`; returns how many were
+/// restored and leaves `m` synced.
+std::size_t runChain(const Chain& c, compact::PrefixCache& cache, std::size_t steps,
+                     db::Module& m) {
+  m = c.start;
+  std::size_t restored = 0;
+  for (std::size_t k = 0; k < steps; ++k)
+    restored += compact::prefixStep(cache, m, c.steps[k].obj, c.steps[k].dir,
+                                    c.steps[k].opt);
+  compact::prefixEnd(m);
+  return restored;
+}
+
+/// After every step k, the state rebuilt from `c`'s cached entries (the
+/// nearest pinned snapshot plus the deltas after it) is the executed one.
+void expectEveryRebuiltStepMatches(const Chain& c, const Executed& want) {
+  compact::PrefixCache cache;
+  db::Module m(bicmos1u());
+  EXPECT_EQ(runChain(c, cache, c.steps.size(), m), 0u);
+  EXPECT_EQ(io::serializeSessionState(m), want.states.back());
+  for (std::size_t k = 1; k <= c.steps.size(); ++k) {
+    EXPECT_EQ(runChain(c, cache, k, m), k);
+    EXPECT_EQ(io::serializeSessionState(m), want.states[k - 1]) << "step " << k;
+  }
+  EXPECT_EQ(cache.events().rejected, 0u);
+}
+
+TEST(PrefixDelta, SweepChainRebuildsEveryStep) {
+  const Chain c = sweepChain(20);
+  expectEveryRebuiltStepMatches(c, execute(c));
+}
+
+TEST(PrefixDelta, InterdigChainRebuildsEveryStep) {
+  const Chain c = interdigChain(6);
+  const Executed want = execute(c);
+  EXPECT_GT(want.edgeMoves, 0);  // variable edges shrink, arrays rebuild
+  expectEveryRebuiltStepMatches(c, want);
+}
+
+TEST(PrefixDelta, DiffPairChainRebuildsEveryStep) {
+  const Chain c = diffPairChain(4);
+  const Executed want = execute(c);
+  EXPECT_GT(want.autoConnects, 0);  // extensions and merged nets
+  expectEveryRebuiltStepMatches(c, want);
+}
+
+TEST(PrefixDelta, Fig5ChainRebuildsEveryStep) {
+  const Chain c = fig5Chain(4);
+  const Executed want = execute(c);
+  EXPECT_GT(want.autoConnects, 0);  // extensions of plain shapes
+  EXPECT_GT(want.edgeMoves, 0);     // shrinks of plain shapes
+  expectEveryRebuiltStepMatches(c, want);
+}
+
+TEST(PrefixDelta, ScheduleWritesSnapshotsAtPowersOfTwo) {
+  const Chain c = sweepChain(20);  // 21 steps
+  const bool stats = obs::statsEnabled();
+  obs::enableStats(true);
+  const obs::Stats& st = obs::Stats::global();
+  const std::uint64_t snaps0 = st.value("gen.prefix.snapshot_puts");
+  const std::uint64_t deltas0 = st.value("gen.prefix.delta_puts");
+  const std::uint64_t replayed0 = st.value("gen.prefix.replayed_deltas");
+  compact::PrefixCache cache;
+  db::Module m(bicmos1u());
+  runChain(c, cache, c.steps.size(), m);
+  EXPECT_EQ(st.value("gen.prefix.snapshot_puts") - snaps0, 5u);  // 1 2 4 8 16
+  EXPECT_EQ(st.value("gen.prefix.delta_puts") - deltas0, 16u);
+  // A full restore decodes the step-16 snapshot and replays 17..21.
+  EXPECT_EQ(runChain(c, cache, c.steps.size(), m), c.steps.size());
+  EXPECT_EQ(st.value("gen.prefix.replayed_deltas") - replayed0, 5u);
+  obs::enableStats(stats);
+}
+
+/// A disk-only cache holding every entry of `c`, and the entry file of
+/// each step in chain order (found through the headers' parent keys).
+std::vector<std::string> fillDiskChain(const Chain& c, const std::string& dir) {
+  std::filesystem::remove_all(dir);
+  util::BlobStoreConfig cfg;
+  cfg.maxBytes = 1;  // memory tier useless: every read goes to disk
+  cfg.diskDir = dir;
+  compact::PrefixCache cache(cfg);
+  db::Module m(bicmos1u());
+  runChain(c, cache, c.steps.size(), m);
+
+  std::map<std::uint64_t, std::uint64_t> childOf;  // parent -> key
+  std::map<std::uint64_t, std::uint64_t> parentOf;
+  for (const auto& f : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(f.path(), std::ios::binary);
+    const std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                          std::istreambuf_iterator<char>());
+    const auto h = compact::readEntryHeader(bytes);
+    if (!h) continue;
+    childOf[h->parent] = h->key;
+    parentOf[h->key] = h->parent;
+  }
+  std::uint64_t key = 0;
+  for (const auto& [k, parent] : parentOf)
+    if (!parentOf.count(parent)) key = k;  // the first step's entry
+  std::vector<std::string> files;
+  for (;;) {
+    files.push_back(dir + "/" + util::keyHex(key) + ".amgp");
+    const auto next = childOf.find(key);
+    if (next == childOf.end()) break;
+    key = next->second;
+  }
+  return files;
+}
+
+/// Re-run `c` on a fresh disk-only cache over `dir`: the final state must
+/// be the executed one with exactly one step executed.
+void expectOneStepExecutes(const Chain& c, const std::string& dir,
+                           const Executed& want, std::uint64_t wantRejected) {
+  util::BlobStoreConfig cfg;
+  cfg.maxBytes = 1;
+  cfg.diskDir = dir;
+  compact::PrefixCache cache(cfg);
+  db::Module m(bicmos1u());
+  EXPECT_EQ(runChain(c, cache, c.steps.size(), m), c.steps.size() - 1);
+  EXPECT_EQ(io::serializeSessionState(m), want.states.back());
+  EXPECT_EQ(cache.events().rejected, wantRejected);
+}
+
+TEST(PrefixDelta, DroppedEntriesCostOneExecutedStep) {
+  const Chain c = interdigChain(6);  // 13 steps
+  const Executed want = execute(c);
+  const std::string dir = ::testing::TempDir() + "amg_prefix_drop";
+  // Step 6 is a delta, step 8 a snapshot.
+  for (const std::size_t step : {6u, 8u}) {
+    SCOPED_TRACE("dropped step " + std::to_string(step));
+    const std::vector<std::string> files = fillDiskChain(c, dir);
+    ASSERT_EQ(files.size(), c.steps.size());
+    const auto h = [&] {
+      std::ifstream in(files[step - 1], std::ios::binary);
+      return compact::readEntryHeader(std::vector<std::uint8_t>(
+          (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>()));
+    }();
+    ASSERT_TRUE(h);
+    EXPECT_EQ(h->kind, step == 8 ? compact::PrefixEntryHeader::Kind::Snapshot
+                                 : compact::PrefixEntryHeader::Kind::Delta);
+    ASSERT_TRUE(std::filesystem::remove(files[step - 1]));
+    expectOneStepExecutes(c, dir, want, 0);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PrefixDelta, FlippedOrTruncatedEntriesAreRejectedMisses) {
+  const Chain c = interdigChain(6);
+  const Executed want = execute(c);
+  const std::string dir = ::testing::TempDir() + "amg_prefix_corrupt";
+  const bool stats = obs::statsEnabled();
+  obs::enableStats(true);
+  for (const bool truncate : {false, true}) {
+    SCOPED_TRACE(truncate ? "truncated" : "flipped");
+    const std::vector<std::string> files = fillDiskChain(c, dir);
+    ASSERT_EQ(files.size(), c.steps.size());
+    const std::string& victim = files[6];  // step 7, a delta
+    std::vector<std::uint8_t> bytes;
+    {
+      std::ifstream in(victim, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+    if (truncate)
+      bytes.resize(bytes.size() / 2);
+    else
+      bytes[bytes.size() - 3] ^= 0x10;
+    std::ofstream(victim, std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+    const std::uint64_t before = obs::Stats::global().value("gen.prefix.rejected");
+    expectOneStepExecutes(c, dir, want, 1);
+    EXPECT_EQ(obs::Stats::global().value("gen.prefix.rejected") - before, 1u);
+  }
+  obs::enableStats(stats);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PrefixDelta, CorruptEntriesKeepBatchLayoutsByteIdentical) {
+  // The same through the engine's disk tier: a flipped byte in any entry
+  // of a sweep job never changes the layout.
+  const std::vector<gen::Job> jobs = sweepJobs(1, 12);
+  const auto cold = runBatch(jobs, coldConfig());
+  gen::EngineConfig cfg;
+  cfg.prefix.maxBytes = 1;
+  cfg.prefix.diskDir = ::testing::TempDir() + "amg_prefix_batch_corrupt";
+  std::filesystem::remove_all(cfg.prefix.diskDir);
+  EXPECT_EQ(runBatch(jobs, cfg), cold);
+  std::size_t flipped = 0;
+  for (const auto& f : std::filesystem::directory_iterator(cfg.prefix.diskDir)) {
+    std::fstream io(f.path(), std::ios::binary | std::ios::in | std::ios::out);
+    io.seekg(compact::PrefixEntryHeader::kBytes + 8);
+    char b = 0;
+    io.get(b);
+    io.seekp(compact::PrefixEntryHeader::kBytes + 8);
+    io.put(static_cast<char>(b ^ 0x40));
+    ++flipped;
+  }
+  ASSERT_GT(flipped, 0u);
+  gen::BatchReport rep;
+  EXPECT_EQ(runBatch(jobs, cfg, &rep), cold);
+  EXPECT_EQ(rep.prefixRestoredSteps, 0u);
+  std::filesystem::remove_all(cfg.prefix.diskDir);
 }
 
 }  // namespace
