@@ -409,6 +409,11 @@ void Server::wait() {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
 }
 
+std::size_t Server::unjoinedConnections() const {
+  std::lock_guard<std::mutex> lock(connMu_);
+  return connections_.size();
+}
+
 StatsResponse Server::statsSnapshot() {
   StatsResponse s;
   s.version = util::kVersionString;

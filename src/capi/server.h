@@ -73,6 +73,11 @@ class Server {
   bool draining() const { return draining_.load(); }
   const ServerConfig& config() const { return cfg_; }
   StatsResponse statsSnapshot();
+  /// Connection threads not yet joined: the live connections plus those
+  /// that returned since the acceptor last reaped.  Sequential clients
+  /// keep it small; a daemon that never joined would grow it by one per
+  /// connection.
+  std::size_t unjoinedConnections() const;
 
  private:
   struct Pending;
@@ -97,7 +102,7 @@ class Server {
   std::atomic<bool> stopped_{false};
   std::thread acceptor_;
   std::thread dispatcher_;
-  std::mutex connMu_;
+  mutable std::mutex connMu_;
   std::vector<std::thread> connections_;  ///< not yet joined
   /// Connection threads that returned; the acceptor joins them.
   std::vector<std::thread::id> finished_;

@@ -33,15 +33,33 @@ std::vector<Box> fragments(const Box& box, const std::vector<Box>& cutters) {
 
 }  // namespace detail
 
-Connectivity::Connectivity(const Module& m) : m_(&m) {
+/// One module snapshot's extraction, fully resolved: nothing is computed
+/// on query, so concurrent readers share it without synchronisation.
+struct ConnectivityData {
+  std::uint64_t stamp = 0;  ///< Module::stamp() the data was built at
+  /// Nodes are numbered in shape-id order: shape i owns the nodes
+  /// [nodeStart[i], nodeStart[i + 1]) (none when it is not electrical).
+  std::vector<std::uint32_t> nodeStart;
+  std::vector<Box> nodeBox;         ///< node -> its electrical fragment
+  std::vector<int> nodeComp;        ///< node -> component
+  std::vector<int> shapeComp;       ///< shape id -> component, or -1
+  std::vector<std::string> netName; ///< component -> declared net name
+  int componentCount = 0;
+};
+
+namespace {
+
+std::shared_ptr<const ConnectivityData> extract(const Module& m) {
   obs::Span span("db.connectivity");
   span.arg("module", m.name())
       .arg("shapes", static_cast<std::uint64_t>(m.shapeCount()));
   OBS_COUNT("connectivity.builds");
   const tech::Technology& t = m.technology();
+  auto d = std::make_shared<ConnectivityData>();
+  d->stamp = m.stamp();
 
-  // One shape-level index per module snapshot, reused by every geometric
-  // lookup of the build (gate-poly cutters, cut shielding).
+  // One shape-level index for every geometric lookup of the build
+  // (gate-poly cutters, cut shielding).
   const geom::SpatialIndex sidx = buildShapeIndex(m);
   std::vector<std::uint32_t> cand;
 
@@ -56,14 +74,18 @@ Connectivity::Connectivity(const Module& m) : m_(&m) {
   // poly, which contribute one node per un-gated fragment (a MOS device
   // does not short its source to its drain).
   const std::size_t rawN = m.rawSize();
-  nodesOf_.assign(rawN, {});
+  std::vector<ShapeId> nodeShape;
+  d->nodeStart.assign(rawN + 1, 0);
+  std::vector<Box> cutters;
+  std::vector<std::uint32_t> merged;
   for (ShapeId i = 0; i < rawN; ++i) {
+    d->nodeStart[i] = static_cast<std::uint32_t>(d->nodeBox.size());
     if (!detail::isElectrical(m, i)) continue;
     const Shape& s = m.shape(i);
-    std::vector<Box> cutters;
+    cutters.clear();
     if (t.info(s.layer).kind == tech::LayerKind::Diffusion) {
       // Only gate polys near this diffusion, in shape-id order.
-      std::vector<std::uint32_t> merged;
+      merged.clear();
       for (const tech::LayerId pl : polyLayers) {
         sidx.query(pl, s.box, cand);
         merged.insert(merged.end(), cand.begin(), cand.end());
@@ -73,19 +95,28 @@ Connectivity::Connectivity(const Module& m) : m_(&m) {
         if (m.shape(gi).box.overlaps(s.box)) cutters.push_back(m.shape(gi).box);
     }
     for (const Box& p : detail::fragments(s.box, cutters)) {
-      nodesOf_[i].push_back(static_cast<int>(nodes_.size()));
-      nodes_.push_back(Node{i, p});
+      d->nodeBox.push_back(p);
+      nodeShape.push_back(i);
     }
   }
+  const std::size_t nodes = d->nodeBox.size();
+  d->nodeStart[rawN] = static_cast<std::uint32_t>(nodes);
 
-  parent_.resize(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) parent_[i] = static_cast<int>(i);
+  std::vector<int> parent(nodes);
+  for (std::size_t i = 0; i < nodes; ++i) parent[i] = static_cast<int>(i);
+  auto find = [&](int x) {
+    while (parent[static_cast<std::size_t>(x)] != x) {
+      const int up = parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(x)])];
+      x = parent[static_cast<std::size_t>(x)] = up;
+    }
+    return x;
+  };
 
   // Node-level index for the touching-pair sweep (bucket 0: the touch
   // predicate is layer-blind; the join rule sorts out layers).
   geom::SpatialIndex nidx;
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    nidx.insert(static_cast<std::uint32_t>(i), 0, nodes_[i].box);
+  for (std::size_t i = 0; i < nodes; ++i)
+    nidx.insert(static_cast<std::uint32_t>(i), 0, d->nodeBox[i]);
 
   // A shielding shape must contain the cut box, hence touch it.
   auto shieldCandidates = [&](const Box& cutBox) -> const std::vector<std::uint32_t>& {
@@ -93,83 +124,91 @@ Connectivity::Connectivity(const Module& m) : m_(&m) {
     return cand;
   };
   std::vector<std::uint32_t> bCand;
-  for (std::size_t a = 0; a < nodes_.size(); ++a) {
-    nidx.query(nodes_[a].box, bCand);
+  for (std::size_t a = 0; a < nodes; ++a) {
+    nidx.query(d->nodeBox[a], bCand);
     for (const std::uint32_t b : bCand) {
       if (b <= a) continue;
-      if (detail::nodesJoin(m, nodes_[a].shape, nodes_[a].box, nodes_[b].shape,
-                            nodes_[b].box, shieldCandidates))
-        unite(static_cast<int>(a), static_cast<int>(b));
+      if (detail::nodesJoin(m, nodeShape[a], d->nodeBox[a], nodeShape[b], d->nodeBox[b],
+                            shieldCandidates)) {
+        const int ra = find(static_cast<int>(a)), rb = find(static_cast<int>(b));
+        if (ra != rb) parent[static_cast<std::size_t>(rb)] = ra;
+      }
     }
   }
 
-  // Assign dense component indices.
-  compIndex_.assign(nodes_.size(), -1);
-  int next = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const int root = find(static_cast<int>(i));
-    if (compIndex_[static_cast<std::size_t>(root)] == -1)
-      compIndex_[static_cast<std::size_t>(root)] = next++;
+  // Dense component indices in order of first node (= first shape id).
+  std::vector<int> rootComp(nodes, -1);
+  d->nodeComp.resize(nodes);
+  for (std::size_t i = 0; i < nodes; ++i) {
+    int& c = rootComp[static_cast<std::size_t>(find(static_cast<int>(i)))];
+    if (c == -1) c = d->componentCount++;
+    d->nodeComp[i] = c;
   }
-  componentCount_ = next;
+
+  // Per shape: its component unless it has none or spans several; per
+  // component: the net of its first named shape.
+  d->shapeComp.assign(rawN, -1);
+  d->netName.resize(static_cast<std::size_t>(d->componentCount));
+  std::vector<bool> named(static_cast<std::size_t>(d->componentCount), false);
+  for (ShapeId i = 0; i < rawN; ++i) {
+    const std::uint32_t b = d->nodeStart[i], e = d->nodeStart[i + 1];
+    if (b == e) continue;
+    const int c = d->nodeComp[b];
+    bool spans = false;
+    for (std::uint32_t n = b + 1; n < e && !spans; ++n) spans = d->nodeComp[n] != c;
+    if (spans) continue;
+    d->shapeComp[i] = c;
+    const NetId net = m.shape(i).net;
+    if (net != kNoNet && !named[static_cast<std::size_t>(c)]) {
+      d->netName[static_cast<std::size_t>(c)] = m.netName(net);
+      named[static_cast<std::size_t>(c)] = true;
+    }
+  }
+  return d;
 }
 
-int Connectivity::find(int x) const {
-  while (parent_[static_cast<std::size_t>(x)] != x) {
-    parent_[static_cast<std::size_t>(x)] =
-        parent_[static_cast<std::size_t>(parent_[static_cast<std::size_t>(x)])];
-    x = parent_[static_cast<std::size_t>(x)];
+}  // namespace
+
+Connectivity::Connectivity(const Module& m) : d_(m.connectivity_.load()) {
+  if (d_ && d_->stamp == m.stamp()) {
+    OBS_COUNT("connectivity.reused");
+    return;
   }
-  return x;
+  d_ = extract(m);
+  m.connectivity_.store(d_);
 }
 
-void Connectivity::unite(int a, int b) {
-  a = find(a);
-  b = find(b);
-  if (a != b) parent_[static_cast<std::size_t>(b)] = a;
-}
+int Connectivity::componentCount() const { return d_->componentCount; }
 
 bool Connectivity::connected(ShapeId a, ShapeId b) const {
-  if (a >= nodesOf_.size() || b >= nodesOf_.size()) return false;
-  for (const int na : nodesOf_[a])
-    for (const int nb : nodesOf_[b])
-      if (find(na) == find(nb)) return true;
+  if (a >= d_->shapeComp.size() || b >= d_->shapeComp.size()) return false;
+  for (std::uint32_t na = d_->nodeStart[a]; na < d_->nodeStart[a + 1]; ++na)
+    for (std::uint32_t nb = d_->nodeStart[b]; nb < d_->nodeStart[b + 1]; ++nb)
+      if (d_->nodeComp[na] == d_->nodeComp[nb]) return true;
   return false;
 }
 
 int Connectivity::componentOf(ShapeId id) const {
-  if (id >= nodesOf_.size() || nodesOf_[id].empty()) return -1;
-  const int first = compIndex_[static_cast<std::size_t>(find(nodesOf_[id].front()))];
-  for (const int n : nodesOf_[id])
-    if (compIndex_[static_cast<std::size_t>(find(n))] != first)
-      return -1;  // the shape spans several nodes (a gated diffusion)
-  return first;
+  return id < d_->shapeComp.size() ? d_->shapeComp[id] : -1;
 }
 
 int Connectivity::componentAt(ShapeId shape, Point p) const {
-  if (shape >= nodesOf_.size()) return -1;
-  for (const int n : nodesOf_[shape])
-    if (nodes_[static_cast<std::size_t>(n)].box.contains(p))
-      return compIndex_[static_cast<std::size_t>(find(n))];
+  if (shape >= d_->shapeComp.size()) return -1;
+  for (std::uint32_t n = d_->nodeStart[shape]; n < d_->nodeStart[shape + 1]; ++n)
+    if (d_->nodeBox[n].contains(p)) return d_->nodeComp[n];
   return -1;
 }
 
-std::string Connectivity::netNameOf(int comp) const {
-  if (comp < 0) return "";
-  for (ShapeId i = 0; i < nodesOf_.size(); ++i) {
-    if (componentOf(i) != comp) continue;
-    const Shape& s = m_->shape(i);
-    if (s.net != kNoNet) return m_->netName(s.net);
-  }
-  return "";
+const std::string& Connectivity::netNameOf(int comp) const {
+  static const std::string kUnnamed;
+  if (comp < 0 || comp >= d_->componentCount) return kUnnamed;
+  return d_->netName[static_cast<std::size_t>(comp)];
 }
 
 std::vector<std::vector<ShapeId>> Connectivity::components() const {
-  std::vector<std::vector<ShapeId>> out(static_cast<std::size_t>(componentCount_));
-  for (ShapeId i = 0; i < nodesOf_.size(); ++i) {
-    const int c = componentOf(i);
-    if (c >= 0) out[static_cast<std::size_t>(c)].push_back(i);
-  }
+  std::vector<std::vector<ShapeId>> out(static_cast<std::size_t>(d_->componentCount));
+  for (ShapeId i = 0; i < d_->shapeComp.size(); ++i)
+    if (const int c = d_->shapeComp[i]; c >= 0) out[static_cast<std::size_t>(c)].push_back(i);
   return out;
 }
 

@@ -4,8 +4,20 @@
 // auto-connection feature ("the rectangles on the same potential are
 // merged", §2.3): after compaction the declared potentials must agree with
 // the geometrically extracted components.
+//
+// The extraction is a property of a module snapshot.  A module extracts it
+// at most once per Module::stamp(): the first Connectivity built on a
+// snapshot resolves every component and parks the result on the module;
+// every later Connectivity at the same stamp (the DRC's same-net
+// exemption, device extraction, LVS) shares it.  Any mutation changes the
+// stamp, so the next Connectivity rebuilds; a copy of the module starts
+// without the parked result.  Several threads may construct Connectivity
+// on one const module at once; if they race to build, each result is
+// correct and one of them stays parked.
 #pragma once
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "db/module.h"
@@ -26,11 +38,17 @@ bool electricallyTouching(const Box& a, const Box& b);
 /// components (the spanning diffusion of a transistor) reports
 /// componentOf() == -1; connected() answers true when *any* fragments of
 /// the two shapes share a component.
+///
+/// A Connectivity is a cheap handle on the resolved extraction; it stays
+/// valid after the module changes or dies, and answers for the snapshot it
+/// was made from.
 class Connectivity {
  public:
-  /// Extract the components of `m`.  Candidate pairs come from a
-  /// geom::SpatialIndex (a superset-exact prune); the all-pairs oracle the
-  /// tests compare against lives in tests/oracle/.
+  /// The components of `m`: the extraction parked on `m` when its stamp
+  /// matches, otherwise a fresh one (counted by `connectivity.builds`),
+  /// which is then parked.  Candidate pairs come from a geom::SpatialIndex
+  /// (a superset-exact prune); the all-pairs oracle the tests compare
+  /// against lives in tests/oracle/.
   explicit Connectivity(const Module& m);
 
   /// True when any electrical parts of the two shapes share a component.
@@ -38,7 +56,7 @@ class Connectivity {
   /// Component index of a shape; -1 for non-electrical shapes and for
   /// shapes that span several components (gated diffusion).
   int componentOf(ShapeId id) const;
-  int componentCount() const { return componentCount_; }
+  int componentCount() const;
   /// Shapes grouped by component, components ordered by first shape id.
   /// Spanning shapes (componentOf == -1) are not listed.
   std::vector<std::vector<ShapeId>> components() const;
@@ -50,23 +68,10 @@ class Connectivity {
 
   /// The declared net name of a component: the name of the first named
   /// shape whose (unique) component is `comp`; "" when none is named.
-  std::string netNameOf(int comp) const;
+  const std::string& netNameOf(int comp) const;
 
  private:
-  struct Node {
-    ShapeId shape;
-    Box box;
-  };
-
-  int find(int x) const;
-  void unite(int a, int b);
-
-  const Module* m_;
-  std::vector<Node> nodes_;
-  std::vector<std::vector<int>> nodesOf_;  // shape id -> node indices
-  mutable std::vector<int> parent_;
-  int componentCount_ = 0;
-  std::vector<int> compIndex_;
+  std::shared_ptr<const ConnectivityData> d_;
 };
 
 }  // namespace amg::db

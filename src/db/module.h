@@ -18,8 +18,11 @@
 #include "db/shape.h"
 #include "geom/spatial.h"
 #include "geom/transform.h"
+#include "util/thread_annotations.h"
 
 namespace amg::db {
+
+struct ConnectivityData;  // db/connectivity.cpp
 
 namespace detail {
 /// A process-unique module identity: every construction, copy and move
@@ -62,6 +65,40 @@ struct IndexSlot {
   }
   std::unique_ptr<geom::SpatialIndex> idx;
   std::uint64_t stamp = 0;
+};
+
+/// The resolved connectivity of one module snapshot, parked on the module
+/// by db::Connectivity for every later reader at the same stamp (the data
+/// records the stamp it was built at).  Concurrent const readers share the
+/// slot, so a small lock guards the pointer.  Like IndexSlot, a copy
+/// starts empty and a move empties both sides.
+class ConnectivitySlot {
+ public:
+  ConnectivitySlot() = default;
+  ConnectivitySlot(const ConnectivitySlot&) {}
+  ConnectivitySlot& operator=(const ConnectivitySlot&) {
+    store(nullptr);
+    return *this;
+  }
+  ConnectivitySlot(ConnectivitySlot&& o) noexcept { o.store(nullptr); }
+  ConnectivitySlot& operator=(ConnectivitySlot&& o) noexcept {
+    store(nullptr);
+    o.store(nullptr);
+    return *this;
+  }
+  std::shared_ptr<const ConnectivityData> load() const {
+    util::MutexLock lock(mu_);
+    return data_;
+  }
+  /// Parking is not a mutation: the module's stamp is untouched.
+  void store(std::shared_ptr<const ConnectivityData> d) const {
+    util::MutexLock lock(mu_);
+    data_.swap(d);  // the old data is released after the lock
+  }
+
+ private:
+  mutable util::Mutex mu_;
+  mutable std::shared_ptr<const ConnectivityData> data_ AMG_GUARDED_BY(mu_);
 };
 }  // namespace detail
 
@@ -120,7 +157,8 @@ class Module {
   /// stamp) pair never recurs across histories, even when a rolled-back
   /// VARIANT branch or a reused stack slot resurrects an old address.  The
   /// compactor-prefix cache (compact/prefix.h) keys its per-module session
-  /// validity on this.  Non-const accessors count as mutations.
+  /// validity on this, and db::Connectivity its parked extraction.
+  /// Non-const accessors count as mutations.
   std::uint64_t stamp() const { return stamp_.v; }
 
   /// --- compaction index --------------------------------------------------
@@ -229,6 +267,9 @@ class Module {
   std::vector<PortDef> ports_;
   detail::IdentityStamp stamp_;
   detail::IndexSlot index_;
+  // Connectivity reads and parks its extraction here (db/connectivity.h).
+  friend class Connectivity;
+  detail::ConnectivitySlot connectivity_;
 };
 
 /// A geom::SpatialIndex over the alive shapes of `m`, bucketed by layer.

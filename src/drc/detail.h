@@ -1,15 +1,17 @@
 // Internal to the design-rule checker: the exact per-pair and per-cut
-// rule tests that check() (drc.cpp, candidates from geom::SpatialIndex)
-// shares with the all-pairs oracle under tests/oracle/, so the
-// differential tests compare candidate enumeration only.  Not part of the
-// public API.
+// rule tests that check() and extractMos() (drc.cpp and extract.cpp,
+// candidates from geom::SpatialIndex) share with the all-pairs oracles
+// under tests/oracle/, so the differential tests compare candidate
+// enumeration only.  Not part of the public API.
 #pragma once
 
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "db/connectivity.h"
 #include "drc/drc.h"
+#include "drc/extract.h"
 #include "geom/subtract.h"
 
 namespace amg::drc::detail {
@@ -62,6 +64,13 @@ std::optional<Violation> enclosureViolation(const db::Module& m, db::ShapeId id,
                    "cut not enclosed by any connectable layer pair: " +
                        shapeDesc(m, id)};
 }
+
+/// The MOS device where shape `gi` fully crosses shape `di`: `gi` on a
+/// poly layer, `di` on a diffusion layer other than the substrate tie,
+/// the poly spanning the diffusion along one axis.  Its terminal nets are
+/// the components of `conn` on either side of the channel.
+std::optional<ExtractedMos> mosAt(const db::Module& m, const db::Connectivity& conn,
+                                  db::ShapeId gi, db::ShapeId di);
 
 /// The region checks that follow the shape checks: latch-up guards and,
 /// when enabled, n-well enclosure of pdiff.

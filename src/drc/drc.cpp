@@ -77,7 +77,10 @@ void checkSpacings(const Module& m, const geom::SpatialIndex& idx,
                    std::vector<Violation>& out) {
   const Technology& t = m.technology();
   const auto ids = m.shapeIds();
-  // Built lazily: a clean, sparse layout may never need the exemption.
+  // Looked up on first need: only a same-layer pair closer than its rule
+  // asks for the same-net exemption.  The lookup takes the extraction
+  // parked on the module, or builds and parks it for extractMos and lvs
+  // to share (db/connectivity.h).
   std::optional<db::Connectivity> conn;
   auto connected = [&](ShapeId a, ShapeId b) {
     if (!conn) conn.emplace(m);

@@ -6,6 +6,8 @@
 #include <sstream>
 
 #include "db/connectivity.h"
+#include "drc/detail.h"
+#include "geom/spatial.h"
 
 namespace amg::drc {
 namespace {
@@ -18,47 +20,64 @@ using tech::Technology;
 
 }  // namespace
 
+std::optional<ExtractedMos> detail::mosAt(const Module& m, const db::Connectivity& conn,
+                                          ShapeId gi, ShapeId di) {
+  const Technology& t = m.technology();
+  const Shape& gate = m.shape(gi);
+  const Shape& diff = m.shape(di);
+  if (t.info(gate.layer).kind != LayerKind::Poly) return std::nullopt;
+  if (t.info(diff.layer).kind != LayerKind::Diffusion) return std::nullopt;
+  if (diff.layer == t.substrateTieLayer()) return std::nullopt;
+  const Box ch = gate.box.intersect(diff.box);
+  if (ch.empty()) return std::nullopt;
+
+  ExtractedMos dev;
+  Point pa, pb;
+  if (gate.box.y1 <= diff.box.y1 && gate.box.y2 >= diff.box.y2) {
+    // Vertical gate: terminals west/east of the channel.
+    dev.l = ch.width();
+    dev.w = ch.height();
+    pa = Point{ch.x1 - 1, ch.center().y};
+    pb = Point{ch.x2 + 1, ch.center().y};
+  } else if (gate.box.x1 <= diff.box.x1 && gate.box.x2 >= diff.box.x2) {
+    // Horizontal gate: terminals south/north.
+    dev.l = ch.height();
+    dev.w = ch.width();
+    pa = Point{ch.center().x, ch.y1 - 1};
+    pb = Point{ch.center().x, ch.y2 + 1};
+  } else {
+    return std::nullopt;  // partial overlap: no channel is formed
+  }
+  dev.diffLayer = t.info(diff.layer).name;
+  dev.gateNet = gate.net == db::kNoNet ? "" : m.netName(gate.net);
+  dev.sourceNet = conn.netNameOf(conn.componentAt(di, pa));
+  dev.drainNet = conn.netNameOf(conn.componentAt(di, pb));
+  if (dev.sourceNet > dev.drainNet) std::swap(dev.sourceNet, dev.drainNet);
+  return dev;
+}
+
 std::vector<ExtractedMos> extractMos(const db::Module& m) {
   const Technology& t = m.technology();
   const db::Connectivity conn(m);
+  // Channel candidates come from an index over the diffusion shapes a
+  // gate can cross: each gate's query lists them in ascending id order,
+  // so devices come out gate id first, then diffusion id.
+  geom::SpatialIndex diffusions;
+  std::vector<ShapeId> gates;
+  for (const ShapeId id : m.shapeIds()) {
+    const Shape& s = m.shape(id);
+    const LayerKind kind = t.info(s.layer).kind;
+    if (kind == LayerKind::Poly)
+      gates.push_back(id);
+    else if (kind == LayerKind::Diffusion && s.layer != t.substrateTieLayer())
+      diffusions.insert(id, 0, s.box);
+  }
   std::vector<ExtractedMos> out;
-
-  for (ShapeId gi : m.shapeIds()) {
-    const Shape& gate = m.shape(gi);
-    if (t.info(gate.layer).kind != LayerKind::Poly) continue;
-    for (ShapeId di : m.shapeIds()) {
-      const Shape& diff = m.shape(di);
-      if (t.info(diff.layer).kind != LayerKind::Diffusion) continue;
-      if (diff.layer == t.substrateTieLayer()) continue;
-      const Box ch = gate.box.intersect(diff.box);
-      if (ch.empty()) continue;
-
-      ExtractedMos dev;
-      dev.diffLayer = t.info(diff.layer).name;
-      dev.gateNet = gate.net == db::kNoNet ? "" : m.netName(gate.net);
-
-      Point pa, pb;
-      if (gate.box.y1 <= diff.box.y1 && gate.box.y2 >= diff.box.y2) {
-        // Vertical gate: terminals west/east of the channel.
-        dev.l = ch.width();
-        dev.w = ch.height();
-        pa = Point{ch.x1 - 1, ch.center().y};
-        pb = Point{ch.x2 + 1, ch.center().y};
-      } else if (gate.box.x1 <= diff.box.x1 && gate.box.x2 >= diff.box.x2) {
-        // Horizontal gate: terminals south/north.
-        dev.l = ch.height();
-        dev.w = ch.width();
-        pa = Point{ch.center().x, ch.y1 - 1};
-        pb = Point{ch.center().x, ch.y2 + 1};
-      } else {
-        continue;  // partial overlap: no channel is formed
-      }
-
-      dev.sourceNet = conn.netNameOf(conn.componentAt(di, pa));
-      dev.drainNet = conn.netNameOf(conn.componentAt(di, pb));
-      if (dev.sourceNet > dev.drainNet) std::swap(dev.sourceNet, dev.drainNet);
-      out.push_back(std::move(dev));
-    }
+  std::vector<std::uint32_t> cand;
+  for (const ShapeId gi : gates) {
+    diffusions.query(m.shape(gi).box, cand);
+    for (const std::uint32_t di : cand)
+      if (auto dev = detail::mosAt(m, conn, gi, di)) out.push_back(std::move(*dev));
   }
   return out;
 }

@@ -52,6 +52,7 @@ LayerId Technology::addLayer(LayerInfo info) {
   maxSpacing_.push_back(0);
   byName_.emplace(info.name, id);
   layers_.push_back(std::move(info));
+  rebuildCutTable();
   invalidateFingerprint();
   return id;
 }
@@ -98,7 +99,19 @@ void Technology::setCutSize(LayerId cut, Coord w, Coord h) {
 
 void Technology::addCutConnection(LayerId cut, LayerId a, LayerId b) {
   cutConns_.push_back(CutConn{cut, a, b});
+  rebuildCutTable();
   invalidateFingerprint();
+}
+
+void Technology::rebuildCutTable() {
+  std::size_t n = layers_.size();
+  for (const CutConn& c : cutConns_) n = std::max<std::size_t>(n, c.cut + 1u);
+  cutStart_.assign(n + 1, 0);
+  for (const CutConn& c : cutConns_) ++cutStart_[c.cut + 1u];
+  for (std::size_t l = 0; l < n; ++l) cutStart_[l + 1] += cutStart_[l];
+  cutPairs_.resize(cutConns_.size());
+  std::vector<std::uint32_t> fill(cutStart_.begin(), cutStart_.end() - 1);
+  for (const CutConn& c : cutConns_) cutPairs_[fill[c.cut]++] = {c.a, c.b};
 }
 
 LayerId Technology::layer(std::string_view name) const {
@@ -134,16 +147,10 @@ std::pair<Coord, Coord> Technology::cutSize(LayerId cut) const {
 }
 
 bool Technology::cutConnects(LayerId cut, LayerId a, LayerId b) const {
-  return std::any_of(cutConns_.begin(), cutConns_.end(), [&](const CutConn& c) {
-    return c.cut == cut && ((c.a == a && c.b == b) || (c.a == b && c.b == a));
+  const auto pairs = cutConnections(cut);
+  return std::any_of(pairs.begin(), pairs.end(), [&](const auto& p) {
+    return (p.first == a && p.second == b) || (p.first == b && p.second == a);
   });
-}
-
-std::vector<std::pair<LayerId, LayerId>> Technology::cutConnections(LayerId cut) const {
-  std::vector<std::pair<LayerId, LayerId>> out;
-  for (const CutConn& c : cutConns_)
-    if (c.cut == cut) out.emplace_back(c.a, c.b);
-  return out;
 }
 
 std::vector<LayerId> Technology::cutsBetween(LayerId a, LayerId b) const {

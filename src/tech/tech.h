@@ -10,6 +10,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -52,11 +53,12 @@ struct LayerInfo {
 ///
 /// The rules live in flat tables: one cell per (layer, layer) pair for
 /// spacing, enclosure and extension, one per layer for width, cut size and
-/// spacing halo.  Every query is one load, so the compactor's innermost loop
-/// asks the Technology directly.  The inline queries take ids below
-/// layerCount(); the setters, minWidth() and cutSize() check theirs.  A
-/// finished Technology is read lock-free by every worker of the parallel
-/// optimizer: nothing may mutate it after it is shared.
+/// spacing halo, and the cut-connection pairs grouped per cut.  Every query
+/// is one load (or one span), so the compactor's innermost loop and the
+/// connectivity extractor ask the Technology directly.  The inline queries
+/// take ids below layerCount(); the setters, minWidth() and cutSize() check
+/// theirs.  A finished Technology is read lock-free by every worker of the
+/// parallel optimizer: nothing may mutate it after it is shared.
 ///
 /// Rule queries follow the conventions:
 ///  * minSpacing(a, b): minimum separation between shapes on a and b that
@@ -138,8 +140,12 @@ class Technology {
   }
   /// True when `cut` connects `a` and `b` (order-insensitive).
   bool cutConnects(LayerId cut, LayerId a, LayerId b) const;
-  /// All (a, b) pairs connected by `cut`.
-  std::vector<std::pair<LayerId, LayerId>> cutConnections(LayerId cut) const;
+  /// All (a, b) pairs connected by `cut`, in declaration order: a view of
+  /// the per-cut table, valid until the next addLayer/addCutConnection.
+  std::span<const std::pair<LayerId, LayerId>> cutConnections(LayerId cut) const {
+    if (static_cast<std::size_t>(cut) + 1 >= cutStart_.size()) return {};
+    return {cutPairs_.data() + cutStart_[cut], cutPairs_.data() + cutStart_[cut + 1]};
+  }
   /// All cut layers that can connect `a` and `b` directly.
   std::vector<LayerId> cutsBetween(LayerId a, LayerId b) const;
 
@@ -187,7 +193,12 @@ class Technology {
   struct CutConn {
     LayerId cut, a, b;
   };
-  std::vector<CutConn> cutConns_;
+  std::vector<CutConn> cutConns_;  // declaration order
+  // cutConns_ grouped by cut: the pairs of cut c are
+  // cutPairs_[cutStart_[c], cutStart_[c + 1]).
+  std::vector<std::pair<LayerId, LayerId>> cutPairs_;
+  std::vector<std::uint32_t> cutStart_;
+  void rebuildCutTable();
   Coord latchUpRadius_ = 0;
   LayerId guardLayer_ = kNoLayer;
   LayerId tieLayer_ = kNoLayer;

@@ -1,8 +1,13 @@
-// Tests for the layout database: Module, nets, merge, connectivity.
+// Tests for the layout database: Module, nets, merge, connectivity and its
+// per-snapshot memo.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <thread>
 
 #include "db/connectivity.h"
 #include "db/module.h"
+#include "obs/obs.h"
 #include "tech/builtin.h"
 
 namespace amg::db {
@@ -173,6 +178,165 @@ TEST(Connectivity, ElectricallyTouchingEdgeCases) {
   EXPECT_TRUE(electricallyTouching(Box{0, 0, 10, 10}, Box{10, 2, 20, 8}));
   EXPECT_FALSE(electricallyTouching(Box{0, 0, 10, 10}, Box{10, 10, 20, 20}));
   EXPECT_FALSE(electricallyTouching(Box{0, 0, 10, 10}, Box{11, 0, 20, 10}));
+}
+
+// ---------------------------------------------------------------------------
+// Connectivity memo: one extraction per module snapshot
+// ---------------------------------------------------------------------------
+
+/// Counts `connectivity.builds` / `.reused` from construction on, with
+/// statistics switched on for its lifetime.
+class ConnectivityCounts {
+ public:
+  ConnectivityCounts() : wasOn_(obs::statsEnabled()) {
+    obs::enableStats(true);
+    builds0_ = obs::Stats::global().value("connectivity.builds");
+    reused0_ = obs::Stats::global().value("connectivity.reused");
+  }
+  ~ConnectivityCounts() { obs::enableStats(wasOn_); }
+  ConnectivityCounts(const ConnectivityCounts&) = delete;
+  ConnectivityCounts& operator=(const ConnectivityCounts&) = delete;
+  std::uint64_t builds() const {
+    return obs::Stats::global().value("connectivity.builds") - builds0_;
+  }
+  std::uint64_t reused() const {
+    return obs::Stats::global().value("connectivity.reused") - reused0_;
+  }
+
+ private:
+  bool wasOn_;
+  std::uint64_t builds0_, reused0_;
+};
+
+/// Metal rails joined by a contact to poly, a gated diffusion and a loose
+/// metal2 shape: several components, named and anonymous.
+Module memoModule() {
+  Module m = makeModule("memo");
+  const auto& t = bicmos1u();
+  m.addShape(makeShape(Box{0, 0, 10000, 2000}, t.layer("metal1"), m.net("a")));
+  m.addShape(makeShape(Box{10000, 0, 20000, 2000}, t.layer("metal1")));
+  m.addShape(makeShape(Box{0, 10000, 30000, 20000}, t.layer("pdiff"), m.net("sd")));
+  m.addShape(makeShape(Box{14000, 8000, 16000, 22000}, t.layer("poly"), m.net("g")));
+  m.addShape(makeShape(Box{14200, 500, 15200, 1500}, t.layer("contact")));
+  m.addShape(makeShape(Box{14000, 0, 16000, 8000}, t.layer("poly")));
+  m.addShape(makeShape(Box{40000, 0, 45000, 5000}, t.layer("metal2"), m.net("b")));
+  return m;
+}
+
+/// Everything a Connectivity answers about `m`, as comparable values.
+struct Answers {
+  std::vector<std::vector<ShapeId>> components;
+  std::vector<std::string> names;
+  bool operator==(const Answers&) const = default;
+};
+
+Answers answersOf(const Connectivity& c) {
+  Answers a{c.components(), {}};
+  for (int i = 0; i < c.componentCount(); ++i) a.names.push_back(c.netNameOf(i));
+  return a;
+}
+
+/// The answers of a fresh extraction: a copy carries no parked result.
+Answers freshAnswers(const Module& m) {
+  const Module copy = m;
+  return answersOf(Connectivity(copy));
+}
+
+TEST(ConnectivityMemo, OneBuildPerSnapshot) {
+  const Module m = memoModule();
+  ConnectivityCounts n;
+  const Connectivity first(m);
+  const Connectivity second(m);
+  EXPECT_EQ(n.builds(), 1u);
+  EXPECT_EQ(n.reused(), 1u);
+  EXPECT_EQ(answersOf(first), answersOf(second));
+  EXPECT_EQ(first.componentCount(), 4);  // a+rail+poly, sd left, sd right, b
+  EXPECT_EQ(first.netNameOf(first.componentOf(0)), "a");
+  EXPECT_EQ(first.componentOf(2), -1);  // the gated diffusion spans two
+  EXPECT_EQ(first.netNameOf(first.componentAt(2, Point{1000, 15000})), "");
+  EXPECT_EQ(first.netNameOf(-1), "");
+}
+
+TEST(ConnectivityMemo, EveryMutatorForcesARebuild) {
+  const auto& t = bicmos1u();
+  const Module other = memoModule();
+  const std::vector<std::pair<const char*, std::function<void(Module&)>>> mutators = {
+      {"addShape",
+       [&](Module& m) {
+         m.addShape(makeShape(Box{45000, 0, 50000, 5000}, t.layer("metal2")));
+       }},
+      {"shape()", [](Module& m) { m.shape(1).box = Box{10000, 0, 12000, 2000}; }},
+      {"shape() unchanged", [](Module& m) { (void)m.shape(1); }},
+      {"removeShape", [](Module& m) { m.removeShape(1); }},
+      {"moveNet", [](Module& m) { m.moveNet(*m.findNet("b"), *m.findNet("a")); }},
+      {"translate", [](Module& m) { m.translate(100, -100); }},
+      {"merge", [&](Module& m) { m.merge(other, geom::Transform::translate(0, 50000)); }},
+  };
+  for (const auto& [name, mutate] : mutators) {
+    Module m = memoModule();
+    ConnectivityCounts n;
+    const Connectivity before(m);
+    const Answers old = answersOf(before);
+    mutate(m);
+    const Connectivity after(m);
+    EXPECT_EQ(n.builds(), 2u) << name;
+    EXPECT_EQ(n.reused(), 0u) << name;
+    EXPECT_EQ(answersOf(after), freshAnswers(m)) << name;
+    // A handle answers for the snapshot it was made from.
+    EXPECT_EQ(answersOf(before), old) << name;
+  }
+}
+
+TEST(ConnectivityMemo, CopiesStartEmptyAndMovesEmptyBothSides) {
+  Module m = memoModule();
+  const Answers want = freshAnswers(m);
+  ConnectivityCounts n;
+  (void)Connectivity(m);
+  Module copy = m;
+  EXPECT_EQ(answersOf(Connectivity(copy)), want);
+  EXPECT_EQ(n.builds(), 2u);  // the copy extracts its own
+  (void)Connectivity(m);
+  EXPECT_EQ(n.builds(), 2u);  // the unchanged source kept its result
+  Module assigned = makeModule();
+  assigned = m;
+  (void)Connectivity(assigned);
+  EXPECT_EQ(n.builds(), 3u);
+
+  Module moved = std::move(m);
+  EXPECT_EQ(answersOf(Connectivity(moved)), want);
+  EXPECT_EQ(n.builds(), 4u);
+  Module moveAssigned = makeModule();
+  moveAssigned = std::move(moved);
+  EXPECT_EQ(answersOf(Connectivity(moveAssigned)), want);
+  EXPECT_EQ(n.builds(), 5u);
+}
+
+TEST(ConnectivityMemo, HandleOutlivesItsModule) {
+  auto m = std::make_unique<Module>(memoModule());
+  const Connectivity conn(*m);
+  const Answers want = answersOf(conn);
+  m.reset();
+  EXPECT_EQ(answersOf(conn), want);
+}
+
+TEST(ConnectivityMemo, ConcurrentConstReadersShareOneModule) {
+  const Module m = memoModule();
+  const Answers want = freshAnswers(m);
+  ConnectivityCounts n;
+  std::vector<std::thread> readers;
+  std::vector<int> mismatches(4, 0);
+  for (std::size_t r = 0; r < mismatches.size(); ++r)
+    readers.emplace_back([&m, &want, &bad = mismatches[r]] {
+      for (int i = 0; i < 50; ++i)
+        if (answersOf(Connectivity(m)) != want) ++bad;
+    });
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(mismatches, std::vector<int>(4, 0));
+  // Threads racing on the empty slot may each build; every other
+  // construction takes a parked result.
+  EXPECT_GE(n.builds(), 1u);
+  EXPECT_LE(n.builds(), 4u);
+  EXPECT_EQ(n.builds() + n.reused(), 200u);
 }
 
 }  // namespace

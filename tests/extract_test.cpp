@@ -2,11 +2,15 @@
 #include <gtest/gtest.h>
 
 #include "amp/amplifier.h"
+#include "db/connectivity.h"
+#include "drc/drc.h"
 #include "drc/extract.h"
 #include "modules/basic.h"
 #include "modules/centroid.h"
 #include "modules/interdigitated.h"
+#include "obs/obs.h"
 #include "opt/optimizer.h"
+#include "oracle/spatial.h"
 #include "tech/builtin.h"
 
 namespace amg::drc {
@@ -147,6 +151,101 @@ TEST(Extract, OptimizedModuleKeepsTopology) {
   const auto devs = extractMos(res.best);
   ASSERT_EQ(devs.size(), 1u);
   EXPECT_EQ(devs[0].gateNet, "g");
+}
+
+// ---------------------------------------------------------------------------
+// Sign-off shares one connectivity per module snapshot
+// ---------------------------------------------------------------------------
+
+TEST(SignOff, OneConnectivityBuildPerAmplifier) {
+  amp::AmplifierSpec spec;
+  spec.ePairs = 2;
+  const amp::AmplifierResult res = amp::buildAmplifier(T(), spec);
+  const db::Module& m = res.layout;
+  const bool wasOn = obs::statsEnabled();
+  obs::enableStats(true);
+  const obs::Stats& st = obs::Stats::global();
+  const std::uint64_t builds0 = st.value("connectivity.builds");
+  const std::uint64_t reused0 = st.value("connectivity.reused");
+
+  EXPECT_TRUE(check(m).empty());
+  EXPECT_TRUE(uncoveredActive(m).empty());
+  const db::Connectivity conn(m);
+  EXPECT_GT(conn.componentCount(), 0);
+  const std::vector<ExtractedMos> devs = extractMos(m);
+  std::vector<NetlistMos> netlist;
+  for (const ExtractedMos& d : devs) netlist.push_back({d.gateNet, d.sourceNet, d.drainNet});
+  EXPECT_TRUE(lvs(m, netlist).matched);
+
+  EXPECT_EQ(st.value("connectivity.builds") - builds0, 1u);
+  EXPECT_GE(st.value("connectivity.reused") - reused0, 3u);  // conn, extractMos, lvs
+  obs::enableStats(wasOn);
+}
+
+/// The amplifier and the gallery modules the sign-off runs on.
+std::vector<std::pair<std::string, db::Module>> signOffModules() {
+  std::vector<std::pair<std::string, db::Module>> out;
+  out.emplace_back("amplifier", amp::buildAmplifier(T()).layout);
+  out.emplace_back("moduleE", amp::buildModuleE(T()));
+  modules::MosSpec mos;
+  mos.w = um(10);
+  mos.l = um(2);
+  out.emplace_back("mos", modules::mosTransistor(T(), mos));
+  modules::DiffPairSpec dp;
+  dp.w = um(10);
+  dp.l = um(2);
+  out.emplace_back("diffPair", modules::diffPair(T(), dp));
+  modules::InterdigSpec id;
+  id.w = um(12);
+  id.l = um(1);
+  id.fingers = 4;
+  out.emplace_back("interdig", modules::interdigitatedMos(T(), id));
+  modules::MirrorSpec mir;
+  mir.w = um(15);
+  mir.l = um(2);
+  out.emplace_back("mirror", modules::currentMirror(T(), mir));
+  modules::CentroidSpec cen;
+  cen.w = um(12);
+  cen.l = um(1);
+  out.emplace_back("centroid", modules::centroidDiffPair(T(), cen));
+  return out;
+}
+
+TEST(SignOff, ConnectivityEqualsBruteForce) {
+  for (const auto& [name, m] : signOffModules()) {
+    const db::Connectivity ci(m);
+    const oracle::BruteConnectivity cb(m);
+    ASSERT_EQ(ci.componentCount(), cb.componentCount()) << name;
+    EXPECT_EQ(ci.components(), cb.components()) << name;
+    for (int c = 0; c < ci.componentCount(); ++c)
+      EXPECT_EQ(ci.netNameOf(c), cb.netNameOf(c)) << name << " component " << c;
+    // Probe each shape at its centre and just inside each side: on a gated
+    // diffusion these land on the fragments either side of a channel.
+    for (const db::ShapeId id : m.shapeIds()) {
+      const Box& b = m.shape(id).box;
+      const Point c = b.center();
+      for (const Point p : {c, Point{b.x1 + 1, c.y}, Point{b.x2 - 1, c.y},
+                            Point{c.x, b.y1 + 1}, Point{c.x, b.y2 - 1}})
+        EXPECT_EQ(ci.componentAt(id, p), cb.componentAt(id, p)) << name << " shape " << id;
+    }
+  }
+}
+
+TEST(SignOff, DevicesEqualBruteForce) {
+  for (const auto& [name, m] : signOffModules()) {
+    const std::vector<ExtractedMos> fast = extractMos(m);
+    const std::vector<ExtractedMos> brute = oracle::bruteExtractMos(m);
+    ASSERT_EQ(fast.size(), brute.size()) << name;
+    EXPECT_FALSE(fast.empty()) << name;
+    for (std::size_t i = 0; i < fast.size(); ++i) {
+      EXPECT_EQ(fast[i].gateNet, brute[i].gateNet) << name << " #" << i;
+      EXPECT_EQ(fast[i].sourceNet, brute[i].sourceNet) << name << " #" << i;
+      EXPECT_EQ(fast[i].drainNet, brute[i].drainNet) << name << " #" << i;
+      EXPECT_EQ(fast[i].diffLayer, brute[i].diffLayer) << name << " #" << i;
+      EXPECT_EQ(fast[i].w, brute[i].w) << name << " #" << i;
+      EXPECT_EQ(fast[i].l, brute[i].l) << name << " #" << i;
+    }
+  }
 }
 
 }  // namespace

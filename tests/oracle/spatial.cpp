@@ -80,11 +80,21 @@ std::vector<drc::Violation> bruteCheck(const Module& m, const drc::CheckOptions&
   return out;
 }
 
+std::vector<drc::ExtractedMos> bruteExtractMos(const Module& m) {
+  const db::Connectivity conn(m);
+  const std::vector<ShapeId> ids = m.shapeIds();
+  std::vector<drc::ExtractedMos> out;
+  for (const ShapeId gi : ids)
+    for (const ShapeId di : ids)
+      if (auto dev = drc::detail::mosAt(m, conn, gi, di)) out.push_back(std::move(*dev));
+  return out;
+}
+
 // --------------------------------------------------------------------------
 // Connectivity
 // --------------------------------------------------------------------------
 
-BruteConnectivity::BruteConnectivity(const Module& m) {
+BruteConnectivity::BruteConnectivity(const Module& m) : m_(&m) {
   const tech::Technology& t = m.technology();
   const std::vector<ShapeId> all = m.shapeIds();
   std::vector<Box> gatePoly;
@@ -136,6 +146,8 @@ BruteConnectivity::BruteConnectivity(const Module& m) {
       }
   }
 
+  for (const Node& n : nodes) nodeBox_.push_back(n.box);
+
   // Dense component indices in order of first node.
   std::vector<int> rootComp(nodes.size(), -1);
   nodeComp_.resize(nodes.size());
@@ -159,6 +171,22 @@ std::vector<std::vector<ShapeId>> BruteConnectivity::components() const {
   for (ShapeId i = 0; i < nodesOf_.size(); ++i)
     if (const int c = componentOf(i); c >= 0) out[static_cast<std::size_t>(c)].push_back(i);
   return out;
+}
+
+int BruteConnectivity::componentAt(ShapeId shape, Point p) const {
+  if (shape >= nodesOf_.size()) return -1;
+  for (const int n : nodesOf_[shape])
+    if (nodeBox_[static_cast<std::size_t>(n)].contains(p))
+      return nodeComp_[static_cast<std::size_t>(n)];
+  return -1;
+}
+
+std::string BruteConnectivity::netNameOf(int comp) const {
+  if (comp < 0) return "";
+  for (ShapeId i = 0; i < nodesOf_.size(); ++i)
+    if (componentOf(i) == comp && m_->shape(i).net != db::kNoNet)
+      return m_->netName(m_->shape(i).net);
+  return "";
 }
 
 // --------------------------------------------------------------------------

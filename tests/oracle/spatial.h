@@ -2,10 +2,10 @@
 // replaced.
 //
 // Production enumerates candidate shape pairs through geom::SpatialIndex
-// in the compactor, the DRC, the connectivity extractor and the router's
-// obstacle lookup.  Each function here answers the same question by
-// scanning every pair (or every shape), applying the exact predicates the
-// production code uses (drc/detail.h, db/connectivity_detail.h,
+// in the compactor, the DRC, the connectivity and device extractors and
+// the router's obstacle lookup.  Each function here answers the same
+// question by scanning every pair (or every shape), applying the exact
+// predicates the production code uses (drc/detail.h, db/connectivity_detail.h,
 // route::conflicts; the compactor runs its own step driver with a
 // candidate source that lists every shape, compact/detail.h), so
 // tests/spatial_test.cpp and bench_spatial can demand identical results —
@@ -13,10 +13,12 @@
 #pragma once
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "compact/compactor.h"
 #include "drc/drc.h"
+#include "drc/extract.h"
 
 namespace amg::oracle {
 
@@ -29,6 +31,10 @@ compact::Result bruteCompact(db::Module& target, const db::Module& obj, Dir dir,
 std::vector<drc::Violation> bruteCheck(const db::Module& m,
                                        const drc::CheckOptions& options = {});
 
+/// drc::extractMos() with every poly x diffusion shape pair a channel
+/// candidate, in gate-id-then-diffusion-id order.
+std::vector<drc::ExtractedMos> bruteExtractMos(const db::Module& m);
+
 /// db::Connectivity's component partition, built by testing every node pair.
 class BruteConnectivity {
  public:
@@ -40,9 +46,17 @@ class BruteConnectivity {
   int componentOf(db::ShapeId id) const;
   /// As db::Connectivity::components: components ordered by first shape.
   std::vector<std::vector<db::ShapeId>> components() const;
+  /// As db::Connectivity::componentAt: the first fragment of `shape`
+  /// containing `p`.
+  int componentAt(db::ShapeId shape, Point p) const;
+  /// As db::Connectivity::netNameOf, by scanning every shape of the module
+  /// (which must outlive this object).
+  std::string netNameOf(int comp) const;
 
  private:
+  const db::Module* m_;
   std::vector<std::vector<int>> nodesOf_;  ///< shape id -> node indices
+  std::vector<Box> nodeBox_;               ///< node -> fragment
   std::vector<int> nodeComp_;              ///< node -> dense component index
   int componentCount_ = 0;
 };

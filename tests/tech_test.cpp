@@ -150,6 +150,34 @@ TEST(Technology, GoldenRuleAnswers) {
   }
 }
 
+TEST(Technology, CutConnectionsPerCutInDeclarationOrder) {
+  using Pairs = std::vector<std::pair<LayerId, LayerId>>;
+  auto pairsOf = [](const Technology& t, LayerId cut) {
+    const auto span = t.cutConnections(cut);
+    return Pairs(span.begin(), span.end());
+  };
+  Technology t("toy");
+  const LayerId a = t.addLayer({"a", LayerKind::Metal, 1, "#000", "solid", true});
+  const LayerId cut1 = t.addLayer({"c1", LayerKind::Cut, 2, "#000", "solid", true});
+  const LayerId b = t.addLayer({"b", LayerKind::Metal, 3, "#000", "solid", true});
+  const LayerId cut2 = t.addLayer({"c2", LayerKind::Cut, 4, "#000", "solid", true});
+  // Declared interleaved across the cuts: each cut keeps its own order.
+  t.addCutConnection(cut2, b, a);
+  t.addCutConnection(cut1, a, b);
+  t.addCutConnection(cut2, a, cut1);
+  EXPECT_EQ(pairsOf(t, cut1), (Pairs{{a, b}}));
+  EXPECT_EQ(pairsOf(t, cut2), (Pairs{{b, a}, {a, cut1}}));
+  EXPECT_TRUE(pairsOf(t, a).empty());
+  EXPECT_TRUE(pairsOf(t, 99).empty()) << "an id outside the deck joins nothing";
+  EXPECT_TRUE(t.cutConnects(cut2, cut1, a));
+  EXPECT_FALSE(t.cutConnects(cut1, a, cut1));
+  // A layer added later leaves the table intact.
+  const LayerId c = t.addLayer({"c", LayerKind::Metal, 5, "#000", "solid", true});
+  EXPECT_EQ(pairsOf(t, cut2), (Pairs{{b, a}, {a, cut1}}));
+  EXPECT_TRUE(pairsOf(t, c).empty());
+  EXPECT_EQ(t.cutsBetween(a, b), (std::vector<LayerId>{cut2, cut1}));
+}
+
 TEST(Technology, MutationOfEveryRuleKind) {
   Technology t("toy");
   const LayerId m1 = t.addLayer({"m1", LayerKind::Metal, 1, "#000", "solid", true});
