@@ -1,21 +1,26 @@
-// E14: generation-as-a-service — the resident amg_serve daemon against
-// cold batch_runner process launches.
+// E14: what the resident amg_serve daemon adds to a warm generation.
 //
 // The workload is a 20-job parameter sweep whose entities compact a
-// 140-step shared column (the bench_batch shape, scaled for wall-clock
-// signal).  Both contenders run the *real binaries* end to end:
+// 140-step shared column (the bench_batch shape).  Two warm contenders
+// run it, alternating for kRounds rounds:
 //
-//   * cold    -> spawn `batch_runner <manifest>`: process launch, deck
-//     construction, full cold generation.  Every iteration pays it all
-//     again — the pre-daemon workflow.
-//   * served  -> spawn `batch_runner --connect <sock> <manifest>` against
-//     a warm amg_serve: process launch + wire round-trip; the layouts
-//     come from the daemon's resident caches.
+//   * served     -> a serve::Client in this process sends the manifest as
+//     one GENERATE frame to a spawned, already warm amg_serve (the launch
+//     is not timed): frame encode/decode, the dispatcher, the engine's
+//     cache hits and the layouts' serialization;
+//   * in-process -> a warm gen::BatchEngine in this process runs the same
+//     jobs: the cache hits alone.
+//
+// Both record their runs to an AMGT trace, so the two sides do the same
+// engine work.  Each side's median ms per job over the rounds gives the
+// overhead factor served / in-process: what the daemon's request path
+// costs per job.  A cold `batch_runner <manifest>` process launch is
+// timed too, as information only (cold_ms).
 //
 // Gates (non-zero exit on failure, BENCH_serve.json for the CI trend):
-//   * served layouts byte-identical to an in-process gen::BatchEngine run
-//     of the same manifest;
-//   * warm served round-trip >= 10x faster than the cold process launch;
+//   * served layouts byte-identical to a cold in-process gen::BatchEngine
+//     run of the same manifest;
+//   * overhead factor <= kMaxOverhead;
 //   * the daemon's --record AMGT trace replays divergence-free and its
 //     per-request outcomes match a batch_runner --record trace of the
 //     same manifest (outcome digests ignore cache context by design).
@@ -23,6 +28,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -43,7 +49,23 @@ using namespace amg;
 
 namespace {
 
-constexpr int kIterations = 5;
+constexpr int kColdRuns = 5;
+/// Alternating served / in-process rounds; each side reports its median.
+constexpr int kRounds = 31;
+/// Bound on served / in-process ms per job (EXPERIMENTS.md E14 has the
+/// runs it was set from).
+constexpr double kMaxOverhead = 4.5;
+
+using Clock = std::chrono::steady_clock;
+
+double msSince(Clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v.empty() ? 0 : v[v.size() / 2];
+}
 
 const char* kSweepLib = R"(
 ENT Cell(<W>, <L>)
@@ -66,6 +88,7 @@ struct Workbench {
   std::string sock;
   std::string servedTrace;
   std::string coldTrace;
+  std::string inprocTrace;
 };
 
 Workbench makeWorkbench() {
@@ -87,6 +110,7 @@ Workbench makeWorkbench() {
   w.sock = "/tmp/amg-bench-" + std::to_string(::getpid()) + ".sock";
   w.servedTrace = (w.dir / "served.amgt").string();
   w.coldTrace = (w.dir / "cold.amgt").string();
+  w.inprocTrace = (w.dir / "inproc.amgt").string();
   return w;
 }
 
@@ -150,67 +174,73 @@ bool reportE14() {
   const std::string amgServe = AMG_SERVE_BIN;
 
   const gen::Manifest manifest = gen::loadManifest(wb.manifest);
+  const double jobs = static_cast<double>(manifest.jobs.size());
   std::printf(
-      "=== E14: resident daemon vs cold process launch (%zu-job sweep, "
+      "=== E14: what the daemon adds to a warm generation (%zu-job sweep, "
       "140-step shared prefix) ===\n\n",
       manifest.jobs.size());
 
-  // Cold contender: full batch_runner process per iteration (plus one
-  // recording pass for the trace-equality gate — not timed).
+  // Cold process launches, information only (plus one recording pass for
+  // the trace-equality gate, not timed).
   double coldMs = 0;
   bool coldOk = true;
-  for (int i = 0; i < kIterations; ++i) {
+  for (int i = 0; i < kColdRuns; ++i) {
     const double ms = runProcess({batchRunner, wb.manifest});
     if (ms < 0) coldOk = false;
-    coldMs += ms / kIterations;
+    coldMs += ms / kColdRuns;
   }
   coldOk = coldOk &&
            runProcess({batchRunner, "--record", wb.coldTrace, wb.manifest}) >= 0;
 
-  // Served contender: one resident daemon, warmed by a fill pass, then
-  // the same client binary per iteration in --connect mode.
+  // One resident daemon, warmed by a batch_runner --connect fill pass.
   const pid_t daemon = spawnDaemon(
       {amgServe, "--socket", wb.sock, "--record", wb.servedTrace});
   bool servedOk = waitForDaemon(wb.sock);
   if (servedOk)  // fill pass: the daemon generates once, cold (not timed)
     servedOk = runProcess({batchRunner, "--connect", wb.sock, wb.manifest}) >= 0;
-  double servedMs = 0;
-  for (int i = 0; servedOk && i < kIterations; ++i) {
-    const double ms =
-        runProcess({batchRunner, "--connect", wb.sock, wb.manifest});
-    if (ms < 0) servedOk = false;
-    servedMs += ms / kIterations;
-  }
 
-  // Byte-identity: fetch the served layouts over the wire and compare
-  // against an in-process engine run of the same manifest.
+  // The in-process contender, warmed by one cold run whose layouts are the
+  // byte-identity reference.
+  gen::BatchEngine local(tech::bicmos1u(), {});
+  gen::EngineRecorder localTrace(wb.inprocTrace, "bench_serve", "bicmos1u",
+                                 local);
+  const gen::BatchReport cold = local.run(manifest.jobs);
+  localTrace.append(manifest.jobs, cold);
+
+  std::vector<double> servedPerJob, inprocPerJob;
   bool byteIdentical = false;
   if (servedOk) {
     try {
       serve::Client client(wb.sock);
       serve::GenerateRequest req;
-      for (const gen::Job& j : manifest.jobs) {
-        serve::WireJob wj;
-        wj.name = j.name;
-        wj.scriptPath = j.scriptPath;
-        wj.script = j.script;
-        wj.entity = j.entity;
-        wj.resultVar = j.resultVar;
-        wj.params = j.params;
-        req.jobs.push_back(std::move(wj));
+      req.jobs = manifest.jobs;
+      serve::GenerateResponse resp;
+      for (int round = 0; round < kRounds; ++round) {
+        // Alternate which side goes first, so neither always runs on the
+        // caches (and CPU state) the other just left.
+        for (int side = 0; side < 2; ++side) {
+          if ((side == 0) == (round % 2 == 0)) {
+            const Clock::time_point t0 = Clock::now();
+            resp = client.generate(req);
+            servedPerJob.push_back(msSince(t0) / jobs);
+          } else {
+            const Clock::time_point t0 = Clock::now();
+            const gen::BatchReport warm = local.run(manifest.jobs);
+            localTrace.append(manifest.jobs, warm);
+            inprocPerJob.push_back(msSince(t0) / jobs);
+          }
+        }
       }
-      const serve::GenerateResponse resp = client.generate(req);
-      gen::BatchEngine local(tech::bicmos1u(), {});
-      const gen::BatchReport direct = local.run(manifest.jobs);
       byteIdentical = resp.errorCode.empty() &&
-                      resp.results.size() == direct.jobs.size() &&
-                      direct.failed == 0;
-      for (std::size_t i = 0; byteIdentical && i < direct.jobs.size(); ++i)
+                      resp.results.size() == cold.jobs.size() &&
+                      cold.failed == 0;
+      for (std::size_t i = 0; byteIdentical && i < cold.jobs.size(); ++i)
         byteIdentical = resp.results[i].layout ==
-                        io::serializeLayout(*direct.jobs[i].layout);
+                        io::serializeLayout(*cold.jobs[i].layout);
       client.shutdown();  // graceful drain closes the recording
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "byte-identity gate error: %s\n", e.what());
+      std::fprintf(stderr, "served rounds error: %s\n", e.what());
+      servedOk = false;
     }
   }
   if (daemon > 0) {
@@ -220,32 +250,39 @@ bool reportE14() {
   }
 
   // Trace gates: the served recording replays divergence-free, and its
-  // first pass matches the cold batch_runner recording outcome-for-
-  // outcome (digests ignore cacheHit/wallMs context by design).
+  // fill pass matches the cold batch_runner recording outcome-for-outcome
+  // (digests ignore cacheHit/wallMs context by design).
   bool replayClean = false, traceMatch = false;
   std::size_t servedRecords = 0;
   try {
     obs::TraceFile served = obs::readTraceFile(wb.servedTrace);
-    const obs::TraceFile cold = obs::readTraceFile(wb.coldTrace);
+    const obs::TraceFile coldTrace = obs::readTraceFile(wb.coldTrace);
     servedRecords = served.requests.size();
     replayClean = gen::replayTrace(served, tech::bicmos1u(), {}).clean();
-    if (served.requests.size() >= cold.requests.size())
-      served.requests.resize(cold.requests.size());  // fill pass slice
-    traceMatch = !cold.requests.empty() &&
-                 gen::compareTraces(served, cold).clean();
+    if (served.requests.size() >= coldTrace.requests.size())
+      served.requests.resize(coldTrace.requests.size());  // fill pass slice
+    traceMatch = !coldTrace.requests.empty() &&
+                 gen::compareTraces(served, coldTrace).clean();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "trace gate error: %s\n", e.what());
   }
 
-  const double speedup = servedMs > 0 ? coldMs / servedMs : 0;
-  std::printf("%-34s %10.1f ms/run\n", "cold batch_runner process", coldMs);
-  std::printf("%-34s %10.1f ms/run\n\n", "warm daemon via --connect", servedMs);
+  const double servedMs = median(servedPerJob);
+  const double inprocMs = median(inprocPerJob);
+  const double overhead = inprocMs > 0 ? servedMs / inprocMs : 0;
+  const bool overheadOk = servedOk && overhead > 0 && overhead <= kMaxOverhead;
+  std::printf("%-36s %10.1f ms/run  (information only)\n",
+              "cold batch_runner process", coldMs);
+  std::printf("%-36s %10.3f ms/job  (median of %d rounds)\n",
+              "warm daemon, one GENERATE frame", servedMs, kRounds);
+  std::printf("%-36s %10.3f ms/job  (median of %d rounds)\n\n",
+              "warm in-process gen::BatchEngine", inprocMs, kRounds);
   std::printf("both contenders ran clean: %s\n",
               coldOk && servedOk ? "ok" : "FAILED");
   std::printf("served layouts byte-identical to in-process engine: %s\n",
               byteIdentical ? "ok" : "FAILED");
-  std::printf("served speedup: %.1fx  (>=10x requirement: %s)\n", speedup,
-              speedup >= 10.0 ? "PASS" : "FAIL");
+  std::printf("daemon overhead: %.2fx in-process  (<= %.1fx requirement: %s)\n",
+              overhead, kMaxOverhead, overheadOk ? "PASS" : "FAIL");
   std::printf("served AMGT trace (%zu records) replays clean: %s\n",
               servedRecords, replayClean ? "ok" : "FAILED");
   std::printf("served trace matches cold batch_runner trace: %s\n",
@@ -253,12 +290,14 @@ bool reportE14() {
 
   obs::StatsWriter w("serve");
   w.sample("sweep", manifest.jobs.size(), "cold_process", coldMs);
-  w.sample("sweep", manifest.jobs.size(), "warm_served", servedMs);
+  w.sample("sweep", manifest.jobs.size(), "warm_served_per_job", servedMs);
+  w.sample("sweep", manifest.jobs.size(), "warm_inproc_per_job", inprocMs);
   w.metric("cold_ms", coldMs);
-  w.metric("served_ms", servedMs);
-  w.metric("speedup_served", speedup);
+  w.metric("served_ms_per_job", servedMs);
+  w.metric("inproc_ms_per_job", inprocMs);
+  w.metric("served_overhead", overhead);
   w.flag("byte_identical", byteIdentical);
-  w.flag("speedup_10x", speedup >= 10.0);
+  w.flag("served_overhead_ok", overheadOk);
   w.flag("replay_clean", replayClean);
   w.flag("trace_match", traceMatch);
   if (w.write("BENCH_serve.json")) std::printf("\nwrote BENCH_serve.json\n");
@@ -266,8 +305,8 @@ bool reportE14() {
   std::error_code ec;
   std::filesystem::remove_all(wb.dir, ec);
   ::unlink(wb.sock.c_str());
-  return coldOk && servedOk && byteIdentical && speedup >= 10.0 &&
-         replayClean && traceMatch;
+  return coldOk && servedOk && byteIdentical && overheadOk && replayClean &&
+         traceMatch;
 }
 
 }  // namespace

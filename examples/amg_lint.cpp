@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,7 +23,10 @@
 #include "cli_common.h"
 #include "lang/compiler.h"
 #include "modules/dsl_sources.h"
+#include "obs/flight.h"
 #include "obs/json.h"
+#include "obs/obs.h"
+#include "tech/techfile.h"
 
 using namespace amg;
 
@@ -47,7 +51,7 @@ void usage(const char* argv0, std::FILE* out) {
       "                  file's compiled chunks and report AMG-B* findings"
       " (docs/LINT.md)\n"
       "  --help          show this help and exit\n%s",
-      argv0, cli::obsUsage());
+      argv0, obs::cliUsage());
 }
 
 struct Source {
@@ -58,7 +62,7 @@ struct Source {
 }  // namespace
 
 int main(int argc, char** argv) {
-  cli::installFlight();
+  obs::flight::installCrashHandlers();
   std::string techSpec = "bicmos1u", jsonPath;
   bool werror = false, builtin = false, quiet = false, dumpBc = false,
        verifyBc = false;
@@ -66,7 +70,7 @@ int main(int argc, char** argv) {
   std::vector<const char*> positional;
 
   for (int i = 1; i < argc; ++i) {
-    if (cli::parseObsFlag(argc, argv, i, obsOpts)) continue;
+    if (obs::parseCliFlag(argc, argv, i, obsOpts)) continue;
     if (std::strncmp(argv[i], "--tech=", 7) == 0)
       techSpec = argv[i] + 7;
     else if (std::strcmp(argv[i], "--tech") == 0 && i + 1 < argc)
@@ -101,10 +105,11 @@ int main(int argc, char** argv) {
   }
 
   analysis::Options opt;
-  std::vector<tech::Technology> ownedTech;
+  std::shared_ptr<const tech::Technology> tech;
   if (techSpec != "none") {
     try {
-      opt.tech = cli::resolveTech(techSpec, ownedTech);
+      tech = tech::resolveTech(techSpec);
+      opt.tech = tech.get();
     } catch (const Error& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 2;
@@ -190,7 +195,7 @@ int main(int argc, char** argv) {
         prog = lang::compileCached(s.text);
       } catch (const util::DiagError& e) {
         cli::printDiag(e.diag(), s.text);
-        cli::finishObs(obsOpts);
+        obs::finishCli(obsOpts);
         return 1;
       }
       // compileCached already gates on the verifier; running it again here
@@ -222,6 +227,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  cli::finishObs(obsOpts);
+  obs::finishCli(obsOpts);
   return rep.clean(werror) && !bcFindings ? 0 : 1;
 }

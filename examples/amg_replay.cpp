@@ -17,13 +17,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "cli_common.h"
 #include "gen/fingerprint.h"
 #include "gen/replay.h"
+#include "obs/flight.h"
+#include "obs/obs.h"
 #include "obs/recorder.h"
+#include "tech/techfile.h"
 #include "util/diag.h"
 
 using namespace amg;
@@ -46,7 +49,7 @@ void usage(const char* argv0, std::FILE* out) {
       "                  (self-test: the replay MUST diverge)\n"
       "  --list          print the trace header and requests, run nothing\n"
       "  --help          show this help and exit\n%s",
-      argv0, cli::obsUsage());
+      argv0, obs::cliUsage());
 }
 
 const char* kindName(obs::RequestKind k) {
@@ -76,7 +79,7 @@ void printDivergence(const gen::Divergence& d) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  cli::installFlight();
+  obs::flight::installCrashHandlers();
   std::string techSpec, againstPath;
   gen::ReplayOptions opt;
   bool list = false;
@@ -85,7 +88,7 @@ int main(int argc, char** argv) {
   std::vector<const char*> positional;
 
   for (int i = 1; i < argc; ++i) {
-    if (cli::parseObsFlag(argc, argv, i, obsOpts)) continue;
+    if (obs::parseCliFlag(argc, argv, i, obsOpts)) continue;
     if (std::strncmp(argv[i], "--tech=", 7) == 0)
       techSpec = argv[i] + 7;
     else if (std::strcmp(argv[i], "--tech") == 0 && i + 1 < argc)
@@ -164,7 +167,7 @@ int main(int argc, char** argv) {
                   r.outcome.diagCode.empty() ? "" : " ",
                   r.outcome.diagCode.c_str());
     }
-    cli::finishObs(obsOpts);
+    obs::finishCli(obsOpts);
     return 0;
   }
 
@@ -186,11 +189,9 @@ int main(int argc, char** argv) {
   } else {
     // Replayed traces need a live technology; the recorded spec resolves
     // exactly like every other CLI's --tech (builtin name or .tech path).
-    std::vector<tech::Technology> ownedTech;
-    const tech::Technology* tech = nullptr;
+    std::shared_ptr<const tech::Technology> tech;
     try {
-      tech = cli::resolveTech(techSpec.empty() ? h.techSpec : techSpec,
-                              ownedTech);
+      tech = tech::resolveTech(techSpec.empty() ? h.techSpec : techSpec);
     } catch (const Error& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 2;
@@ -215,6 +216,6 @@ int main(int argc, char** argv) {
   else
     std::printf("replay FAILED: %zu divergence(s)\n",
                 report.divergences.size());
-  cli::finishObs(obsOpts);
+  obs::finishCli(obsOpts);
   return report.clean() ? 0 : 1;
 }

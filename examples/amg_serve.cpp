@@ -23,7 +23,8 @@
 #include <string>
 
 #include "capi/server.h"
-#include "cli_common.h"
+#include "obs/flight.h"
+#include "obs/obs.h"
 #include "util/version.h"
 
 using namespace amg;
@@ -58,13 +59,13 @@ void usage(const char* argv0, std::FILE* out) {
       "  --record FILE   record every served job to an AMGT request trace\n"
       "                  (closed on drain; verify with amg_replay)\n"
       "  --help          show this help and exit\n%s",
-      argv0, cli::obsUsage());
+      argv0, obs::cliUsage());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  cli::installFlight();
+  obs::flight::installCrashHandlers();
   serve::ServerConfig cfg;
   obs::CliOptions obsOpts;
 
@@ -94,7 +95,7 @@ int main(int argc, char** argv) {
       cfg.cache = false;
     else if (std::strcmp(argv[i], "--no-prefix-cache") == 0)
       cfg.prefixCache = false;
-    else if (cli::parseObsFlag(argc, argv, i, obsOpts))
+    else if (obs::parseCliFlag(argc, argv, i, obsOpts))
       continue;
     else if (std::strcmp(argv[i], "--help") == 0) {
       usage(argv[0], stdout);
@@ -154,6 +155,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(s.jobsServed),
       static_cast<unsigned long long>(s.busyRejected),
       static_cast<unsigned long long>(s.timedOut));
-  cli::finishObs(obsOpts);
+  obs::finishCli(obsOpts);
   return 0;
 }

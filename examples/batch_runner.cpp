@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -20,14 +21,13 @@
 #include "capi/client.h"
 #include "cli_common.h"
 #include "gen/engine.h"
-#include "gen/fingerprint.h"
 #include "gen/manifest.h"
+#include "gen/replay.h"
 #include "io/layout.h"
 #include "io/svg.h"
+#include "obs/flight.h"
 #include "obs/obs.h"
-#include "obs/recorder.h"
 #include "obs/stats_writer.h"
-#include "tech/builtin.h"
 #include "tech/techfile.h"
 #include "util/diag.h"
 
@@ -61,7 +61,7 @@ void usage(const char* argv0, std::FILE* out) {
       "                  in-process engine; engine-configuration flags are\n"
       "                  ignored (the server owns the engine; docs/SERVER.md)\n"
       "  --help          show this help and exit\n%s",
-      argv0, cli::obsUsage());
+      argv0, obs::cliUsage());
 }
 
 /// One cache tier's counters as printed in the batch summary.
@@ -78,7 +78,7 @@ std::string tierCounts(const util::BlobStore::Stats& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  cli::installFlight();
+  obs::flight::installCrashHandlers();
   gen::EngineConfig cfg;
   std::string techOverride, reportPath, svgPrefix, recordPath, connectSock;
   obs::CliOptions obsOpts;
@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--help") == 0) {
       usage(argv[0], stdout);
       return 0;
-    } else if (cli::parseObsFlag(argc, argv, i, obsOpts))
+    } else if (obs::parseCliFlag(argc, argv, i, obsOpts))
       continue;
     else
       positional.push_back(argv[i]);
@@ -132,12 +132,11 @@ int main(int argc, char** argv) {
   }
 
   gen::Manifest manifest;
-  std::vector<tech::Technology> ownedTech;
-  const tech::Technology* tech = nullptr;
+  std::shared_ptr<const tech::Technology> tech;
   try {
     manifest = gen::loadManifest(positional[0]);
-    tech = cli::resolveTech(
-        techOverride.empty() ? manifest.techSpec : techOverride, ownedTech);
+    tech = tech::resolveTech(techOverride.empty() ? manifest.techSpec
+                                                  : techOverride);
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
@@ -157,17 +156,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     serve::GenerateRequest req;
-    req.jobs.reserve(manifest.jobs.size());
-    for (const gen::Job& j : manifest.jobs) {
-      serve::WireJob wj;
-      wj.name = j.name;
-      wj.scriptPath = j.scriptPath;
-      wj.script = j.script;
-      wj.entity = j.entity;
-      wj.resultVar = j.resultVar;
-      wj.params = j.params;
-      req.jobs.push_back(std::move(wj));
-    }
+    req.jobs = manifest.jobs;
     try {
       serve::Client client(connectSock);
       const serve::GenerateResponse resp = client.generate(req);
@@ -230,7 +219,7 @@ int main(int argc, char** argv) {
         else
           std::printf("report written to %s\n", reportPath.c_str());
       }
-      cli::finishObs(obsOpts);
+      obs::finishCli(obsOpts);
       return failed == 0 ? 0 : 1;
     } catch (const Error& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
@@ -238,28 +227,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::optional<obs::Recorder> recorder;
+  gen::BatchEngine engine(*tech, cfg);
+  std::optional<gen::EngineRecorder> recorder;
   if (!recordPath.empty()) {
-    obs::TraceHeader hdr;
-    hdr.tool = "batch_runner";
-    hdr.techSpec = techOverride.empty() ? manifest.techSpec : techOverride;
-    hdr.techFingerprint = gen::techFingerprint(*tech);
-    hdr.cacheEnabled = cfg.useCache;
-    hdr.prefixCacheEnabled = cfg.prefixCache;
     try {
-      recorder.emplace(recordPath, std::move(hdr));
+      recorder.emplace(recordPath, "batch_runner",
+                       techOverride.empty() ? manifest.techSpec : techOverride,
+                       engine);
     } catch (const Error& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 2;
     }
-    cfg.recorder = &*recorder;
   }
 
-  gen::BatchEngine engine(*tech, cfg);
   const gen::BatchReport report = engine.run(manifest.jobs);
-  if (recorder)
+  if (recorder) {
+    recorder->append(manifest.jobs, report);
     std::printf("recorded %zu requests to %s\n", recorder->recordCount(),
                 recordPath.c_str());
+  }
 
   std::printf("%-28s %-6s %-9s %s\n", "job", "state", "wall (ms)", "detail");
   for (std::size_t i = 0; i < report.jobs.size(); ++i) {
@@ -319,6 +305,6 @@ int main(int argc, char** argv) {
     else
       std::printf("report written to %s\n", reportPath.c_str());
   }
-  cli::finishObs(obsOpts);
+  obs::finishCli(obsOpts);
   return report.failed == 0 ? 0 : 1;
 }

@@ -29,6 +29,7 @@
 #include "io/layout.h"
 #include "io/svg.h"
 #include "lang/interp.h"
+#include "obs/flight.h"
 #include "obs/obs.h"
 #include "obs/recorder.h"
 #include "tech/builtin.h"
@@ -48,14 +49,14 @@ void usage(const char* argv0, std::FILE* out) {
                "  --record FILE   record each produced object as an AMGT\n"
                "                  request trace (replay with amg_replay)\n"
                "  --help          show this help and exit\n%s",
-               argv0, amg::cli::obsUsage());
+               argv0, amg::obs::cliUsage());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace amg;
-  cli::installFlight();
+  obs::flight::installCrashHandlers();
   std::size_t jobs = 1;
   bool lint = false;
   std::string recordPath;
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--help") == 0) {
       usage(argv[0], stdout);
       return 0;
-    } else if (cli::parseObsFlag(argc, argv, i, obsOpts))
+    } else if (obs::parseCliFlag(argc, argv, i, obsOpts))
       continue;
     else
       positional.push_back(argv[i]);
@@ -226,6 +227,6 @@ int main(int argc, char** argv) {
   std::printf("interpreter: %zu statements, %zu entity calls, %zu compactions\n",
               in.stats().statementsExecuted, in.stats().entityCalls,
               in.stats().compactions);
-  cli::finishObs(obsOpts);
+  obs::finishCli(obsOpts);
   return 0;
 }

@@ -27,9 +27,9 @@
 #include <string>
 #include <string_view>
 
-#include "cli_common.h"
 #include "gen/fingerprint.h"
 #include "io/layout.h"
+#include "obs/flight.h"
 #include "obs/recorder.h"
 #include "util/hash.h"
 
@@ -95,17 +95,17 @@ int main(int argc, char** argv) {
           "  --record FILE   append this run to FILE as an External-kind\n"
           "                  request trace (compare runs: amg_replay --against)\n"
           "  --help          show this help and exit\n%s",
-          argv[0], cli::obsUsage());
+          argv[0], obs::cliUsage());
       return 0;
     }
   }
-  cli::installFlight();
+  obs::flight::installCrashHandlers();
   const tech::Technology& t = tech::bicmos1u();
   const std::size_t jobs = parseJobs(argc, argv);
   obs::CliOptions obsOpts;
   std::string recordPath;
   for (int i = 1; i < argc; ++i) {
-    if (cli::parseObsFlag(argc, argv, i, obsOpts)) continue;
+    if (obs::parseCliFlag(argc, argv, i, obsOpts)) continue;
     if (std::strncmp(argv[i], "--record=", 9) == 0)
       recordPath = argv[i] + 9;
     else if (std::strcmp(argv[i], "--record") == 0 && i + 1 < argc)
@@ -283,6 +283,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  cli::finishObs(obsOpts);
+  obs::finishCli(obsOpts);
   return flowOk ? 0 : 1;
 }

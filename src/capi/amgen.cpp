@@ -10,11 +10,10 @@
 //    underlying gen::BatchEngine is a one-controller-many-workers design
 //    (util/thread_pool.h), so concurrent embedder threads queue here and
 //    the worker pool parallelizes *within* a batch.
-//  * AMGT recording is done by this layer (gen::recordOf per job, in
-//    submission order, after each run) rather than through
-//    gen::EngineConfig::recorder, so amg_record_start()/_stop() can toggle
-//    recording on a live engine without rebuilding it — rebuilding would
-//    drop the resident caches, the whole point of a resident engine.
+//  * AMGT recording appends each finished run through a
+//    gen::EngineRecorder the handle owns, so amg_record_start()/_stop()
+//    toggle recording on a live engine without rebuilding it — rebuilding
+//    would drop the resident caches, the whole point of a resident engine.
 //
 // docs/EMBEDDING.md is the embedder-facing contract; this file is the
 // only translation unit that needs to know both sides.
@@ -23,8 +22,6 @@
 #include <cstring>
 #include <exception>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,8 +35,6 @@
 #include "io/layout.h"
 #include "io/svg.h"
 #include "obs/obs.h"
-#include "obs/recorder.h"
-#include "tech/builtin.h"
 #include "tech/techfile.h"
 #include "util/diag.h"
 #include "util/thread_annotations.h"
@@ -161,11 +156,10 @@ struct amg_engine {
   /// every `engine`/`recorder` access below).
   mutable amg::util::Mutex mu;
   std::string techSpec;
-  std::optional<amg::tech::Technology> ownedTech;  ///< file-loaded decks
-  const amg::tech::Technology* tech = nullptr;
-  amg::gen::EngineConfig cfg;  ///< recorder deliberately never set
+  std::shared_ptr<const amg::tech::Technology> tech;
+  amg::gen::EngineConfig cfg;
   std::unique_ptr<amg::gen::BatchEngine> engine AMG_GUARDED_BY(mu);
-  std::unique_ptr<amg::obs::Recorder> recorder
+  std::unique_ptr<amg::gen::EngineRecorder> recorder
       AMG_GUARDED_BY(mu);  ///< AMGT; see file comment
 };
 
@@ -176,9 +170,7 @@ namespace {
 gen::BatchReport runLocked(amg_engine* e, const std::vector<gen::Job>& jobs) {
   util::MutexLock lock(e->mu);
   gen::BatchReport report = e->engine->run(jobs);
-  if (e->recorder)
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-      e->recorder->append(gen::recordOf(jobs[i], report.jobs[i]));
+  if (e->recorder) e->recorder->append(jobs, report);
   return report;
 }
 
@@ -261,14 +253,7 @@ amg_engine* amg_engine_create(const char* tech_spec, const amg_config* cfg) {
   try {
     auto e = std::make_unique<amg_engine>();
     e->techSpec = orEmpty(tech_spec);
-    if (e->techSpec.empty() || e->techSpec == "bicmos1u") {
-      e->tech = &tech::bicmos1u();
-    } else if (e->techSpec == "cmos2u") {
-      e->tech = &tech::cmos2u();
-    } else {
-      e->ownedTech = tech::loadTechFile(e->techSpec);
-      e->tech = &*e->ownedTech;
-    }
+    e->tech = tech::resolveTech(e->techSpec);
     if (cfg) {
       e->cfg = configOf(*cfg);
     }
@@ -514,13 +499,9 @@ amg_status amg_record_start(amg_engine* e, const char* path, const char* tool) {
                "amg_record_stop() it first");
       return AMG_E_STATE;
     }
-    obs::TraceHeader hdr;
-    hdr.tool = tool && *tool ? tool : "libamgen";
-    hdr.techSpec = e->techSpec.empty() ? "bicmos1u" : e->techSpec;
-    hdr.techFingerprint = gen::techFingerprint(*e->tech);
-    hdr.cacheEnabled = e->cfg.useCache;
-    hdr.prefixCacheEnabled = e->cfg.prefixCache;
-    e->recorder = std::make_unique<obs::Recorder>(path, std::move(hdr));
+    e->recorder = std::make_unique<gen::EngineRecorder>(
+        path, tool && *tool ? tool : "libamgen",
+        e->techSpec.empty() ? "bicmos1u" : e->techSpec, *e->engine);
     return AMG_OK;
   } catch (const std::exception& ex) {
     return errorFrom(ex, AMG_E_IO);

@@ -23,9 +23,9 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "gen/job.h"
 #include "util/diag.h"
 #include "util/wire.h"
 
@@ -44,15 +44,10 @@ enum class MsgType : std::uint8_t {
   Shutdown = 4,  ///< begin graceful drain → PingResponse (ack)
 };
 
-/// One generation request inside a GENERATE frame — mirrors amg_request.
-struct WireJob {
-  std::string name;
-  std::string scriptPath;
-  std::string script;
-  std::string entity;
-  std::string resultVar;
-  std::vector<std::pair<std::string, std::string>> params;
-};
+/// One generation request inside a GENERATE frame: the engine's own job.
+/// Its six fields go on the wire as they are; the server fills the ones a
+/// client left empty (Server::handleGenerate, docs/SERVER.md).
+using WireJob = gen::Job;
 
 struct GenerateRequest {
   std::vector<WireJob> jobs;
@@ -61,8 +56,8 @@ struct GenerateRequest {
   std::uint32_t queueTimeoutMs = 0;
 };
 
-/// Per-job outcome inside a GENERATE response — mirrors amg_result
-/// accessors plus the serialized layout when requested.
+/// Per-job outcome inside a GENERATE response: the gen::JobResult fields,
+/// the diagnostic flattened and the layout serialized.
 struct WireResult {
   std::string name;
   bool ok = false;

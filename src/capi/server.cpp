@@ -11,9 +11,12 @@
 #include <cstring>
 #include <future>
 
-#include "amgen.h"
+#include "gen/engine.h"
+#include "gen/replay.h"
+#include "io/layout.h"
 #include "obs/flight.h"
 #include "obs/obs.h"
+#include "tech/techfile.h"
 #include "util/version.h"
 
 namespace amg::serve {
@@ -29,11 +32,44 @@ util::Diag srvDiag(const char* code, std::string message, std::string hint) {
   return d;
 }
 
-GenerateResponse rejectAll(const char* code, std::string message) {
+GenerateResponse rejectAll(std::string code, std::string message) {
   GenerateResponse resp;
-  resp.errorCode = code;
+  resp.errorCode = std::move(code);
   resp.errorMessage = std::move(message);
   return resp;
+}
+
+/// The daemon's one place for the fields a client may leave empty; these
+/// are the values served jobs have always run with.
+void fillDefaults(gen::Job& j) {
+  if (j.name.empty()) j.name = "request";
+  if (j.scriptPath.empty()) j.scriptPath = "<embedded>";
+  if (j.resultVar.empty()) j.resultVar = "result";
+}
+
+WireResult wireResultOf(gen::JobResult& r) {
+  WireResult wr;
+  wr.name = std::move(r.name);
+  wr.ok = r.ok;
+  wr.cacheHit = r.cacheHit;
+  wr.rejected = r.rejected;
+  wr.key = r.key;
+  wr.layoutHash = r.layoutHash;
+  wr.prefixRestored = r.prefixRestored;
+  wr.wallMs = r.wallMs;
+  if (r.layout) {
+    wr.shapeCount = r.layout->shapeCount();
+    wr.layout = io::serializeLayout(*r.layout);
+  }
+  if (r.diag) {
+    wr.diagCode = r.diag->code;
+    wr.diagMessage = r.diag->message;
+    wr.diagHint = r.diag->hint;
+    wr.diagFile = r.diag->loc.file;
+    wr.diagLine = static_cast<std::uint32_t>(r.diag->loc.line);
+    wr.diagCol = static_cast<std::uint32_t>(r.diag->loc.col);
+  }
+  return wr;
 }
 
 }  // namespace
@@ -48,34 +84,21 @@ struct Server::Pending {
 
 Server::Server(ServerConfig cfg) : cfg_(std::move(cfg)) {}
 
-Server::~Server() {
-  drain();
-  if (engine_) amg_engine_destroy(engine_);
-}
+Server::~Server() { drain(); }
 
 void Server::start() {
   // Engine first: a bad tech spec should fail before the socket exists.
-  amg_config cfg;
-  amg_config_init(&cfg);
-  cfg.threads = cfg_.threads;
-  cfg.use_cache = cfg_.cache ? 1 : 0;
-  cfg.prefix_cache = cfg_.prefixCache ? 1 : 0;
-  cfg.cache_dir = cfg_.cacheDir.empty() ? nullptr : cfg_.cacheDir.c_str();
-  engine_ = amg_engine_create(cfg_.tech.c_str(), &cfg);
-  if (!engine_) {
-    amg_diag d;
-    if (amg_last_error(&d))
-      throw util::DiagError(srvDiag(d.code, d.message, d.hint));
-    throw util::DiagError(
-        srvDiag("AMG-SRV-005", "engine construction failed", ""));
-  }
-  if (!cfg_.recordPath.empty() &&
-      amg_record_start(engine_, cfg_.recordPath.c_str(), "amg_serve") !=
-          AMG_OK) {
-    amg_diag d;
-    amg_last_error(&d);
-    throw util::DiagError(srvDiag(d.code, d.message, d.hint));
-  }
+  tech_ = tech::resolveTech(cfg_.tech);
+  gen::EngineConfig ecfg;
+  ecfg.threads = cfg_.threads;
+  ecfg.useCache = cfg_.cache;
+  ecfg.prefixCache = cfg_.prefixCache;
+  ecfg.cache.diskDir = cfg_.cacheDir;
+  engine_ = std::make_unique<gen::BatchEngine>(*tech_, ecfg);
+  if (!cfg_.recordPath.empty())
+    recorder_ = std::make_unique<gen::EngineRecorder>(
+        cfg_.recordPath, "amg_serve",
+        cfg_.tech.empty() ? "bicmos1u" : cfg_.tech, *engine_);
 
   listenFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (listenFd_ < 0)
@@ -124,7 +147,7 @@ void Server::acceptLoop() {
     OBS_COUNT("serve.connections");
     std::vector<std::thread> finished;
     {
-      std::lock_guard<std::mutex> lock(connMu_);
+      util::MutexLock lock(connMu_);
       if (draining_.load()) {  // drain won the race: refuse late arrivals
         ::close(fd);
         break;
@@ -157,7 +180,7 @@ void Server::serveConnection(int fd) {
           try {
             resp = handleGenerate(decodeGenerateRequest(r));
           } catch (const util::DiagError& e) {
-            resp = rejectAll(e.diag().code.c_str(), e.diag().message);
+            resp = rejectAll(e.diag().code, e.diag().message);
           }
           sendFrame(fd, encodeGenerateResponse(resp));
           break;
@@ -188,7 +211,7 @@ void Server::serveConnection(int fd) {
   // reused, and drain() must not shut down a descriptor it does not own.
   // Then report this thread finished, for the acceptor to join.
   {
-    std::lock_guard<std::mutex> lock(connMu_);
+    util::MutexLock lock(connMu_);
     connFds_.erase(std::find(connFds_.begin(), connFds_.end(), fd));
     finished_.push_back(std::this_thread::get_id());
   }
@@ -202,18 +225,19 @@ GenerateResponse Server::handleGenerate(GenerateRequest req) {
   const std::uint32_t timeoutMs =
       req.queueTimeoutMs ? req.queueTimeoutMs : cfg_.defaultQueueTimeoutMs;
 
+  for (gen::Job& j : req.jobs) fillDefaults(j);
   auto pending = std::make_shared<Pending>();
   pending->deadline = Clock::now() + std::chrono::milliseconds(timeoutMs);
   pending->req = std::move(req);
   std::future<GenerateResponse> done = pending->done.get_future();
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    util::MutexLock lock(mu_);
     if (draining_.load()) {
       return rejectAll("AMG-SRV-004", "server is draining; resubmit later");
     }
     if (queuedJobs_ + pending->req.jobs.size() > cfg_.maxQueuedJobs) {
       OBS_COUNT("serve.busy");
-      std::lock_guard<std::mutex> slock(statsMu_);
+      util::MutexLock slock(statsMu_);
       ++busyRejected_;
       return rejectAll(
           "AMG-SRV-002",
@@ -227,7 +251,7 @@ GenerateResponse Server::handleGenerate(GenerateRequest req) {
   queueCv_.notify_one();
   GenerateResponse resp = done.get();
   {
-    std::lock_guard<std::mutex> lock(statsMu_);
+    util::MutexLock lock(statsMu_);
     if (resp.errorCode.empty()) {
       ++requestsServed_;
       jobsServed_ += resp.results.size();
@@ -242,12 +266,10 @@ void Server::dispatchLoop() {
   for (;;) {
     std::vector<std::shared_ptr<Pending>> batch;
     {
-      std::unique_lock<std::mutex> lock(mu_);
-      queueCv_.wait(lock, [this] {
-        return !queue_.empty() || stopped_.load() ||
-               (draining_.load() && queue_.empty());
-      });
-      if (queue_.empty() && (stopped_.load() || draining_.load())) return;
+      util::MutexLock lock(mu_);
+      while (queue_.empty() && !stopped_.load() && !draining_.load())
+        queueCv_.wait(mu_);
+      if (queue_.empty()) return;  // stopped or draining, nothing left
       batch.swap(queue_);
       for (const auto& p : batch) queuedJobs_ -= p->req.jobs.size();
     }
@@ -269,90 +291,40 @@ void Server::dispatchLoop() {
     // Coalesce every live request into one batch: the engine's worker
     // pool fans the jobs out, and sweep siblings from different clients
     // share prefix-cache chains within the run.
-    std::vector<amg_request> reqs;
-    std::vector<std::vector<amg_param>> paramStore;
-    std::size_t total = 0;
-    for (const auto& p : live) total += p->req.jobs.size();
-    reqs.reserve(total);
-    paramStore.reserve(total);
-    OBS_HIST("serve.batch.jobs", static_cast<std::uint64_t>(total));
-    for (const auto& p : live) {
-      for (const WireJob& j : p->req.jobs) {
-        paramStore.emplace_back();
-        std::vector<amg_param>& ps = paramStore.back();
-        ps.reserve(j.params.size());
-        for (const auto& [k, v] : j.params)
-          ps.push_back(amg_param{k.c_str(), v.c_str()});
-        amg_request r;
-        amg_request_init(&r);
-        r.name = j.name.c_str();
-        r.script = j.script.c_str();
-        r.script_path = j.scriptPath.empty() ? nullptr : j.scriptPath.c_str();
-        r.entity = j.entity.empty() ? nullptr : j.entity.c_str();
-        r.result_var = j.resultVar.empty() ? nullptr : j.resultVar.c_str();
-        r.params = ps.empty() ? nullptr : ps.data();
-        r.param_count = ps.size();
-        reqs.push_back(r);
-      }
-    }
+    std::vector<gen::Job> jobs;
+    for (const auto& p : live)
+      jobs.insert(jobs.end(), std::make_move_iterator(p->req.jobs.begin()),
+                  std::make_move_iterator(p->req.jobs.end()));
+    OBS_HIST("serve.batch.jobs", static_cast<std::uint64_t>(jobs.size()));
 
     obs::Span span("serve.dispatch");
-    span.arg("jobs", static_cast<std::uint64_t>(total));
-    amg_batch* out = nullptr;
-    const amg_status st =
-        amg_generate_batch(engine_, reqs.data(), reqs.size(), &out);
-    if (st != AMG_OK || !out) {
-      amg_diag d;
-      const bool have = amg_last_error(&d) != 0;
-      obs::flight::mark("serve.dispatch.error",
-                        have ? d.message : "batch failed");
+    span.arg("jobs", static_cast<std::uint64_t>(jobs.size()));
+    gen::BatchReport report;
+    try {
+      report = engine_->run(jobs);
+      if (recorder_) recorder_->append(jobs, report);
+    } catch (const std::exception& e) {
+      // Job failures are data; only an engine-level failure lands here.
+      const auto* de = dynamic_cast<const util::DiagError*>(&e);
+      obs::flight::mark("serve.dispatch.error", e.what());
       for (const auto& p : live)
-        p->done.set_value(rejectAll(have ? d.code : "AMG-SRV-001",
-                                    have ? d.message : "batch failed"));
+        p->done.set_value(rejectAll(de ? de->diag().code : "AMG-GEN-001",
+                                    de ? de->diag().message : e.what()));
       continue;
     }
 
-    amg_batch_info info;
-    amg_batch_info_get(out, &info);
     std::size_t idx = 0;
     for (const auto& p : live) {
       GenerateResponse resp;
-      resp.wallMs = info.wall_ms;
+      resp.wallMs = report.wallMs;
       for (std::size_t j = 0; j < p->req.jobs.size(); ++j, ++idx) {
-        amg_result* res = amg_batch_result(out, idx);
-        WireResult wr;
-        wr.name = amg_result_name(res);
-        wr.ok = amg_result_ok(res) != 0;
-        wr.cacheHit = amg_result_cache_hit(res) != 0;
-        wr.rejected = amg_result_rejected(res) != 0;
-        wr.key = amg_result_key(res);
-        wr.layoutHash = amg_result_layout_hash(res);
-        wr.shapeCount = amg_result_shape_count(res);
-        wr.prefixRestored = amg_result_prefix_restored(res);
-        wr.wallMs = amg_result_wall_ms(res);
+        WireResult wr = wireResultOf(report.jobs[idx]);
         if (wr.cacheHit) resp.cacheHits++;
         resp.prefixRestoredSteps += wr.prefixRestored;
-        if (wr.ok) {
-          const std::uint8_t* data = nullptr;
-          std::size_t size = 0;
-          if (amg_result_layout_data(res, &data, &size) == AMG_OK)
-            wr.layout.assign(data, data + size);
-        } else {
-          amg_diag d;
-          if (amg_result_diag(res, &d)) {
-            wr.diagCode = d.code;
-            wr.diagMessage = d.message;
-            wr.diagHint = d.hint;
-            wr.diagFile = d.file;
-            wr.diagLine = static_cast<std::uint32_t>(d.line);
-            wr.diagCol = static_cast<std::uint32_t>(d.col);
-          }
-        }
         resp.results.push_back(std::move(wr));
       }
       p->done.set_value(std::move(resp));
     }
-    amg_batch_destroy(out);
   }
 }
 
@@ -377,25 +349,27 @@ void Server::drain() {
   // Unblock connection reads; their queued work still completes because
   // the dispatcher drains the queue before exiting.
   {
-    std::lock_guard<std::mutex> lock(connMu_);
+    util::MutexLock lock(connMu_);
     for (const int fd : connFds_) ::shutdown(fd, SHUT_RD);
   }
+  // Passing through mu_ orders draining_ before the dispatcher's next
+  // check, so the notify cannot fall between its check and its wait.
+  { util::MutexLock lock(mu_); }
   queueCv_.notify_all();
   if (dispatcher_.joinable()) dispatcher_.join();
   // Join outside connMu_: each connection thread takes it to deregister
   // its fd.  The acceptor is gone, so the list no longer grows.
   std::vector<std::thread> connections;
   {
-    std::lock_guard<std::mutex> lock(connMu_);
+    util::MutexLock lock(connMu_);
     connections.swap(connections_);
   }
   for (std::thread& t : connections) t.join();
   if (wakePipe_[0] >= 0) ::close(wakePipe_[0]);
   if (wakePipe_[1] >= 0) ::close(wakePipe_[1]);
   wakePipe_[0] = wakePipe_[1] = -1;
-  if (engine_ && amg_record_active(engine_)) {
-    std::uint64_t n = 0;
-    amg_record_stop(engine_, &n);
+  if (recorder_) {
+    recorder_.reset();
     obs::flight::mark("serve.record.closed");
   }
   obs::flight::mark("serve.stopped");
@@ -410,7 +384,7 @@ void Server::wait() {
 }
 
 std::size_t Server::unjoinedConnections() const {
-  std::lock_guard<std::mutex> lock(connMu_);
+  util::MutexLock lock(connMu_);
   return connections_.size();
 }
 
@@ -419,21 +393,21 @@ StatsResponse Server::statsSnapshot() {
   s.version = util::kVersionString;
   s.draining = draining_.load();
   {
-    std::lock_guard<std::mutex> lock(statsMu_);
+    util::MutexLock lock(statsMu_);
     s.requestsServed = requestsServed_;
     s.jobsServed = jobsServed_;
     s.busyRejected = busyRejected_;
     s.timedOut = timedOut_;
   }
-  amg_cache_stats cs;
-  if (engine_ && amg_engine_cache_stats(engine_, &cs) == AMG_OK) {
-    s.cacheHits = cs.hits + cs.disk_hits;
-    s.cacheEntries = cs.entries;
-    s.cacheBytes = cs.bytes;
-  }
-  if (engine_ && amg_engine_prefix_cache_stats(engine_, &cs)) {
-    s.prefixEntries = cs.entries;
-    s.prefixBytes = cs.bytes;
+  if (!engine_) return s;
+  const util::BlobStore& layouts = engine_->cache().store();
+  const util::BlobStore::Stats cs = layouts.stats();
+  s.cacheHits = cs.hits + cs.diskHits;
+  s.cacheEntries = layouts.entryCount();
+  s.cacheBytes = layouts.byteCount();
+  if (const compact::PrefixCache* pc = engine_->prefixCache()) {
+    s.prefixEntries = pc->store().entryCount();
+    s.prefixBytes = pc->store().byteCount();
   }
   return s;
 }

@@ -7,11 +7,13 @@
 // spawns a thread per connection (joining, before each spawn, the ones
 // that have finished); connection threads decode frames and
 // *enqueue* generation work.  A single dispatcher thread drains the
-// queue, coalescing everything pending into one amg_generate_batch call —
-// the batch engine's worker pool (util/thread_pool.h is a one-controller
+// queue, coalescing everything pending into one gen::BatchEngine::run —
+// the engine's worker pool (util/thread_pool.h is a one-controller
 // design) provides the parallelism, the dispatcher provides the single
-// controller.  Caches stay resident in the engine handle across requests;
-// that residency is the entire point of the daemon (docs/SERVER.md).
+// controller.  Caches stay resident in the engine across requests; that
+// residency is the entire point of the daemon (docs/SERVER.md).  STATS
+// reads the two cache tiers' BlobStores, which lock themselves, so it
+// answers while a batch runs.
 //
 // Admission control.  A request is rejected up front with AMG-SRV-002
 // when the queue already holds maxQueuedJobs jobs, with AMG-SRV-003 when
@@ -23,14 +25,20 @@
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "capi/protocol.h"
+#include "util/thread_annotations.h"
 
-struct amg_engine;  // include/amgen.h opaque handle
+namespace amg::tech {
+class Technology;
+}
+namespace amg::gen {
+class BatchEngine;
+class EngineRecorder;
+}
 
 namespace amg::serve {
 
@@ -58,8 +66,9 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Bind the socket and start the acceptor + dispatcher threads.
-  /// Throws util::DiagError (AMG-SRV-005 on bind failure, engine codes on
-  /// engine construction failure).
+  /// Throws util::DiagError: the deck's AMG-TECH-* code when the tech spec
+  /// does not resolve, AMG-OBS-004 when the --record file cannot be
+  /// written, AMG-SRV-005 on bind failure.
   void start();
 
   /// Begin graceful drain: stop accepting connections, reject newly
@@ -88,31 +97,36 @@ class Server {
   GenerateResponse handleGenerate(GenerateRequest req);
 
   ServerConfig cfg_;
-  amg_engine* engine_ = nullptr;
+  std::shared_ptr<const tech::Technology> tech_;
+  /// Set up by start(), before any thread exists.  Only the dispatcher
+  /// runs the engine; statsSnapshot() reads its tiers' BlobStores.
+  std::unique_ptr<gen::BatchEngine> engine_;
+  std::unique_ptr<gen::EngineRecorder> recorder_;  ///< --record; closed by drain()
   int listenFd_ = -1;
   /// Wakes the acceptor's poll() from drain() without a race (self-pipe).
   int wakePipe_[2] = {-1, -1};
 
-  std::mutex mu_;
-  std::condition_variable queueCv_;
-  std::vector<std::shared_ptr<Pending>> queue_;
-  std::size_t queuedJobs_ = 0;
+  util::Mutex mu_;
+  std::condition_variable_any queueCv_;
+  std::vector<std::shared_ptr<Pending>> queue_ AMG_GUARDED_BY(mu_);
+  std::size_t queuedJobs_ AMG_GUARDED_BY(mu_) = 0;
 
   std::atomic<bool> draining_{false};
   std::atomic<bool> stopped_{false};
   std::thread acceptor_;
   std::thread dispatcher_;
-  mutable std::mutex connMu_;
-  std::vector<std::thread> connections_;  ///< not yet joined
+  mutable util::Mutex connMu_;
+  std::vector<std::thread> connections_ AMG_GUARDED_BY(connMu_);  ///< not yet joined
   /// Connection threads that returned; the acceptor joins them.
-  std::vector<std::thread::id> finished_;
-  std::vector<int> connFds_;  ///< open connection fds, for drain shutdown()
+  std::vector<std::thread::id> finished_ AMG_GUARDED_BY(connMu_);
+  /// Open connection fds, for drain shutdown().
+  std::vector<int> connFds_ AMG_GUARDED_BY(connMu_);
 
-  std::mutex statsMu_;
-  std::uint64_t requestsServed_ = 0;
-  std::uint64_t jobsServed_ = 0;
-  std::uint64_t busyRejected_ = 0;
-  std::uint64_t timedOut_ = 0;
+  util::Mutex statsMu_;
+  std::uint64_t requestsServed_ AMG_GUARDED_BY(statsMu_) = 0;
+  std::uint64_t jobsServed_ AMG_GUARDED_BY(statsMu_) = 0;
+  std::uint64_t busyRejected_ AMG_GUARDED_BY(statsMu_) = 0;
+  std::uint64_t timedOut_ AMG_GUARDED_BY(statsMu_) = 0;
 };
 
 }  // namespace amg::serve

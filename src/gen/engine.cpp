@@ -7,12 +7,10 @@
 
 #include "analysis/analyzer.h"
 #include "gen/fingerprint.h"
-#include "gen/replay.h"
 #include "io/layout.h"
 #include "lang/compiler.h"
 #include "lang/interp.h"
 #include "obs/obs.h"
-#include "obs/recorder.h"
 #include "util/version.h"
 
 namespace amg::gen {
@@ -349,12 +347,6 @@ BatchReport BatchEngine::run(const std::vector<Job>& jobs) {
   }
   OBS_COUNT_N("gen.jobs.total", jobs.size());
   OBS_COUNT_N("gen.jobs.ok", report.succeeded);
-
-  // Record after the barrier, in submission order: the trace file is
-  // deterministic for a given manifest regardless of worker interleaving.
-  if (cfg_.recorder)
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-      cfg_.recorder->append(recordOf(jobs[i], report.jobs[i]));
 
   report.wallMs = span.elapsedSeconds() * 1e3;
   return report;

@@ -27,10 +27,6 @@ namespace amg::analysis {
 struct Report;
 }
 
-namespace amg::obs {
-class Recorder;
-}
-
 namespace amg::gen {
 
 struct EngineConfig {
@@ -51,10 +47,6 @@ struct EngineConfig {
   /// --no-prefix-cache.
   bool prefixCache = true;
   CacheConfig prefix;  ///< budget + optional disk tier
-  /// When set, every job is appended as a request record after the batch
-  /// completes, in submission order (obs/recorder.h, docs/OBSERVABILITY.md).
-  /// The recorder must outlive the engine's run() calls; not owned.
-  obs::Recorder* recorder = nullptr;
 };
 
 class BatchEngine {
@@ -75,6 +67,7 @@ class BatchEngine {
   compact::PrefixCache* prefixCache() { return prefix_.get(); }
   const compact::PrefixCache* prefixCache() const { return prefix_.get(); }
   const tech::Technology& technology() const { return *tech_; }
+  const EngineConfig& config() const { return cfg_; }
 
  private:
   JobResult runOne(const Job& job);

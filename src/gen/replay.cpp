@@ -40,6 +40,18 @@ obs::RequestRecord recordOf(const Job& job, const JobResult& r) {
   return rec;
 }
 
+EngineRecorder::EngineRecorder(const std::string& path, std::string tool,
+                               std::string techSpec, const BatchEngine& engine)
+    : out_(path, {std::move(tool), std::move(techSpec),
+                  techFingerprint(engine.technology()),
+                  engine.config().useCache, engine.config().prefixCache}) {}
+
+void EngineRecorder::append(const std::vector<Job>& jobs,
+                            const BatchReport& report) {
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    out_.append(recordOf(jobs[i], report.jobs[i]));
+}
+
 Job jobOf(const obs::RequestRecord& rec) {
   Job job;
   job.name = rec.name;

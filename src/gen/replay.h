@@ -2,7 +2,7 @@
 //
 // obs/recorder.h defines the AMGT format and knows nothing about the
 // engines; this module is the bridge: it turns finished jobs into request
-// records (the batch engine and the CLIs record through it) and turns a
+// records (EngineRecorder records whole engine runs) and turns a
 // recorded trace back into jobs, re-runs them through a fresh
 // gen::BatchEngine under the recorded — or overridden — configuration,
 // and compares outcome digests request by request.
@@ -32,6 +32,27 @@ obs::RequestOutcome outcomeOf(const JobResult& r);
 
 /// The full request record for a job: canonicalized source, sorted params.
 obs::RequestRecord recordOf(const Job& job, const JobResult& r);
+
+class BatchEngine;
+
+/// An AMGT recording of a BatchEngine's runs: the one way batch_runner,
+/// amg_serve and libamgen's amg_record_start() record.  The header names
+/// the tool, the tech spec, the deck's fingerprint and the engine's two
+/// cache-tier flags.  append() adds one record per job of a finished run
+/// in submission order, whatever order the workers finished in.
+/// Thread-safe (obs::Recorder is).
+class EngineRecorder {
+ public:
+  /// Throws util::DiagError AMG-OBS-004 when `path` cannot be written.
+  EngineRecorder(const std::string& path, std::string tool,
+                 std::string techSpec, const BatchEngine& engine);
+
+  void append(const std::vector<Job>& jobs, const BatchReport& report);
+  std::size_t recordCount() const { return out_.recordCount(); }
+
+ private:
+  obs::Recorder out_;
+};
 
 /// The job a recorded request re-executes as (Script and Entity kinds;
 /// External records cannot be rebuilt — replayTrace skips them).

@@ -10,6 +10,11 @@
 namespace amg::opt {
 namespace {
 
+/// Fan-out granularity: prefixes are expanded until there are at least
+/// this many subtree tasks per worker (load-balancing headroom for
+/// subtrees whose pruning behaviour differs wildly).
+constexpr std::size_t kMinTasksPerThread = 4;
+
 /// Enumerate all order prefixes of length `depth` in lexicographic order.
 std::vector<std::vector<std::size_t>> prefixes(std::size_t n, std::size_t depth) {
   std::vector<std::vector<std::size_t>> out;
@@ -48,7 +53,7 @@ OptimizeResult optimizeOrderParallel(const BuildPlan& plan,
   // Fan-out depth: expand prefixes until there are enough subtree tasks to
   // keep every worker busy even when pruning empties some subtrees early.
   // Depth 2 yields n*(n-1) tasks, plenty for any sane thread count.
-  const std::size_t wantTasks = threads * std::max<std::size_t>(options.minTasksPerThread, 1);
+  const std::size_t wantTasks = threads * kMinTasksPerThread;
   const std::size_t depth = n >= wantTasks ? 1 : 2;
   const auto tasks = prefixes(n, depth);
 

@@ -31,10 +31,6 @@ struct ParallelOptimizeOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency().  1 runs the
   /// serial engine inline (bit-identical, no pool).
   std::size_t threads = 0;
-  /// Fan-out granularity: prefixes are expanded until there are at least
-  /// this many subtree tasks per worker (load balancing headroom for
-  /// subtrees whose pruning behaviour differs wildly).
-  std::size_t minTasksPerThread = 4;
 };
 
 /// Parallel counterpart of optimizeOrder(); see the header comment for the

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "tech/builtin.h"
 #include "util/diag.h"
 
 namespace amg::tech {
@@ -202,6 +203,14 @@ Technology loadTechFile(const std::string& path) {
     throw util::DiagError(std::move(d));
   }
   return parseTechFile(f, path);
+}
+
+std::shared_ptr<const Technology> resolveTech(const std::string& spec) {
+  if (spec.empty() || spec == "bicmos1u")
+    return std::shared_ptr<const Technology>(std::shared_ptr<void>(), &bicmos1u());
+  if (spec == "cmos2u")
+    return std::shared_ptr<const Technology>(std::shared_ptr<void>(), &cmos2u());
+  return std::make_shared<const Technology>(loadTechFile(spec));
 }
 
 std::string saveTechFile(const Technology& t) {

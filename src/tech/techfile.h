@@ -20,6 +20,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <memory>
 #include <string>
 
 #include "tech/tech.h"
@@ -35,6 +36,13 @@ Technology parseTechString(const std::string& text, const std::string& sourceNam
 
 /// Parse a deck from a file path.
 Technology loadTechFile(const std::string& path);
+
+/// Resolve a technology spec as every tool, libamgen and the daemon take
+/// it: "" and "bicmos1u" name the builtin BiCMOS deck, "cmos2u" the CMOS
+/// one, anything else is a .tech file loaded with loadTechFile() (and
+/// throws what it throws).  A builtin deck is shared, not owned; a file
+/// deck is owned by the returned pointer.
+std::shared_ptr<const Technology> resolveTech(const std::string& spec);
 
 /// Serialize a deck into the text format; parseTechString(saveTechFile(t))
 /// reproduces the deck (round-trip property, covered by tests).

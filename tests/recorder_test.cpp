@@ -263,22 +263,24 @@ TEST(TraceFormat, UnwritablePathIsObs004) {
 // --- record + replay through the batch engine ------------------------------
 
 obs::TraceFile recordSweep(const std::string& path) {
-  obs::TraceHeader hdr;
-  hdr.tool = "recorder_test";
-  hdr.techSpec = "bicmos1u";
-  hdr.techFingerprint = gen::techFingerprint(tech::bicmos1u());
-  obs::Recorder rec(path, hdr);
-
-  gen::EngineConfig cfg;
-  cfg.recorder = &rec;
-  gen::BatchEngine engine(tech::bicmos1u(), cfg);
-  std::vector<gen::Job> jobs;
-  for (int w = 3; w <= 8; ++w)
-    jobs.push_back(rowJob("w" + std::to_string(w), std::to_string(w)));
-  const gen::BatchReport rep = engine.run(jobs);
-  EXPECT_EQ(rep.failed, 0u);
-  EXPECT_EQ(rec.recordCount(), jobs.size());
-  return obs::readTraceFile(path);
+  gen::BatchEngine engine(tech::bicmos1u());
+  {
+    gen::EngineRecorder rec(path, "recorder_test", "bicmos1u", engine);
+    std::vector<gen::Job> jobs;
+    for (int w = 3; w <= 8; ++w)
+      jobs.push_back(rowJob("w" + std::to_string(w), std::to_string(w)));
+    const gen::BatchReport rep = engine.run(jobs);
+    rec.append(jobs, rep);
+    EXPECT_EQ(rep.failed, 0u);
+    EXPECT_EQ(rec.recordCount(), jobs.size());
+  }
+  const obs::TraceFile trace = obs::readTraceFile(path);
+  EXPECT_EQ(trace.header.tool, "recorder_test");
+  EXPECT_EQ(trace.header.techFingerprint,
+            gen::techFingerprint(tech::bicmos1u()));
+  EXPECT_TRUE(trace.header.cacheEnabled);
+  EXPECT_TRUE(trace.header.prefixCacheEnabled);
+  return trace;
 }
 
 TEST(Replay, CleanUnderRecordedConfiguration) {

@@ -1,7 +1,8 @@
 // amg_serve integration tests, run in-process against serve::Server (the
 // library the daemon CLI wraps): protocol round-trips, concurrent
 // clients, warm-cache hits across requests, admission control, AMGT
-// recording of served traffic, and graceful drain semantics.
+// recording of served traffic, the defaults for empty job fields, STATS
+// during a running batch, and graceful drain semantics.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -20,7 +21,9 @@
 
 #include "capi/client.h"
 #include "capi/server.h"
+#include "gen/engine.h"
 #include "gen/replay.h"
+#include "io/layout.h"
 #include "obs/recorder.h"
 #include "tech/builtin.h"
 #include "util/version.h"
@@ -235,6 +238,142 @@ TEST(ServeTest, RecordedTrafficReplaysAndMatchesLocalTrace) {
   EXPECT_TRUE(rep.clean());
   EXPECT_EQ(rep.matched, 3u);
   std::filesystem::remove(trace);
+}
+
+TEST(ServeTest, EmptyJobFieldsGetTheServedDefaults) {
+  // A client may leave name, scriptPath and resultVar empty.  The daemon
+  // runs such a job as "request" from "<embedded>" taking the global
+  // "result", the values served jobs have always run with: they show in
+  // the result row, in a failing job's diagnostic and in the AMGT record.
+  const std::string sock = sockPath("defaults");
+  const std::string trace =
+      "/tmp/amg-test-defaults-" + std::to_string(::getpid()) + ".amgt";
+  serve::ServerConfig cfg = baseConfig(sock);
+  cfg.recordPath = trace;
+  serve::Server server(cfg);
+  server.start();
+
+  serve::WireJob ok;
+  ok.script = "result = ContactRow(layer = \"poly\", W = 3)\n" +
+              std::string(kContactRow);
+  serve::WireJob bad;
+  bad.script = "row = Undefined(W = 1)\n";
+  std::vector<serve::WireJob> sent = {ok, bad};
+  for (serve::WireJob& j : sent) {
+    j.name.clear();
+    j.scriptPath.clear();
+    j.resultVar.clear();
+  }
+  serve::GenerateRequest req;
+  req.jobs = sent;
+  serve::GenerateResponse resp;
+  {
+    serve::Client client(sock);
+    resp = client.generate(req);
+  }
+  server.drain();  // closes the recording
+  ASSERT_TRUE(resp.errorCode.empty()) << resp.errorMessage;
+  ASSERT_EQ(resp.results.size(), 2u);
+
+  // The same jobs with the defaults spelled out, run in-process.
+  std::vector<gen::Job> spelled = sent;
+  for (gen::Job& j : spelled) {
+    j.name = "request";
+    j.scriptPath = "<embedded>";
+    j.resultVar = "result";
+  }
+  const gen::BatchReport local =
+      gen::BatchEngine(tech::bicmos1u()).run(spelled);
+  ASSERT_TRUE(local.jobs[0].ok) << local.jobs[0].error();
+  ASSERT_FALSE(local.jobs[1].ok);
+
+  const serve::WireResult& r0 = resp.results[0];
+  EXPECT_EQ(r0.name, "request");
+  EXPECT_TRUE(r0.ok) << r0.diagMessage;
+  EXPECT_EQ(r0.key, local.jobs[0].key);
+  EXPECT_EQ(r0.layoutHash, local.jobs[0].layoutHash);
+  EXPECT_EQ(r0.shapeCount, local.jobs[0].layout->shapeCount());
+  EXPECT_EQ(r0.layout, io::serializeLayout(*local.jobs[0].layout));
+
+  const serve::WireResult& r1 = resp.results[1];
+  EXPECT_EQ(r1.name, "request");
+  EXPECT_FALSE(r1.ok);
+  EXPECT_TRUE(r1.layout.empty());
+  EXPECT_EQ(r1.diagFile, "<embedded>");
+  EXPECT_EQ(r1.diagCode, local.jobs[1].diag->code);
+  EXPECT_EQ(r1.diagMessage, local.jobs[1].diag->message);
+  EXPECT_EQ(r1.diagLine, static_cast<std::uint32_t>(local.jobs[1].diag->loc.line));
+  EXPECT_EQ(r1.diagCol, static_cast<std::uint32_t>(local.jobs[1].diag->loc.col));
+
+  const obs::TraceFile t = obs::readTraceFile(trace);
+  ASSERT_EQ(t.requests.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const obs::RequestRecord& rec = t.requests[i];
+    EXPECT_EQ(rec.kind, obs::RequestKind::Script);
+    EXPECT_EQ(rec.name, "request");
+    EXPECT_EQ(rec.scriptPath, "<embedded>");
+    EXPECT_EQ(rec.resultVar, "result");
+    EXPECT_EQ(obs::outcomeDigest(rec.outcome),
+              obs::outcomeDigest(gen::outcomeOf(local.jobs[i])));
+  }
+  std::filesystem::remove(trace);
+}
+
+TEST(ServeTest, StatsAnswersWhileABatchRuns) {
+  // STATS reads the cache tiers, which lock themselves, so it must not
+  // wait for the batch the dispatcher is running.
+  const char* kSweep =
+      "ENT Cell(<W>, <L>)\n"
+      "  TWORECTS(\"poly\", \"pdiff\", W, L)\n"
+      "  INBOX(\"metal1\")\n"
+      "ENT Sweep(rows)\n"
+      "  INBOX(\"pdiff\", 4, 4)\n"
+      "  FOR k = 1 TO rows DO\n"
+      "    c = Cell(W = 6, L = 2)\n"
+      "    compact(c, EAST, \"poly\")\n"
+      "  ENDFOR\n";
+  using Clock = std::chrono::steady_clock;
+  const std::string sock = sockPath("statsbusy");
+  serve::Server server(baseConfig(sock));
+  server.start();
+
+  serve::GenerateRequest req;
+  serve::WireJob j;
+  j.name = "long";
+  j.script = kSweep;
+  j.scriptPath = "<test>";
+  j.entity = "Sweep";
+  j.params = {{"rows", "1000"}};
+  req.jobs.push_back(j);
+  serve::GenerateResponse resp;
+  Clock::time_point batchDone;
+  std::thread generating([&] {
+    serve::Client client(sock);
+    resp = client.generate(req);
+    batchDone = Clock::now();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  serve::Client client(sock);
+  const Clock::time_point sent = Clock::now();
+  const serve::StatsResponse s = client.stats();
+  const Clock::time_point answered = Clock::now();
+  generating.join();
+
+  ASSERT_TRUE(resp.errorCode.empty()) << resp.errorMessage;
+  ASSERT_EQ(resp.results.size(), 1u);
+  EXPECT_TRUE(resp.results[0].ok) << resp.results[0].diagMessage;
+  EXPECT_EQ(s.requestsServed, 0u);  // the batch had not finished
+  const auto ms = [](Clock::duration d) {
+    return std::chrono::duration<double, std::milli>(d).count();
+  };
+  const double statsMs = ms(answered - sent);
+  const double remainingMs = ms(batchDone - sent);
+  ASSERT_GT(remainingMs, 50.0) << "the batch ended too soon to tell";
+  EXPECT_LT(4 * statsMs, remainingMs)
+      << "STATS took " << statsMs << " ms; the batch ended " << remainingMs
+      << " ms after it was sent";
+  server.drain();
 }
 
 TEST(ServeTest, DrainRejectsNewWorkAndShutdownFrameDrains) {
