@@ -12,11 +12,17 @@ fails when performance *regressed*:
   --tolerance (default 30%) of the baseline: fresh >= committed / 1.3.
   Ratios are used, not wall times, so the gate is machine-independent —
   a slower CI box slows numerator and denominator alike.
+* every numeric metric whose name ends with "_exponent" (a fitted log-log
+  scaling slope: compact_scaling_exponent, prefix_bytes_exponent, ...) is
+  a ceiling: fresh <= committed + EXPONENT_SLACK (0.2, absolute).  A
+  slope is machine-independent too, and an absolute slack keeps a
+  near-linear baseline from drifting back towards quadratic.
 * every boolean gate that is true in the baseline (byte_identical,
   all_cache_hits, speedup_5x, ...) must still be true.
 
-Getting *faster* never fails; run with --update to fold an intentional
-improvement (or an accepted regression) into the committed baselines.
+Getting *faster* (or flatter) never fails; run with --update to fold an
+intentional improvement (or an accepted regression) into the committed
+baselines.
 
 Usage:
     python3 scripts/check_bench_trend.py --fresh-dir build
@@ -37,6 +43,11 @@ import shutil
 import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Allowed absolute rise of a *_exponent scaling slope over its committed
+# value: above the run-to-run spread of the fits (bench_spatial's Sweep
+# slope reads 0.92-0.97), far below the distance to a quadratic step.
+EXPONENT_SLACK = 0.2
 
 REPORTS = [
     "BENCH_vm.json",
@@ -61,13 +72,21 @@ def walk_metrics(obj, prefix=""):
                 yield name, value
 
 
+def is_exponent(name):
+    return name.rsplit(".", 1)[-1].endswith("_exponent")
+
+
 def gated(name, value):
     leaf = name.rsplit(".", 1)[-1]
     if isinstance(value, bool):
         return value  # only committed-true booleans gate
     if isinstance(value, (int, float)):
-        return leaf.startswith("speedup")
+        return leaf.startswith("speedup") or is_exponent(name)
     return False
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def check_report(report, fresh_dir, tolerance, update):
@@ -107,23 +126,30 @@ def check_report(report, fresh_dir, tolerance, update):
             if fresh[name] is not True:
                 errors.append(f"{report}: boolean gate {name} was true in "
                               f"the baseline but is {fresh[name]!r} now")
+        elif is_exponent(name):
+            ceiling = committed + EXPONENT_SLACK
+            if not is_number(fresh[name]) or fresh[name] > ceiling:
+                errors.append(
+                    f"{report}: {name} grew: {fresh[name]!r} vs committed "
+                    f"{committed:g} (ceiling {ceiling:.3g} at "
+                    f"+{EXPONENT_SLACK:g} slack)")
         else:
             floor = committed / (1.0 + tolerance)
-            if not isinstance(fresh[name], (int, float)) or \
-                    isinstance(fresh[name], bool) or fresh[name] < floor:
+            if not is_number(fresh[name]) or fresh[name] < floor:
                 errors.append(
                     f"{report}: {name} regressed: {fresh[name]!r} vs "
                     f"committed {committed:g} (floor {floor:.3g} at "
                     f"{tolerance:.0%} tolerance)")
     if gates == 0:
         errors.append(f"{report}: baseline has no gated metrics (no "
-                      "speedup_* numbers, no true booleans); the trend "
-                      "check would be vacuous")
+                      "speedup_* or *_exponent numbers, no true booleans); "
+                      "the trend check would be vacuous")
 
     if update and not errors:
         shutil.copyfile(fresh_path, baseline_path)
         return f"{report}: {gates} gate(s) ok; baseline refreshed", errors
-    return f"{report}: {gates} gate(s) within {tolerance:.0%}", errors
+    return (f"{report}: {gates} gate(s) within {tolerance:.0%} "
+            f"(exponents within +{EXPONENT_SLACK:g})"), errors
 
 
 def main():

@@ -77,11 +77,20 @@ void SpatialIndex::insert(std::uint32_t id, std::uint32_t bucket, const Box& box
   }
 }
 
-template <class Fn>
-bool SpatialIndex::gather(const Bucket& b, const Box& window, Fn&& fn) const {
-  // Clamp the cell walk to the content bounds: consumers issue band
-  // queries that are unbounded along one axis (the compactor's cross-axis
-  // bands), and nothing lives outside bounds_ by construction.
+const SpatialIndex::Column* SpatialIndex::findColumn(const Bucket& b, std::int64_t cx) {
+  if (b.table.empty()) return nullptr;
+  const std::size_t mask = b.table.size() - 1;
+  for (std::size_t i = hashKey(cx) & mask; b.table[i].col >= 0; i = (i + 1) & mask)
+    if (b.table[i].cx == cx) return &b.cols[static_cast<std::size_t>(b.table[i].col)];
+  return nullptr;
+}
+
+template <class Fn, class Done>
+bool SpatialIndex::walk(const Box& window, const Bucket* first, const Bucket* last, Side front,
+                        Fn&& fn, Done&& done) const {
+  // Clamp the walk to the content bounds: consumers issue band queries
+  // that are unbounded along one axis (the compactor's cross-axis bands),
+  // and nothing lives outside bounds_ by construction.
   const Coord wx1 = std::max(window.x1, bounds_.x1);
   const Coord wx2 = std::min(window.x2, bounds_.x2);
   const Coord wy1 = std::max(window.y1, bounds_.y1);
@@ -89,50 +98,118 @@ bool SpatialIndex::gather(const Bucket& b, const Box& window, Fn&& fn) const {
   if (wx1 > wx2 || wy1 > wy2) return false;  // window misses all content
 
   auto offer = [&](const Entry& e) { return closedIntersects(e.box, window) && fn(e.id); };
-  if (!b.table.empty()) {
-    const std::size_t mask = b.table.size() - 1;
-    const std::int64_t cx1 = cellOf(wx1, cell_), cx2 = cellOf(wx2, cell_);
-    const std::int64_t cy1 = cellOf(wy1, cell_), cy2 = cellOf(wy2, cell_);
-    for (std::int64_t cx = cx1; cx <= cx2; ++cx) {
-      std::size_t i = hashKey(cx) & mask;
-      const Column* col = nullptr;
-      while (b.table[i].col >= 0) {
-        if (b.table[i].cx == cx) {
-          col = &b.cols[static_cast<std::size_t>(b.table[i].col)];
-          break;
-        }
-        i = (i + 1) & mask;
+  // Entries too large for the grid have no level: offer them first.
+  for (const Bucket* b = first; b != last; ++b)
+    for (const std::uint32_t idx : b->large)
+      if (offer(entries_[idx])) return true;
+
+  const std::int64_t cx1 = cellOf(wx1, cell_), cx2 = cellOf(wx2, cell_);
+  const std::int64_t cy1 = cellOf(wy1, cell_), cy2 = cellOf(wy2, cell_);
+  const bool alongX = front == Side::Left || front == Side::Right;
+  // Levels run from high cells to low ones when the front is Right/Top.
+  const bool down = front == Side::Right || front == Side::Top;
+  const std::int64_t lo = alongX ? cx1 : cy1, hi = alongX ? cx2 : cy2;
+  const Coord far = reach(front, bounds_);
+  // An entry sits in every cell it covers but is reported once: across
+  // the walk from the first level it covers, across the other axis from
+  // its first cell.  So every level after the first holds only entries
+  // that begin (walking up) or end (walking down) inside it, which bounds
+  // their reach.
+  auto bound = [&](std::int64_t level) {
+    if (level == (down ? hi : lo)) return far;
+    return std::min(far, down ? (level + 1) * cell_ - 1 : -level * cell_);
+  };
+  auto reportedAt = [&](const Entry& e, std::int64_t level) {
+    if (down) return level == hi || (alongX ? e.box.x2 : e.box.y2) < (level + 1) * cell_;
+    return std::max(alongX ? e.cx1 : e.cy1, lo) == level;
+  };
+  auto offerCell = [&](const Bucket& b, const Cell& c, std::int64_t cx) {
+    for (std::int32_t s = c.head; s >= 0; s = b.slots[s].next) {
+      const Entry& e = entries_[b.slots[s].entry];
+      const bool mine = alongX ? reportedAt(e, cx) && std::max(e.cy1, cy1) == c.cy
+                               : reportedAt(e, c.cy) && std::max(e.cx1, cx1) == cx;
+      if (mine && offer(e)) return true;
+    }
+    return false;
+  };
+  const auto byCy = [](const Cell& c, std::int64_t v) { return c.cy < v; };
+
+  if (alongX) {
+    // Only occupied cells in [cy1, cy2] are visited: a band window
+    // spanning the whole structure costs the column's population, not the
+    // window's cell count.
+    for (std::int64_t cx = down ? hi : lo; down ? cx >= lo : cx <= hi; cx += down ? -1 : 1) {
+      if (done(bound(cx))) return false;
+      for (const Bucket* b = first; b != last; ++b) {
+        const Column* col = findColumn(*b, cx);
+        if (!col) continue;
+        auto it = std::lower_bound(col->cells.begin(), col->cells.end(), cy1, byCy);
+        for (; it != col->cells.end() && it->cy <= cy2; ++it)
+          if (offerCell(*b, *it, cx)) return true;
       }
+    }
+    return false;
+  }
+
+  // A Top/Bottom front walks cell rows across the window's columns: one
+  // cursor per occupied column, merged level by level.
+  struct Cursor {
+    const Bucket* b;
+    const Column* col;
+    std::int64_t cx;
+    std::ptrdiff_t at, stop;  // cell indices; `stop` is one past the last
+  };
+  std::vector<Cursor> cursors;
+  for (const Bucket* b = first; b != last; ++b)
+    for (std::int64_t cx = cx1; !b->table.empty() && cx <= cx2; ++cx) {
+      const Column* col = findColumn(*b, cx);
       if (!col) continue;
-      // Only occupied cells in [cy1, cy2] are visited: a band window
-      // spanning the whole structure costs the column's population, not
-      // the window's cell count.  An entry sits in every cell it covers,
-      // so it is reported only from the first cell (per axis) it shares
-      // with the walk.
-      auto it = std::lower_bound(col->cells.begin(), col->cells.end(), cy1,
-                                 [](const Cell& c, std::int64_t v) { return c.cy < v; });
-      for (; it != col->cells.end() && it->cy <= cy2; ++it)
-        for (std::int32_t s = it->head; s >= 0; s = b.slots[s].next) {
-          const Entry& e = entries_[b.slots[s].entry];
-          if (std::max(e.cx1, cx1) == cx && std::max(e.cy1, cy1) == it->cy && offer(e))
-            return true;
-        }
+      const auto begin = col->cells.begin();
+      const std::ptrdiff_t from = std::lower_bound(begin, col->cells.end(), cy1, byCy) - begin;
+      const std::ptrdiff_t to = std::lower_bound(begin, col->cells.end(), cy2 + 1, byCy) - begin;
+      if (from == to) continue;
+      cursors.push_back(down ? Cursor{b, col, cx, to - 1, from - 1} : Cursor{b, col, cx, from, to});
+    }
+  while (!cursors.empty()) {
+    std::int64_t level = cursors.front().col->cells[cursors.front().at].cy;
+    for (const Cursor& c : cursors) {
+      const std::int64_t cy = c.col->cells[c.at].cy;
+      level = down ? std::max(level, cy) : std::min(level, cy);
+    }
+    if (done(bound(level))) return false;
+    for (std::size_t k = 0; k < cursors.size();) {
+      Cursor& c = cursors[k];
+      const Cell& cell = c.col->cells[c.at];
+      if (cell.cy != level) {
+        ++k;
+        continue;
+      }
+      if (offerCell(*c.b, cell, c.cx)) return true;
+      c.at += down ? -1 : 1;
+      if (c.at == c.stop) {
+        cursors[k] = cursors.back();
+        cursors.pop_back();
+      } else {
+        ++k;
+      }
     }
   }
-  for (const std::uint32_t idx : b.large)
-    if (offer(entries_[idx])) return true;
   return false;
 }
 
 bool SpatialIndex::visit(const Box& window, Visitor fn) const {
+  return walkFromFront(window, Side::Left, fn, [](Coord) { return false; });
+}
+
+bool SpatialIndex::walkFromFront(const Box& window, Side front, Visitor fn,
+                                 Cutoff done) const {
   std::size_t yielded = 0;
   auto counted = [&](std::uint32_t id) {
     ++yielded;
     return fn(id);
   };
-  bool stopped = false;
-  for (const Bucket& b : buckets_)
-    if ((stopped = gather(b, window, counted))) break;
+  const bool stopped = walk(window, buckets_.data(), buckets_.data() + buckets_.size(), front,
+                            counted, done);
   OBS_COUNT("spatial.queries");
   OBS_COUNT_N("spatial.candidates", yielded);
   return stopped;
@@ -160,7 +237,8 @@ void sortUnique(std::vector<std::uint32_t>& out) {
 
 void SpatialIndex::query(const Box& window, std::vector<std::uint32_t>& out) const {
   out.clear();
-  for (const Bucket& b : buckets_) gather(b, window, appendTo(out));
+  walk(window, buckets_.data(), buckets_.data() + buckets_.size(), Side::Left, appendTo(out),
+       [](Coord) { return false; });
   sortUnique(out);
 }
 
@@ -168,7 +246,8 @@ void SpatialIndex::query(std::uint32_t bucket, const Box& window,
                          std::vector<std::uint32_t>& out) const {
   out.clear();
   if (bucket >= buckets_.size()) return;
-  gather(buckets_[bucket], window, appendTo(out));
+  walk(window, &buckets_[bucket], &buckets_[bucket] + 1, Side::Left, appendTo(out),
+       [](Coord) { return false; });
   sortUnique(out);
 }
 

@@ -26,6 +26,16 @@
 //  * query() is the same walk plus sort+unique: ascending, deduplicated
 //    ids, so iteration order matches a brute-force scan in id order — for
 //    the consumers whose answer depends on that order.
+//  * walkFromFront() is the same candidate set, offered front-first: grid
+//    level by level (columns for a Left/Right front, cell rows for a
+//    Top/Bottom one), starting at the level nearest the chosen side of the
+//    content.  Before each level a cutoff callback receives an upper bound
+//    on how far any entry not yet offered reaches towards that side, and
+//    ends the walk by returning true.  This is how successive compaction
+//    reads "only outer edges" (§2.3): a step that knows what it has seen
+//    so far can prove the rest of the structure irrelevant and stop,
+//    without a second structure to keep exact.  Entries spanning more
+//    cells than the grid enumerates come first, before any cutoff.
 //  * the index is incremental: insert() accepts new entries at any time
 //    (the growing structure of successive compaction).  Re-inserting an
 //    id with a new box *widens* that id's coverage (union semantics) —
@@ -54,24 +64,41 @@ class SpatialIndex {
 
   explicit SpatialIndex(Coord cellSize = kDefaultCellSize);
 
-  /// A non-owning reference to a callable `bool(std::uint32_t id)`;
-  /// returning true stops the walk.  Pass a lambda straight into visit():
-  /// the reference must not outlive the callable.
-  class Visitor {
+  /// A non-owning reference to a callable `bool(Arg)`; returning true
+  /// stops the walk.  Pass a lambda straight into visit(): the reference
+  /// must not outlive the callable.
+  template <class Arg>
+  class StopFn {
    public:
     template <class F, class = std::enable_if_t<
-                           !std::is_same_v<std::decay_t<F>, Visitor>>>
-    Visitor(F&& f)  // implicit: a lambda converts at the call
+                           !std::is_same_v<std::decay_t<F>, StopFn>>>
+    StopFn(F&& f)  // implicit: a lambda converts at the call
         : fn_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
-          call_([](void* fn, std::uint32_t id) {
-            return static_cast<bool>((*static_cast<std::remove_reference_t<F>*>(fn))(id));
+          call_([](void* fn, Arg a) {
+            return static_cast<bool>((*static_cast<std::remove_reference_t<F>*>(fn))(a));
           }) {}
-    bool operator()(std::uint32_t id) const { return call_(fn_, id); }
+    bool operator()(Arg a) const { return call_(fn_, a); }
 
    private:
     void* fn_;
-    bool (*call_)(void*, std::uint32_t);
+    bool (*call_)(void*, Arg);
   };
+  /// Called with each candidate id.
+  using Visitor = StopFn<std::uint32_t>;
+  /// Called with walkFromFront()'s reach bound before each level.
+  using Cutoff = StopFn<Coord>;
+
+  /// How far `b` reaches towards side `s`, larger = further out: x2 for
+  /// Right, y2 for Top, −x1 for Left, −y1 for Bottom.
+  static constexpr Coord reach(Side s, const Box& b) {
+    switch (s) {
+      case Side::Left: return -b.x1;
+      case Side::Bottom: return -b.y1;
+      case Side::Right: return b.x2;
+      case Side::Top: return b.y2;
+    }
+    return 0;  // unreachable
+  }
 
   /// Add one box under `id` to `bucket`.  Ids need not be unique: duplicate
   /// ids union their coverage (see header).  Buckets are dense small
@@ -83,6 +110,13 @@ class SpatialIndex {
   /// re-inserted) — until `fn` returns true.  Returns true when `fn`
   /// stopped the walk.
   bool visit(const Box& window, Visitor fn) const;
+
+  /// visit() in front-first order towards side `front`.  Before each grid
+  /// level, `done(r)` is called with an r >= reach(front, box) of every
+  /// entry the walk has not offered yet, r never increasing; when it
+  /// returns true the walk ends (and returns false).  Returns true when
+  /// `fn` stopped the walk.
+  bool walkFromFront(const Box& window, Side front, Visitor fn, Cutoff done) const;
 
   /// Ids of all entries (any bucket) whose box closed-intersects `window`,
   /// ascending and deduplicated.  `out` is cleared first; reuse it across
@@ -165,13 +199,17 @@ class SpatialIndex {
   }
 
   static Column& columnFor(Bucket& b, std::int64_t cx);
+  /// The bucket's column at cell x `cx`, or nullptr when it has none.
+  static const Column* findColumn(const Bucket& b, std::int64_t cx);
   static void growTable(Bucket& b);
-  /// The cell walk behind visit() and query(): hands each of `b`'s entries
-  /// that closed-intersect `window` to `fn` once, until it returns true
-  /// (then returns true).  A template so query()'s collector inlines into
-  /// the walk.
-  template <class Fn>
-  bool gather(const Bucket& b, const Box& window, Fn&& fn) const;
+  /// The one cell walk behind visit(), walkFromFront() and query(): hands
+  /// each entry of buckets [first, last) that closed-intersects `window`
+  /// to `fn` once, front-first towards `front` with `done` asked before
+  /// each level (see walkFromFront()), until `fn` returns true (then
+  /// returns true).  A template so query()'s collector inlines into it.
+  template <class Fn, class Done>
+  bool walk(const Box& window, const Bucket* first, const Bucket* last, Side front, Fn&& fn,
+            Done&& done) const;
 
   Coord cell_;
   Box bounds_;

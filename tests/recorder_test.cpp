@@ -354,17 +354,20 @@ TEST(Replay, CompareTracesFlagsLengthAndDigestDrift) {
 
 // --- flight recorder -------------------------------------------------------
 
+// Dumps into an unnamed temporary file: ctest runs tests as concurrent
+// processes, and a shared path would let one truncate another's dump.
 std::string dumpToString() {
-  const std::string path = ::testing::TempDir() + "flight_dump.txt";
-  std::FILE* f = std::fopen(path.c_str(), "w+b");
+  std::FILE* f = std::tmpfile();
   EXPECT_NE(f, nullptr);
+  if (!f) return {};
   const std::size_t n = obs::flight::dump(fileno(f));
+  std::rewind(f);
+  std::string out;
+  char buf[4096];
+  for (std::size_t got; (got = std::fread(buf, 1, sizeof buf, f)) > 0;) out.append(buf, got);
   std::fclose(f);
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  EXPECT_EQ(ss.str().size(), n);
-  return ss.str();
+  EXPECT_EQ(out.size(), n);
+  return out;
 }
 
 TEST(Flight, RingWrapsAndDumpStaysBounded) {
