@@ -337,7 +337,7 @@ void readBody(util::WireReader& r, const std::vector<std::uint8_t>& bytes,
     if (!fmt.compacted) {
       s.alive = (flags & 2u) != 0;
       if (i < editedShapes.size())
-        m.shape(editedShapes[i]) = s;
+        m.replaceRawShape(editedShapes[i], s);
       else
         m.appendRawShape(s);
     } else if (s.box.empty()) {

@@ -338,6 +338,9 @@ TEST(ModuleRecord, DeltaRebuildsTheModuleItWasTakenFrom) {
   db::Module rebuilt = recordModule();
   applySessionDelta(rebuilt, delta);
   EXPECT_EQ(serializeSessionState(rebuilt), serializeSessionState(after));
+  // The delta rewrites retired slot 3 whole; the alive count follows it.
+  EXPECT_EQ(rebuilt.shapeCount(), after.shapeCount());
+  EXPECT_EQ(rebuilt.shapeCount(), rebuilt.shapeIds().size());
 
   // Behind a header, from an offset.
   std::vector<std::uint8_t> framed(7 + delta.size(), 0xAB);

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/sweep.h"
 #include "compact/prefix.h"
 #include "db/module.h"
 #include "obs/obs.h"
@@ -38,33 +39,11 @@ using testutil::forBothPrefixTiers;
 
 // Every job shares a `rows`-step compaction prefix and diverges only in
 // the tail cell — the warm-adjacent sweep shape the tier is built for.
-const char* kSweepLib = R"(
-ENT Cell(<W>, <L>)
-  TWORECTS("poly", "pdiff", W, L)
-  INBOX("metal1")
-
-ENT Sweep(rows, <W>)
-  INBOX("pdiff", 4, 4)
-  FOR k = 1 TO rows DO
-    c = Cell(W = 6, L = 2)
-    compact(c, EAST, "poly")
-  ENDFOR
-  tail = Cell(W = W, L = 2)
-  compact(tail, EAST, "poly")
-)";
-
 std::vector<gen::Job> sweepJobs(std::size_t count, int rows = 6) {
   std::vector<gen::Job> jobs;
-  for (std::size_t i = 0; i < count; ++i) {
-    gen::Job j;
-    j.name = "s" + std::to_string(i);
-    j.script = kSweepLib;
-    j.scriptPath = "<test>";
-    j.entity = "Sweep";
-    j.params = {{"rows", std::to_string(rows)},
-                {"W", std::to_string(5.0 + 0.5 * static_cast<double>(i))}};
-    jobs.push_back(std::move(j));
-  }
+  for (std::size_t i = 0; i < count; ++i)
+    jobs.push_back(bench::sweepJob("s" + std::to_string(i), rows,
+                                   std::to_string(5.0 + 0.5 * static_cast<double>(i))));
   return jobs;
 }
 
@@ -535,10 +514,12 @@ Chain fig5Chain(int rounds) {
   return c;
 }
 
-/// The executed session state after each step of `c` (plain compact()),
-/// with the chain's edge moves, array rebuilds and auto-connects.
+/// The executed session state and alive-shape count after each step of
+/// `c` (plain compact()), with the chain's edge moves, array rebuilds and
+/// auto-connects.
 struct Executed {
   std::vector<std::vector<std::uint8_t>> states;
+  std::vector<std::size_t> shapeCounts;
   int edgeMoves = 0, autoConnects = 0;
 };
 
@@ -550,6 +531,7 @@ Executed execute(const Chain& c) {
     e.edgeMoves += r.edgeMoves;
     e.autoConnects += r.autoConnects;
     e.states.push_back(io::serializeSessionState(m));
+    e.shapeCounts.push_back(m.shapeCount());
   }
   return e;
 }
@@ -568,7 +550,9 @@ std::size_t runChain(const Chain& c, compact::PrefixCache& cache, std::size_t st
 }
 
 /// After every step k, the state rebuilt from `c`'s cached entries (the
-/// nearest pinned snapshot plus the deltas after it) is the executed one.
+/// nearest pinned snapshot plus the deltas after it) is the executed one,
+/// and so is its alive-shape count: a delta rewrites retired slots whole,
+/// and the count must follow the alive bits it restores.
 void expectEveryRebuiltStepMatches(const Chain& c, const Executed& want) {
   compact::PrefixCache cache;
   db::Module m(bicmos1u());
@@ -577,6 +561,8 @@ void expectEveryRebuiltStepMatches(const Chain& c, const Executed& want) {
   for (std::size_t k = 1; k <= c.steps.size(); ++k) {
     EXPECT_EQ(runChain(c, cache, k, m), k);
     EXPECT_EQ(io::serializeSessionState(m), want.states[k - 1]) << "step " << k;
+    EXPECT_EQ(m.shapeCount(), want.shapeCounts[k - 1]) << "step " << k;
+    EXPECT_EQ(m.shapeCount(), m.shapeIds().size()) << "step " << k;
   }
   EXPECT_EQ(cache.events().rejected, 0u);
 }
@@ -606,6 +592,63 @@ TEST(PrefixDelta, Fig5ChainRebuildsEveryStep) {
   EXPECT_GT(want.autoConnects, 0);  // extensions of plain shapes
   EXPECT_GT(want.edgeMoves, 0);     // shrinks of plain shapes
   expectEveryRebuiltStepMatches(c, want);
+}
+
+TEST(PrefixDelta, RestoredJobsCountTheShapesColdJobsDo) {
+  // Rows with variable metal edges shrink when the next row lands on them,
+  // so their contact arrays are rebuilt and old cuts retired.  A job
+  // restored from delta entries must count the same alive shapes as the
+  // cold run of it, not only serialize to the same layout.
+  const std::string script = std::string(kChainParts) + R"(
+ENT Interdig(fingers, <W>)
+  r = Row(W = 12, which = "s")
+  compact(r, WEST, "pdiff")
+  FOR i = 1 TO fingers DO
+    g = Gate(W = 12, L = 2)
+    compact(g, WEST, "pdiff")
+    d = Row(W = 12, which = "d")
+    compact(d, WEST, "pdiff")
+    s = Row(W = 12, which = "s")
+    compact(s, WEST, "pdiff")
+  ENDFOR
+  tail = Gate(W = W, L = 2)
+  compact(tail, WEST, "pdiff")
+)";
+  std::vector<gen::Job> jobs;
+  for (int i = 0; i < 3; ++i) {
+    gen::Job j;
+    j.name = "i" + std::to_string(i);
+    j.script = script;
+    j.scriptPath = "<test>";
+    j.entity = "Interdig";
+    j.params = {{"fingers", "6"}, {"W", std::to_string(12 + i)}};
+    jobs.push_back(std::move(j));
+  }
+  auto counts = [&](const gen::EngineConfig& cfg, gen::BatchReport& rep) {
+    gen::EngineConfig c = cfg;
+    c.threads = 1;
+    c.useCache = false;
+    rep = gen::BatchEngine(bicmos1u(), c).run(jobs);
+    std::map<std::string, std::size_t> out;
+    for (const gen::JobResult& r : rep.jobs) {
+      EXPECT_TRUE(r.ok) << r.name << ": " << r.error();
+      if (!r.ok) continue;
+      EXPECT_EQ(r.layout->shapeCount(), r.layout->shapeIds().size()) << r.name;
+      out[r.name] = r.layout->shapeCount();
+    }
+    return out;
+  };
+  gen::BatchReport coldRep;
+  const auto cold = counts(coldConfig(), coldRep);
+  forBothPrefixTiers([&](const gen::EngineConfig& cfg) {
+    gen::BatchReport rep;
+    EXPECT_EQ(counts(cfg, rep), cold);
+    for (std::size_t i = 0; i < rep.jobs.size(); ++i)
+      EXPECT_EQ(rep.jobs[i].layoutHash, coldRep.jobs[i].layoutHash) << rep.jobs[i].name;
+    if (cfg.prefixCache) {
+      EXPECT_GT(rep.prefixRestoredSteps, 0u);
+    }
+  });
 }
 
 TEST(PrefixDelta, ScheduleWritesSnapshotsAtPowersOfTwo) {
