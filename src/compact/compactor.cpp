@@ -569,18 +569,14 @@ Result compactStep(db::Module& target, const db::Module& obj, Dir dir,
 
 Result detail::compact(db::Module& target, const db::Module& obj, Dir dir,
                        const Options& options, Edits& edits) {
-  std::unique_ptr<geom::SpatialIndex> idx = target.takeIndex();
-  if (!idx) {
-    OBS_COUNT("compact.index.rebuilds");
-    idx = std::make_unique<geom::SpatialIndex>(db::buildShapeIndex(target));
-  }
+  const std::shared_ptr<geom::SpatialIndex> idx = target.takeShapeIndex();
   IndexCandidates cands(*idx);
   const std::size_t editsBefore = edits.shapes.size();
   Result res = detail::compactStep(target, obj, dir, options, cands, &edits);
   // An append-only step left the index exact: it holds every alive shape
   // with its current box.  A step that edited the target's own shapes left
   // stale boxes or retired ids behind, and the next step rebuilds instead.
-  if (edits.shapes.size() == editsBefore) target.keepIndex(std::move(idx));
+  if (edits.shapes.size() == editsBefore) target.parkShapeIndex(idx);
   return res;
 }
 

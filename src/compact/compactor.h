@@ -68,14 +68,15 @@ struct Result {
 /// enumerated through a geom::SpatialIndex over the target; the all-pairs
 /// oracle the tests compare against lives in tests/oracle/.
 ///
-/// Successive construction keeps its state on the target: the index is
-/// parked in the module (db::Module::keepIndex) after a step that only
-/// appended shapes, and the next call reuses it if the module was not
-/// mutated in between.  A step that edited the target's own shapes (a
-/// variable-edge shrink, an array rebuild, an auto-connect extension), an
-/// out-of-band mutation, a move or a throw makes the next call rebuild it,
-/// and so does the first call on a copy (counter compact.index.rebuilds).
-/// Layouts do not depend on which.
+/// Successive construction keeps its state on the target: a step takes
+/// the module's shape index (db::Module::takeShapeIndex), inserts what it
+/// merges, and parks it again after a step that only appended shapes, so
+/// the next call, or a checker, reuses it if the module was not mutated in
+/// between.  A step that edited the target's own shapes (a variable-edge
+/// shrink, an array rebuild, an auto-connect extension), an out-of-band
+/// mutation, a move or a throw makes the next call rebuild it, and so does
+/// the first call on a copy (counter db.index.builds).  Layouts do not
+/// depend on which.
 Result compact(db::Module& target, const db::Module& obj, Dir dir,
                const Options& options = {});
 

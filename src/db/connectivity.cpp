@@ -36,7 +36,6 @@ std::vector<Box> fragments(const Box& box, const std::vector<Box>& cutters) {
 /// One module snapshot's extraction, fully resolved: nothing is computed
 /// on query, so concurrent readers share it without synchronisation.
 struct ConnectivityData {
-  std::uint64_t stamp = 0;  ///< Module::stamp() the data was built at
   /// Nodes are numbered in shape-id order: shape i owns the nodes
   /// [nodeStart[i], nodeStart[i + 1]) (none when it is not electrical).
   std::vector<std::uint32_t> nodeStart;
@@ -56,19 +55,11 @@ std::shared_ptr<const ConnectivityData> extract(const Module& m) {
   OBS_COUNT("connectivity.builds");
   const tech::Technology& t = m.technology();
   auto d = std::make_shared<ConnectivityData>();
-  d->stamp = m.stamp();
 
-  // One shape-level index for every geometric lookup of the build
+  // The module's shape index serves every geometric lookup of the build
   // (gate-poly cutters, cut shielding).
-  const geom::SpatialIndex sidx = buildShapeIndex(m);
+  const std::shared_ptr<const geom::SpatialIndex> sidx = m.shapeIndex();
   std::vector<std::uint32_t> cand;
-
-  std::vector<tech::LayerId> polyLayers;
-  for (ShapeId i : m.shapeIds())
-    if (t.info(m.shape(i).layer).kind == tech::LayerKind::Poly &&
-        std::find(polyLayers.begin(), polyLayers.end(), m.shape(i).layer) ==
-            polyLayers.end())
-      polyLayers.push_back(m.shape(i).layer);
 
   // Build nodes: one per shape, except diffusion shapes crossed by gate
   // poly, which contribute one node per un-gated fragment (a MOS device
@@ -77,7 +68,6 @@ std::shared_ptr<const ConnectivityData> extract(const Module& m) {
   std::vector<ShapeId> nodeShape;
   d->nodeStart.assign(rawN + 1, 0);
   std::vector<Box> cutters;
-  std::vector<std::uint32_t> merged;
   for (ShapeId i = 0; i < rawN; ++i) {
     d->nodeStart[i] = static_cast<std::uint32_t>(d->nodeBox.size());
     if (!detail::isElectrical(m, i)) continue;
@@ -85,14 +75,12 @@ std::shared_ptr<const ConnectivityData> extract(const Module& m) {
     cutters.clear();
     if (t.info(s.layer).kind == tech::LayerKind::Diffusion) {
       // Only gate polys near this diffusion, in shape-id order.
-      merged.clear();
-      for (const tech::LayerId pl : polyLayers) {
-        sidx.query(pl, s.box, cand);
-        merged.insert(merged.end(), cand.begin(), cand.end());
+      sidx->query(s.box, cand);
+      for (const std::uint32_t gi : cand) {
+        const Shape& g = m.shape(gi);
+        if (t.info(g.layer).kind == tech::LayerKind::Poly && g.box.overlaps(s.box))
+          cutters.push_back(g.box);
       }
-      std::sort(merged.begin(), merged.end());
-      for (const std::uint32_t gi : merged)
-        if (m.shape(gi).box.overlaps(s.box)) cutters.push_back(m.shape(gi).box);
     }
     for (const Box& p : detail::fragments(s.box, cutters)) {
       d->nodeBox.push_back(p);
@@ -120,7 +108,7 @@ std::shared_ptr<const ConnectivityData> extract(const Module& m) {
 
   // A shielding shape must contain the cut box, hence touch it.
   auto shieldCandidates = [&](const Box& cutBox) -> const std::vector<std::uint32_t>& {
-    sidx.query(cutBox, cand);
+    sidx->query(cutBox, cand);
     return cand;
   };
   std::vector<std::uint32_t> bCand;
@@ -169,13 +157,13 @@ std::shared_ptr<const ConnectivityData> extract(const Module& m) {
 
 }  // namespace
 
-Connectivity::Connectivity(const Module& m) : d_(m.connectivity_.load()) {
-  if (d_ && d_->stamp == m.stamp()) {
+Connectivity::Connectivity(const Module& m) : d_(m.connectivity_.load(m.stamp())) {
+  if (d_) {
     OBS_COUNT("connectivity.reused");
     return;
   }
   d_ = extract(m);
-  m.connectivity_.store(d_);
+  m.connectivity_.park(d_, m.stamp());
 }
 
 int Connectivity::componentCount() const { return d_->componentCount; }

@@ -46,9 +46,9 @@ class Connectivity {
  public:
   /// The components of `m`: the extraction parked on `m` when its stamp
   /// matches, otherwise a fresh one (counted by `connectivity.builds`),
-  /// which is then parked.  Candidate pairs come from a geom::SpatialIndex
-  /// (a superset-exact prune); the all-pairs oracle the tests compare
-  /// against lives in tests/oracle/.
+  /// which is then parked.  Gate and shield candidates come from the
+  /// module's shape index (Module::shapeIndex, a superset-exact prune);
+  /// the all-pairs oracle the tests compare against lives in tests/oracle/.
   explicit Connectivity(const Module& m);
 
   /// True when any electrical parts of the two shapes share a component.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 
+#include "obs/obs.h"
+
 namespace amg::db {
 
 std::uint64_t detail::IdentityStamp::next() {
@@ -76,10 +78,26 @@ std::vector<ShapeId> Module::shapeIds() const {
   return out;
 }
 
-geom::SpatialIndex buildShapeIndex(const Module& m) {
-  geom::SpatialIndex idx;
-  for (ShapeId id : m.shapeIds()) idx.insert(id, m.shape(id).layer, m.shape(id).box);
+namespace {
+
+/// The one place a shape index is built: every alive shape, in id order.
+std::shared_ptr<geom::SpatialIndex> buildShapeIndex(const Module& m) {
+  OBS_COUNT("db.index.builds");
+  auto idx = std::make_shared<geom::SpatialIndex>();
+  for (ShapeId id : m.shapeIds()) idx->insert(id, m.shape(id).layer, m.shape(id).box);
   return idx;
+}
+
+}  // namespace
+
+std::shared_ptr<const geom::SpatialIndex> Module::shapeIndex() const {
+  if (auto idx = index_.load(stamp_.v)) return idx;
+  return buildShapeIndex(*this);
+}
+
+std::shared_ptr<geom::SpatialIndex> Module::takeShapeIndex() {
+  if (auto idx = index_.take(stamp_.v)) return idx;
+  return buildShapeIndex(*this);
 }
 
 std::vector<ShapeId> Module::shapesOn(LayerId layer) const {

@@ -46,59 +46,49 @@ struct IdentityStamp {
   static std::uint64_t next();  // global relaxed counter, never reused
 };
 
-/// A spatial index parked on a module with the stamp at which it was
-/// exact.  A copy starts empty (the source, unchanged, keeps its index) and
-/// a move empties both sides, so an index never travels to another
-/// module's store.
-struct IndexSlot {
-  IndexSlot() = default;
-  IndexSlot(const IndexSlot&) {}
-  IndexSlot& operator=(const IndexSlot&) {
-    idx.reset();
-    return *this;
-  }
-  IndexSlot(IndexSlot&& o) noexcept { o.idx.reset(); }
-  IndexSlot& operator=(IndexSlot&& o) noexcept {
-    idx.reset();
-    o.idx.reset();
-    return *this;
-  }
-  std::unique_ptr<geom::SpatialIndex> idx;
-  std::uint64_t stamp = 0;
-};
-
-/// The resolved connectivity of one module snapshot, parked on the module
-/// by db::Connectivity for every later reader at the same stamp (the data
-/// records the stamp it was built at).  Concurrent const readers share the
-/// slot, so a small lock guards the pointer.  Like IndexSlot, a copy
-/// starts empty and a move empties both sides.
-class ConnectivitySlot {
+/// Data derived from one module snapshot (its shape index, its
+/// connectivity), parked on the module with the stamp at which it is
+/// exact.  Concurrent const readers share the slot, so a small lock guards
+/// it.  A copy starts empty (the source, unchanged, keeps its data) and a
+/// move empties both sides, so parked data never travels to another
+/// module's store.  Parking is not a mutation: the module's stamp is
+/// untouched.
+template <class T>
+class SnapshotSlot {
  public:
-  ConnectivitySlot() = default;
-  ConnectivitySlot(const ConnectivitySlot&) {}
-  ConnectivitySlot& operator=(const ConnectivitySlot&) {
-    store(nullptr);
+  SnapshotSlot() = default;
+  SnapshotSlot(const SnapshotSlot&) {}
+  SnapshotSlot& operator=(const SnapshotSlot&) {
+    park(nullptr, 0);
     return *this;
   }
-  ConnectivitySlot(ConnectivitySlot&& o) noexcept { o.store(nullptr); }
-  ConnectivitySlot& operator=(ConnectivitySlot&& o) noexcept {
-    store(nullptr);
-    o.store(nullptr);
+  SnapshotSlot(SnapshotSlot&& o) noexcept { o.park(nullptr, 0); }
+  SnapshotSlot& operator=(SnapshotSlot&& o) noexcept {
+    park(nullptr, 0);
+    o.park(nullptr, 0);
     return *this;
   }
-  std::shared_ptr<const ConnectivityData> load() const {
+  /// The parked data when it is exact at `stamp`, else nullptr.
+  std::shared_ptr<T> load(std::uint64_t stamp) const {
     util::MutexLock lock(mu_);
-    return data_;
+    return stamp_ == stamp ? data_ : nullptr;
   }
-  /// Parking is not a mutation: the module's stamp is untouched.
-  void store(std::shared_ptr<const ConnectivityData> d) const {
+  /// load(), leaving the slot empty.
+  std::shared_ptr<T> take(std::uint64_t stamp) {
+    util::MutexLock lock(mu_);
+    std::shared_ptr<T> d = std::move(data_);
+    return stamp_ == stamp ? d : nullptr;
+  }
+  void park(std::shared_ptr<T> d, std::uint64_t stamp) const {
     util::MutexLock lock(mu_);
     data_.swap(d);  // the old data is released after the lock
+    stamp_ = stamp;
   }
 
  private:
   mutable util::Mutex mu_;
-  mutable std::shared_ptr<const ConnectivityData> data_ AMG_GUARDED_BY(mu_);
+  mutable std::shared_ptr<T> data_ AMG_GUARDED_BY(mu_);
+  mutable std::uint64_t stamp_ AMG_GUARDED_BY(mu_) = 0;
 };
 }  // namespace detail
 
@@ -157,24 +147,27 @@ class Module {
   /// stamp) pair never recurs across histories, even when a rolled-back
   /// VARIANT branch or a reused stack slot resurrects an old address.  The
   /// compactor-prefix cache (compact/prefix.h) keys its per-module session
-  /// validity on this, and db::Connectivity its parked extraction.
+  /// validity on this, and the parked shape index and connectivity theirs.
   /// Non-const accessors count as mutations.
   std::uint64_t stamp() const { return stamp_.v; }
 
-  /// --- compaction index --------------------------------------------------
-  /// The successive compactor (compact::compact()) parks its index over
-  /// this module here between steps.  keepIndex() stores an index the
-  /// caller vouches is exact now (buildShapeIndex() of the current store);
-  /// takeIndex() hands it back only if no mutation happened since, and
-  /// otherwise returns nullptr; either way the slot is left empty.  Neither
-  /// call counts as a mutation.
-  void keepIndex(std::unique_ptr<geom::SpatialIndex> idx) {
-    index_.idx = std::move(idx);
-    index_.stamp = stamp_.v;
-  }
-  std::unique_ptr<geom::SpatialIndex> takeIndex() {
-    if (index_.stamp != stamp_.v) index_.idx.reset();
-    return std::move(index_.idx);
+  /// --- shape index -------------------------------------------------------
+  /// One geom::SpatialIndex over the alive shapes, bucketed by layer, is
+  /// parked here with the stamp at which it is exact; every consumer of
+  /// this snapshot reads the same one.  Appenders (compact::compact(),
+  /// drc::insertSubstrateContacts, route::channelRoute) takeShapeIndex(),
+  /// insert every shape they append, and parkShapeIndex() again only while
+  /// it is exact: every alive shape once, with its current box.  Readers
+  /// (drc::check, db::Connectivity, drc::extractMos) borrow it through
+  /// shapeIndex() and must not keep it past their const call.  On a miss
+  /// a reader gets a fresh index that is not parked: a const read never
+  /// grows what the module keeps.  A build is counted by
+  /// `db.index.builds`; parking is not a mutation.
+  std::shared_ptr<const geom::SpatialIndex> shapeIndex() const;
+  /// The parked index when exact, else a fresh one; the slot is left empty.
+  std::shared_ptr<geom::SpatialIndex> takeShapeIndex();
+  void parkShapeIndex(std::shared_ptr<geom::SpatialIndex> idx) {
+    index_.park(std::move(idx), stamp_.v);
   }
 
   /// --- nets -------------------------------------------------------------
@@ -274,14 +267,10 @@ class Module {
   std::vector<ArrayRecord> arrays_;
   std::vector<PortDef> ports_;
   detail::IdentityStamp stamp_;
-  detail::IndexSlot index_;
+  detail::SnapshotSlot<geom::SpatialIndex> index_;
   // Connectivity reads and parks its extraction here (db/connectivity.h).
   friend class Connectivity;
-  detail::ConnectivitySlot connectivity_;
+  detail::SnapshotSlot<const ConnectivityData> connectivity_;
 };
-
-/// A geom::SpatialIndex over the alive shapes of `m`, bucketed by layer.
-/// The compactor, the DRC and the connectivity extractor all start from it.
-geom::SpatialIndex buildShapeIndex(const Module& m);
 
 }  // namespace amg::db

@@ -186,9 +186,9 @@ std::vector<Violation> check(const db::Module& m, const CheckOptions& options) {
       .arg("shapes", static_cast<std::uint64_t>(m.shapeCount()));
   std::vector<Violation> out;
   detail::checkWidths(m, out);
-  const geom::SpatialIndex idx = db::buildShapeIndex(m);
-  checkSpacings(m, idx, out);
-  checkEnclosures(m, idx, out);
+  const std::shared_ptr<const geom::SpatialIndex> idx = m.shapeIndex();
+  checkSpacings(m, *idx, out);
+  checkEnclosures(m, *idx, out);
   detail::checkRegions(m, options, out);
   // Violation counts by rule — the names are dynamic (one counter per
   // kind), so this goes through the registry directly, not OBS_COUNT.
@@ -251,18 +251,15 @@ int insertSubstrateContacts(db::Module& m, const std::string& netName) {
   const Coord tieSize = std::max(t.minWidth(tie), std::max(cw, ch) + 2 * tieEnc);
   const db::NetId net = m.net(netName);
 
-  // One index per insertion run, grown incrementally as contacts land —
-  // the ring search probes hundreds of positions against the whole module.
-  geom::SpatialIndex idx = db::buildShapeIndex(m);
+  // The module's index, grown as contacts land and parked again for the
+  // sign-off that follows: the ring search probes hundreds of positions
+  // against the whole module.
+  const std::shared_ptr<geom::SpatialIndex> idx = m.takeShapeIndex();
 
   int inserted = 0;
   for (int round = 0; round < 64; ++round) {
     const auto uncovered = uncoveredActive(m);
-    if (uncovered.empty()) {
-      OBS_COUNT_N("drc.substrate.inserted", inserted);
-      span.arg("inserted", inserted);
-      return inserted;
-    }
+    if (uncovered.empty()) break;
 
     const Box piece = uncovered.front();
     // Search positions on expanding rings around the uncovered piece; any
@@ -282,13 +279,13 @@ int insertSubstrateContacts(db::Module& m, const std::string& netName) {
           const Shape metShape = db::makeShape(
               tieShape.box.expanded(-(tieEnc - metEnc)), metal1, net);
           const Shape cutShape = db::makeShape(Box::centredOn(c, cw, ch), contact, net);
-          if (!placementLegal(m, tieShape, idx) || !placementLegal(m, metShape, idx) ||
-              !placementLegal(m, cutShape, idx))
+          if (!placementLegal(m, tieShape, *idx) || !placementLegal(m, metShape, *idx) ||
+              !placementLegal(m, cutShape, *idx))
             continue;
 
-          idx.insert(m.addShape(tieShape), tieShape.layer, tieShape.box);
-          idx.insert(m.addShape(metShape), metShape.layer, metShape.box);
-          idx.insert(m.addShape(cutShape), cutShape.layer, cutShape.box);
+          idx->insert(m.addShape(tieShape), tieShape.layer, tieShape.box);
+          idx->insert(m.addShape(metShape), metShape.layer, metShape.box);
+          idx->insert(m.addShape(cutShape), cutShape.layer, cutShape.box);
           ++inserted;
           placed = true;
         }
@@ -298,6 +295,7 @@ int insertSubstrateContacts(db::Module& m, const std::string& netName) {
       throw DesignRuleError(
           "insertSubstrateContacts: no legal position found near " + piece.str());
   }
+  m.parkShapeIndex(idx);  // every contact added was inserted
   OBS_COUNT_N("drc.substrate.inserted", inserted);
   span.arg("inserted", inserted);
   return inserted;

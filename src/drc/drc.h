@@ -47,8 +47,9 @@ struct CheckOptions {
 };
 
 /// Run all enabled checks; empty result = clean layout.  Pair and cover
-/// candidates come from a geom::SpatialIndex; violations are reported in
-/// shape-id order, identical to the all-pairs oracle in tests/oracle/.
+/// candidates come from the module's shape index (Module::shapeIndex);
+/// violations are reported in shape-id order, identical to the all-pairs
+/// oracle in tests/oracle/.
 std::vector<Violation> check(const db::Module& m, const CheckOptions& options = {});
 
 /// Convenience: throws DesignRuleError with a summary when check() finds
@@ -69,8 +70,10 @@ std::vector<Box> uncoveredActive(const db::Module& m);
 
 /// Insert additional substrate contacts (tie diffusion + contact + metal1
 /// on net `netName`) until the latch-up rule is fulfilled.  Returns the
-/// number of contacts inserted.  Throws DesignRuleError when no legal
-/// position can be found for a needed contact.
+/// number of contacts inserted.  Probes go through the module's shape
+/// index, which is parked again afterwards for the checks that follow.
+/// Throws DesignRuleError when no legal position can be found for a
+/// needed contact.
 int insertSubstrateContacts(db::Module& m, const std::string& netName = "gnd");
 
 }  // namespace amg::drc

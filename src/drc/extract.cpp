@@ -59,23 +59,16 @@ std::optional<ExtractedMos> detail::mosAt(const Module& m, const db::Connectivit
 std::vector<ExtractedMos> extractMos(const db::Module& m) {
   const Technology& t = m.technology();
   const db::Connectivity conn(m);
-  // Channel candidates come from an index over the diffusion shapes a
-  // gate can cross: each gate's query lists them in ascending id order,
-  // so devices come out gate id first, then diffusion id.
-  geom::SpatialIndex diffusions;
-  std::vector<ShapeId> gates;
-  for (const ShapeId id : m.shapeIds()) {
-    const Shape& s = m.shape(id);
-    const LayerKind kind = t.info(s.layer).kind;
-    if (kind == LayerKind::Poly)
-      gates.push_back(id);
-    else if (kind == LayerKind::Diffusion && s.layer != t.substrateTieLayer())
-      diffusions.insert(id, 0, s.box);
-  }
+  // Channel candidates come from the module's shape index: each gate's
+  // query lists what it touches in ascending id order and mosAt keeps the
+  // (non-tie) diffusions, so devices come out gate id first, then
+  // diffusion id.
+  const std::shared_ptr<const geom::SpatialIndex> idx = m.shapeIndex();
   std::vector<ExtractedMos> out;
   std::vector<std::uint32_t> cand;
-  for (const ShapeId gi : gates) {
-    diffusions.query(m.shape(gi).box, cand);
+  for (const ShapeId gi : m.shapeIds()) {
+    if (t.info(m.shape(gi).layer).kind != LayerKind::Poly) continue;
+    idx->query(m.shape(gi).box, cand);
     for (const std::uint32_t di : cand)
       if (auto dev = detail::mosAt(m, conn, gi, di)) out.push_back(std::move(*dev));
   }

@@ -4,9 +4,9 @@
 // conflicts with the module's existing shapes — closer than the spacing
 // rule to a foreign-net shape, or overlapping a shape on an unrelated
 // layer.  The naive answer is a scan over every shape per placed segment,
-// which turns channel routing into another O(n²) hot path; Obstacles wraps
-// the shared geom::SpatialIndex so each probe touches only the shapes
-// within the rule halo of the probed box.
+// which turns channel routing into another O(n²) hot path; Obstacles
+// takes the module's shape index (db::Module::takeShapeIndex) so each
+// probe touches only the shapes within the rule halo of the probed box.
 //
 // Determinism contract: firstConflict() returns the *lowest-id*
 // conflicting shape — index candidates come back sorted by id and the
@@ -15,6 +15,7 @@
 // tests/oracle/).
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -37,23 +38,28 @@ inline bool conflicts(const tech::Technology& t, const db::Shape& s, const db::S
 
 class Obstacles {
  public:
-  /// Snapshot the current shapes of `m` as obstacles.  The module must
-  /// outlive the Obstacles; shapes added to `m` later are only considered
-  /// after an explicit add().
-  explicit Obstacles(const db::Module& m);
+  /// Take the shape index of `m`, so the current shapes are the
+  /// obstacles.  The module must outlive the Obstacles; shapes added to
+  /// `m` later are only considered after an explicit add().
+  explicit Obstacles(db::Module& m);
 
   /// Register a shape created after the snapshot (a placed wire segment)
   /// as an obstacle for subsequent probes.  Registering an id twice is
-  /// harmless.
+  /// harmless to probes, but the index is then no longer exact.
   void add(db::ShapeId id);
 
   /// The lowest-id tracked shape in conflict with `s` (see conflicts()),
   /// or nullopt when `s` is clear.
   std::optional<db::ShapeId> firstConflict(const db::Shape& s) const;
 
+  /// Park the index on the module again, ending this tracker's use.  Only
+  /// when every shape appended since construction was add()ed once, so
+  /// the index is exact.
+  void park() { m_->parkShapeIndex(std::move(idx_)); }
+
  private:
-  const db::Module* m_;
-  geom::SpatialIndex idx_;  ///< the tracked obstacles
+  db::Module* m_;
+  std::shared_ptr<geom::SpatialIndex> idx_;  ///< the tracked obstacles
   mutable std::vector<std::uint32_t> scratch_;
 };
 

@@ -250,7 +250,9 @@ int channelRoute(Module& m, const std::vector<ChannelNet>& nets, Coord yBottom,
 
   // Obstacle probe over the pre-route geometry: each placed segment is
   // checked against foreign shapes, then registered as an obstacle itself
-  // (same-net segments are exempt from each other by design).
+  // (same-net segments are exempt from each other by design).  Every
+  // shape the route appends goes through placed(), so the index is exact
+  // at the end and is parked again.
   std::optional<Obstacles> obs;
   if (verifyClear) obs.emplace(m);
   auto placed = [&](ShapeId id) {
@@ -280,6 +282,7 @@ int channelRoute(Module& m, const std::vector<ChannelNet>& nets, Coord yBottom,
       }
     }
   }
+  if (obs) obs->park();
   span.arg("tracks", tracks);
   return tracks;
 }

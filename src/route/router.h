@@ -95,9 +95,10 @@ struct ChannelNet {
 /// a track when their spans do not conflict.  Returns the number of tracks
 /// used; throws DesignRuleError when the channel is too small for them.
 /// With `verifyClear`, every placed segment is additionally probed against
-/// the module's pre-route geometry through a route::Obstacles index and a
-/// DesignRuleError names the first foreign shape a segment conflicts with
-/// (off by default: the classic flow trusts the caller's channel bounds).
+/// the module's pre-route geometry through route::Obstacles (the module's
+/// shape index, parked again after the route) and a DesignRuleError names
+/// the first foreign shape a segment conflicts with (off by default: the
+/// classic flow trusts the caller's channel bounds).
 int channelRoute(Module& m, const std::vector<ChannelNet>& nets, Coord yBottom,
                  Coord yTop, LayerId hLayer, LayerId vLayer,
                  std::optional<Coord> width = std::nullopt, bool verifyClear = false);

@@ -7,6 +7,8 @@
 
 #include "db/connectivity.h"
 #include "db/module.h"
+#include "drc/drc.h"
+#include "drc/extract.h"
 #include "obs/obs.h"
 #include "tech/builtin.h"
 
@@ -337,24 +339,54 @@ TEST(ConnectivityMemo, HandleOutlivesItsModule) {
   EXPECT_EQ(answersOf(conn), want);
 }
 
+/// What one sign-off reader sees: connectivity, the DRC report and the
+/// extracted devices, as comparable values.
+struct SignOff {
+  Answers conn;
+  std::vector<std::string> violations, devices;
+  bool operator==(const SignOff&) const = default;
+};
+
+SignOff signOffOf(const Module& m) {
+  SignOff s{answersOf(Connectivity(m)), {}, {}};
+  for (const drc::Violation& v : drc::check(m))
+    s.violations.push_back(std::string(drc::violationName(v.kind)) + ' ' + std::to_string(v.a) +
+                           ' ' + std::to_string(v.b) + ' ' + v.where.str() + ' ' + v.message);
+  for (const drc::ExtractedMos& d : drc::extractMos(m))
+    s.devices.push_back(d.gateNet + '|' + d.sourceNet + '|' + d.drainNet + '|' + d.diffLayer +
+                        '|' + std::to_string(d.w) + '|' + std::to_string(d.l));
+  return s;
+}
+
 TEST(ConnectivityMemo, ConcurrentConstReadersShareOneModule) {
   const Module m = memoModule();
-  const Answers want = freshAnswers(m);
+  // A single-threaded run on a copy, which starts without parked data.
+  ConnectivityCounts single;
+  const SignOff want = signOffOf(Module(m));
+  const std::uint64_t perRun = single.builds() + single.reused();
+  ASSERT_FALSE(want.devices.empty());
+
   ConnectivityCounts n;
+  const std::uint64_t indexBuilds0 = obs::Stats::global().value("db.index.builds");
   std::vector<std::thread> readers;
   std::vector<int> mismatches(4, 0);
   for (std::size_t r = 0; r < mismatches.size(); ++r)
     readers.emplace_back([&m, &want, &bad = mismatches[r]] {
       for (int i = 0; i < 50; ++i)
-        if (answersOf(Connectivity(m)) != want) ++bad;
+        if (signOffOf(m) != want) ++bad;
     });
   for (std::thread& r : readers) r.join();
   EXPECT_EQ(mismatches, std::vector<int>(4, 0));
-  // Threads racing on the empty slot may each build; every other
-  // construction takes a parked result.
+  // Threads racing on the empty connectivity slot may each build; every
+  // other reader takes the parked result.
   EXPECT_GE(n.builds(), 1u);
   EXPECT_LE(n.builds(), 4u);
-  EXPECT_EQ(n.builds() + n.reused(), 200u);
+  EXPECT_EQ(n.builds() + n.reused(), 200u * perRun);
+  // The index slot stays empty: a reader that finds no parked index builds
+  // its own and does not park it, so each sign-off builds two (check,
+  // extractMos) and each connectivity extraction one.
+  EXPECT_EQ(obs::Stats::global().value("db.index.builds") - indexBuilds0,
+            2u * 200u + n.builds());
 }
 
 }  // namespace

@@ -167,6 +167,8 @@ TEST(SignOff, OneConnectivityBuildPerAmplifier) {
   const obs::Stats& st = obs::Stats::global();
   const std::uint64_t builds0 = st.value("connectivity.builds");
   const std::uint64_t reused0 = st.value("connectivity.reused");
+  const std::uint64_t indexBuilds0 = st.value("db.index.builds");
+  const std::uint64_t inserts0 = st.value("spatial.inserts");
 
   EXPECT_TRUE(check(m).empty());
   EXPECT_TRUE(uncoveredActive(m).empty());
@@ -179,6 +181,11 @@ TEST(SignOff, OneConnectivityBuildPerAmplifier) {
 
   EXPECT_EQ(st.value("connectivity.builds") - builds0, 1u);
   EXPECT_GE(st.value("connectivity.reused") - reused0, 3u);  // conn, extractMos, lvs
+  // One shape index serves the whole sign-off: the one
+  // insertSubstrateContacts parked.  What is inserted is connectivity's
+  // node-level index, about one entry per shape, not an index per checker.
+  EXPECT_EQ(st.value("db.index.builds") - indexBuilds0, 0u);
+  EXPECT_LT(st.value("spatial.inserts") - inserts0, 2 * m.shapeCount());
   obs::enableStats(wasOn);
 }
 

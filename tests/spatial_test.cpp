@@ -677,7 +677,7 @@ TEST(SpatialConsumers, KeptIndexInsertsEachShapeOnceAndRebuildsAfterEdits) {
     oracle::bruteCompact(tilesBrute, tile, Dir::South);
   }
   EXPECT_EQ(stats.value("spatial.inserts"), tiles.shapeCount());
-  EXPECT_EQ(stats.value("compact.index.rebuilds"), 1u);
+  EXPECT_EQ(stats.value("db.index.builds"), 1u);
   expectSameLayout(tiles, tilesBrute, "tiles");
 
   // Each event that leaves the parked index stale costs exactly one
@@ -686,12 +686,12 @@ TEST(SpatialConsumers, KeptIndexInsertsEachShapeOnceAndRebuildsAfterEdits) {
   int n = 0;
   auto step = [&](const Module& obj) {
     const std::string where = "step " + std::to_string(n++);
-    const std::uint64_t before = stats.value("compact.index.rebuilds");
+    const std::uint64_t before = stats.value("db.index.builds");
     const auto rk = compact::compact(mk, obj, Dir::South);
     const auto rb = oracle::bruteCompact(mb, obj, Dir::South);
     expectSameStep(rk, rb, where);
     expectSameLayout(mk, mb, where);
-    return std::pair{stats.value("compact.index.rebuilds") - before, rk};
+    return std::pair{stats.value("db.index.builds") - before, rk};
   };
   Module pair(T(), "pair");
   pair.addShape(makeShape(Box{0, 0, 1000, 3000}, T().layer("metal1"), pair.net("s")));
@@ -726,9 +726,9 @@ TEST(SpatialConsumers, KeptIndexInsertsEachShapeOnceAndRebuildsAfterEdits) {
 
   // A copy starts without an index; the unchanged source keeps its own.
   Module copy = mk;
-  const std::uint64_t before = stats.value("compact.index.rebuilds");
+  const std::uint64_t before = stats.value("db.index.builds");
   compact::compact(copy, strap("h"), Dir::South);
-  EXPECT_EQ(stats.value("compact.index.rebuilds") - before, 1u);
+  EXPECT_EQ(stats.value("db.index.builds") - before, 1u);
   y -= 20000;  // the same strap again for mk
   EXPECT_EQ(step(strap("h")).first, 0u);
   expectSameLayout(copy, mk, "copy");
