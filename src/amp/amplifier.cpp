@@ -274,17 +274,18 @@ AmplifierResult buildAmplifier(const Technology& t, const AmplifierSpec& spec) {
 
     Coord sMax = xWest, nMax = xWest;
     for (db::ShapeId id : top.shapesOn(m1)) {
-      const db::Shape& sh = top.shape(id);
+      // A copy: the appends below may reallocate the module's shapes.
+      const db::Shape sh = top.shape(id);
       // Source rails are the wide horizontal vss straps of each block.
       if (sh.net != vss || sh.box.width() <= um(15) ||
           sh.box.width() <= 3 * sh.box.height())
         continue;
       const Coord x = sh.box.x1 + um(2);
-      const bool topRow = sh.box.center().y > rowTop;
+      const Coord y = sh.box.center().y;
+      const bool topRow = y > rowTop;
       const Coord yT = topRow ? yN : ySouth;
-      route::viaStack(top, Point{x, sh.box.center().y}, m1, m2, vss);
-      route::wireStraight(top, m2, Point{x, sh.box.center().y}, Point{x, yT}, wRiser,
-                          vss);
+      route::viaStack(top, Point{x, y}, m1, m2, vss);
+      route::wireStraight(top, m2, Point{x, y}, Point{x, yT}, wRiser, vss);
       route::viaStack(top, Point{x, yT}, m2, m1, vss);
       (topRow ? nMax : sMax) = std::max(topRow ? nMax : sMax, x);
     }

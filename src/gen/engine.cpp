@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <string_view>
-#include <unordered_map>
 
 #include "analysis/analyzer.h"
 #include "gen/fingerprint.h"
@@ -41,6 +40,15 @@ std::uint64_t layoutHashOf(const std::vector<std::uint8_t>& bytes) {
 
 }  // namespace
 
+/// Everything the engine derives from a script's raw text alone; pure in
+/// (text, technology, config), so an entry never goes stale.
+struct BatchEngine::ScriptFacts {
+  std::string canonical;  ///< canonicalizeSource(text): what keyOf hashes
+  /// The pre-flight analysis; engaged iff EngineConfig::preflight.  Its
+  /// findings carry no file name: that is the job's (scriptPath).
+  std::optional<analysis::Report> report;
+};
+
 BatchEngine::BatchEngine(const tech::Technology& tech, EngineConfig cfg)
     : tech_(&tech),
       cfg_(std::move(cfg)),
@@ -49,12 +57,37 @@ BatchEngine::BatchEngine(const tech::Technology& tech, EngineConfig cfg)
       prefix_(cfg_.prefixCache
                   ? std::make_unique<compact::PrefixCache>(cfg_.prefix)
                   : nullptr),
+      scripts_(lang::kChunkCacheCapacity),
       pool_(cfg_.threads) {}
 
+std::shared_ptr<const BatchEngine::ScriptFacts> BatchEngine::factsOf(
+    const std::string& script) const {
+  if (auto facts = scripts_.find(script)) {
+    if (cfg_.preflight) OBS_COUNT("gen.preflight.cached");
+    return facts;
+  }
+  auto facts = std::make_shared<ScriptFacts>();
+  facts->canonical = canonicalizeSource(script);
+  if (cfg_.preflight) {
+    analysis::Options opt;
+    opt.tech = tech_;
+    facts->report = analysis::analyzeSource(script, "", opt);
+    OBS_COUNT("gen.preflight.analyses");
+  }
+  bool evicted = false;
+  auto held = scripts_.insert(script, std::move(facts), evicted);
+  if (evicted) OBS_COUNT("gen.preflight.evictions");
+  return held;
+}
+
 std::uint64_t BatchEngine::keyOf(const Job& job) const {
+  return keyOf(job, *factsOf(job.script));
+}
+
+std::uint64_t BatchEngine::keyOf(const Job& job, const ScriptFacts& facts) const {
   std::uint64_t h = fnv1a(kEngineVersion, kFnvBasis);
   h = fnv1a(techFp_, h);
-  h = fnv1a(canonicalizeSource(job.script), h);
+  h = fnv1a(facts.canonical, h);
   h = fnv1a(job.entity, h);
   if (job.entity.empty()) h = fnv1a(job.resultVar, h);
   // Parameter order is a call-site accident, not content: sort by name.
@@ -71,12 +104,12 @@ std::uint64_t BatchEngine::keyOf(const Job& job) const {
   return h;
 }
 
-JobResult BatchEngine::runOne(const Job& job) {
+JobResult BatchEngine::runOne(const Job& job, const ScriptFacts& facts) {
   obs::Span span("gen.job");
   span.arg("job", job.name);
   JobResult res;
   res.name = job.name;
-  res.key = keyOf(job);
+  res.key = keyOf(job, facts);
   obs::flight::mark("gen.job", job.name.c_str());
 
   try {
@@ -153,32 +186,15 @@ JobResult BatchEngine::runOne(const Job& job) {
   return res;
 }
 
-// Pre-flight: statically analyze each job before it reaches a worker.
-// Returns the diagnostic to reject with, or nullopt when the job may run.
-// Analyses are memoized on the *raw* script text (not the canonicalized
-// form the cache keys on): two scripts that differ only in comments would
-// share findings but not line numbers.
+// Pre-flight: check each job against its script's analysis before it
+// reaches a worker.  Returns the diagnostic to reject with, or nullopt
+// when the job may run.  The analysis is memoized on the *raw* script text
+// (not the canonicalized form the cache keys on): two scripts that differ
+// only in comments would share findings but not line numbers.
 std::optional<util::Diag> BatchEngine::preflightOne(
-    const Job& job,
-    std::unordered_map<std::uint64_t, std::shared_ptr<const analysis::Report>>&
-        memo) const {
-  std::uint64_t h = fnv1a(kEngineVersion, kFnvBasis);
-  h = fnv1a(techFp_, h);
-  h = fnv1a(job.script, h);
-  std::shared_ptr<const analysis::Report> rep;
-  if (const auto it = memo.find(h); it != memo.end()) {
-    rep = it->second;
-    OBS_COUNT("gen.preflight.cached");
-  } else {
-    analysis::Options opt;
-    opt.tech = tech_;
-    rep = std::make_shared<const analysis::Report>(
-        analysis::analyzeSource(job.script, "", opt));
-    memo.emplace(h, rep);
-    OBS_COUNT("gen.preflight.analyses");
-  }
-
-  if (const analysis::Finding* f = rep->firstError(cfg_.preflightWerror))
+    const Job& job, const ScriptFacts& facts) const {
+  const analysis::Report& rep = *facts.report;
+  if (const analysis::Finding* f = rep.firstError(cfg_.preflightWerror))
     return f->diag;
 
   // Compile through the shared chunk cache so the bytecode verifier
@@ -205,7 +221,7 @@ std::optional<util::Diag> BatchEngine::preflightOne(
   // The script is statically sound; now check the request against it,
   // reusing the codes the interpreter would raise for the same defect.
   if (!job.entity.empty()) {
-    const analysis::EntitySig* sig = rep->findEntity(job.entity);
+    const analysis::EntitySig* sig = rep.findEntity(job.entity);
     if (!sig)
       return diag("AMG-INTERP-002",
                   "unknown entity or function '" + job.entity + "'", 0,
@@ -237,8 +253,8 @@ std::optional<util::Diag> BatchEngine::preflightOne(
                         "=... in the job, or declare it optional as <" +
                         p.name + ">");
     }
-  } else if (std::find(rep->globals.begin(), rep->globals.end(),
-                       job.resultVar) == rep->globals.end()) {
+  } else if (std::find(rep.globals.begin(), rep.globals.end(),
+                       job.resultVar) == rep.globals.end()) {
     return diag("AMG-GEN-002",
                 "script never assigns the result variable '" + job.resultVar +
                     "'",
@@ -300,16 +316,19 @@ BatchReport BatchEngine::run(const std::vector<Job>& jobs) {
   BatchReport report;
   report.jobs.resize(jobs.size());
 
+  // Each job's script facts, looked up once on this thread: workers never
+  // wait on the memo, and a job keys on the facts its pre-flight read even
+  // if the memo evicts them meanwhile.
+  std::vector<std::shared_ptr<const ScriptFacts>> facts(jobs.size());
   if (cfg_.preflight) {
     obs::Span pf("gen.preflight");
-    std::unordered_map<std::uint64_t, std::shared_ptr<const analysis::Report>>
-        memo;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      std::optional<util::Diag> reject = preflightOne(jobs[i], memo);
+      facts[i] = factsOf(jobs[i].script);
+      std::optional<util::Diag> reject = preflightOne(jobs[i], *facts[i]);
       if (!reject) continue;
       JobResult& res = report.jobs[i];
       res.name = jobs[i].name;
-      res.key = keyOf(jobs[i]);
+      res.key = keyOf(jobs[i], *facts[i]);
       res.rejected = true;
       if (reject->loc.file.empty())
         reject->loc.file =
@@ -328,7 +347,10 @@ BatchReport BatchEngine::run(const std::vector<Job>& jobs) {
   // at their original indices.
   for (const std::size_t i : scheduleOrder(jobs)) {
     if (report.jobs[i].rejected) continue;
-    pool_.run([this, &jobs, &report, i] { report.jobs[i] = runOne(jobs[i]); });
+    if (!facts[i]) facts[i] = factsOf(jobs[i].script);
+    pool_.run([this, &jobs, &report, &facts, i] {
+      report.jobs[i] = runOne(jobs[i], *facts[i]);
+    });
   }
   pool_.wait();
 

@@ -14,18 +14,14 @@
 #include <atomic>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 
 #include "compact/prefix.h"
 #include "gen/cache.h"
 #include "gen/job.h"
 #include "lang/interp.h"
 #include "tech/tech.h"
+#include "util/text_memo.h"
 #include "util/thread_pool.h"
-
-namespace amg::analysis {
-struct Report;
-}
 
 namespace amg::gen {
 
@@ -37,7 +33,8 @@ struct EngineConfig {
   /// and reject jobs that would fail at runtime — an undefined entity, a
   /// wrong-arity call, a layer the deck does not know.  Rejected jobs
   /// carry the first finding as their diagnostic and never occupy a
-  /// worker.  Analyses are memoized per distinct script text.
+  /// worker.  Each distinct script text is analyzed once per engine
+  /// (BatchEngine's script memo), not once per run().
   bool preflight = true;
   /// Treat pre-flight warnings as rejections too (lint --Werror).
   bool preflightWerror = false;
@@ -58,7 +55,7 @@ class BatchEngine {
   BatchReport run(const std::vector<Job>& jobs);
 
   /// Content-address of one job under this engine's technology — what the
-  /// cache is keyed by.  Exposed for tests and cache tooling.
+  /// cache is keyed by.  Exposed for tests and cache tooling.  Thread-safe.
   std::uint64_t keyOf(const Job& job) const;
 
   LayoutCache& cache() { return *cache_; }
@@ -70,22 +67,28 @@ class BatchEngine {
   const EngineConfig& config() const { return cfg_; }
 
  private:
-  JobResult runOne(const Job& job);
+  /// What the engine derives from a script's text alone (engine.cpp).
+  struct ScriptFacts;
+  /// The memoized facts of `script`, derived on first sight.
+  std::shared_ptr<const ScriptFacts> factsOf(const std::string& script) const;
+  std::uint64_t keyOf(const Job& job, const ScriptFacts& facts) const;
+  JobResult runOne(const Job& job, const ScriptFacts& facts);
   /// Deterministic prefix-aware submission order: jobs grouped by script
   /// and entity, then ordered by parameter tuples, so sweep siblings run
   /// adjacently and a worker arrives at each job right after its longest
   /// shared prefix was recorded.  Identity order when the tier is off.
   std::vector<std::size_t> scheduleOrder(const std::vector<Job>& jobs) const;
-  std::optional<util::Diag> preflightOne(
-      const Job& job,
-      std::unordered_map<std::uint64_t,
-                         std::shared_ptr<const analysis::Report>>& memo) const;
+  std::optional<util::Diag> preflightOne(const Job& job,
+                                         const ScriptFacts& facts) const;
 
   const tech::Technology* tech_;
   EngineConfig cfg_;
   std::uint64_t techFp_;
   std::unique_ptr<LayoutCache> cache_;
   std::unique_ptr<compact::PrefixCache> prefix_;
+  /// Script facts for the engine's lifetime, keyed on the full raw text;
+  /// as many scripts as the chunk cache holds (lang::kChunkCacheCapacity).
+  mutable util::TextMemo<ScriptFacts> scripts_;
   util::ThreadPool pool_;
   /// First job failure of a run dumps the flight recorder (obs/flight.h)
   /// exactly once; reset at the start of every run().

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstring>
 #include <iomanip>
-#include <list>
 #include <sstream>
 #include <string_view>
 #include <unordered_map>
@@ -13,7 +12,7 @@
 #include "lang/builtins.h"
 #include "lang/token.h"
 #include "obs/obs.h"
-#include "util/thread_annotations.h"
+#include "util/text_memo.h"
 
 namespace amg::lang {
 
@@ -445,25 +444,10 @@ std::shared_ptr<CompiledProgram> compile(const Program& prog) {
 
 namespace {
 
-/// Keyed on the full source text, so a hit is the same program by
-/// construction — no digest, hence no collision that could hand one
-/// script another script's chunk.  At most kChunkCacheCapacity programs,
-/// least recently used out first; an evicted program lives on for whoever
-/// still holds it.
-struct ChunkCache {
-  using Entry = std::pair<std::string, std::shared_ptr<const CompiledProgram>>;
-  util::Mutex mu;
-  std::list<Entry> lru AMG_GUARDED_BY(mu);  // most recently used first
-  // Keys view the source text held by the list node.
-  std::unordered_map<std::string_view, std::list<Entry>::iterator> map
-      AMG_GUARDED_BY(mu);
-  std::size_t hits AMG_GUARDED_BY(mu) = 0;
-  std::size_t misses AMG_GUARDED_BY(mu) = 0;
-  std::size_t evictions AMG_GUARDED_BY(mu) = 0;
-};
-
-ChunkCache& chunkCache() {
-  static ChunkCache c;
+/// At most kChunkCacheCapacity programs (util/text_memo.h has the keying
+/// and eviction rules).
+util::TextMemo<CompiledProgram>& chunkCache() {
+  static util::TextMemo<CompiledProgram> c(kChunkCacheCapacity);
   return c;
 }
 
@@ -485,16 +469,9 @@ void verifyOrThrow(const CompiledProgram& prog) {
 std::shared_ptr<const CompiledProgram> compileCached(const std::string& source) {
   // Keyed on the *raw* text: diagnostics and the line table depend on
   // comments/whitespace, so canonicalized sharing would corrupt locations.
-  ChunkCache& cc = chunkCache();
-  {
-    util::MutexLock lock(cc.mu);
-    const auto it = cc.map.find(source);
-    if (it != cc.map.end()) {
-      ++cc.hits;
-      OBS_COUNT("vm.chunk_cache.hits");
-      cc.lru.splice(cc.lru.begin(), cc.lru, it->second);
-      return it->second->second;
-    }
+  if (auto prog = chunkCache().find(source)) {
+    OBS_COUNT("vm.chunk_cache.hits");
+    return prog;
   }
   OBS_COUNT("vm.chunk_cache.misses");
   std::shared_ptr<CompiledProgram> prog;
@@ -511,35 +488,18 @@ std::shared_ptr<const CompiledProgram> compileCached(const std::string& source) 
   verifyOrThrow(*prog);
   prog->top.verified = true;
   for (auto& ce : prog->entities) ce->chunk.verified = true;
-  util::MutexLock lock(cc.mu);
-  ++cc.misses;
-  // Two threads may race to compile the same text; the first published
-  // program wins and both callers get an equivalent one.
-  if (const auto it = cc.map.find(source); it != cc.map.end()) return it->second->second;
-  cc.lru.emplace_front(source, std::move(prog));
-  cc.map.emplace(cc.lru.front().first, cc.lru.begin());
-  if (cc.lru.size() > kChunkCacheCapacity) {
-    cc.map.erase(cc.lru.back().first);
-    cc.lru.pop_back();
-    ++cc.evictions;
-    OBS_COUNT("vm.chunk_cache.evictions");
-  }
-  return cc.lru.front().second;
+  bool evicted = false;
+  auto held = chunkCache().insert(source, std::move(prog), evicted);
+  if (evicted) OBS_COUNT("vm.chunk_cache.evictions");
+  return held;
 }
 
 ChunkCacheStats chunkCacheStats() {
-  ChunkCache& cc = chunkCache();
-  util::MutexLock lock(cc.mu);
-  return {cc.hits, cc.misses, cc.evictions, cc.map.size()};
+  const auto s = chunkCache().stats();
+  return {s.hits, s.misses, s.evictions, s.entries};
 }
 
-void clearChunkCache() {
-  ChunkCache& cc = chunkCache();
-  util::MutexLock lock(cc.mu);
-  cc.map.clear();
-  cc.lru.clear();
-  cc.hits = cc.misses = cc.evictions = 0;
-}
+void clearChunkCache() { chunkCache().clear(); }
 
 // --------------------------------------------------------------------------
 // Disassembler

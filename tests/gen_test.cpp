@@ -1,13 +1,16 @@
 // Batch generation engine: content-addressed cache determinism, the
-// fingerprint invalidation rules, and structured per-job diagnostics.
+// fingerprint invalidation rules, structured per-job diagnostics and the
+// per-engine script memo behind pre-flight and keyOf.
 // The Fingerprint, BatchCache and BatchDiagnostics engines run with the
 // compactor-prefix tier on and off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #ifndef AMG_REPO_DIR
@@ -18,7 +21,9 @@
 #include "gen/fingerprint.h"
 #include "gen/manifest.h"
 #include "io/layout.h"
+#include "lang/compiler.h"
 #include "lang/interp.h"
+#include "obs/obs.h"
 #include "prefix_tier.h"
 #include "tech/builtin.h"
 #include "tech/techfile.h"
@@ -100,6 +105,34 @@ TEST(Fingerprint, KeyChangesOnTechRuleEdit) {
     gen::BatchEngine e1(base, cfg), e2(edited, cfg);
     EXPECT_NE(e1.keyOf(rowJob("a", "4")), e2.keyOf(rowJob("a", "4")));
   });
+}
+
+TEST(Fingerprint, KeysArePinned) {
+  // Cache keys name disk-tier files, travel on the wire and sit in
+  // recorded traces, so they must not drift.  A deliberate change to what
+  // a key hashes bumps util::kEngineVersion and re-records these values.
+  gen::BatchEngine engine(tech::bicmos1u());
+  gen::Job row = rowJob("a", "4");
+  gen::Job spelled = rowJob("a", "04.0");
+  std::reverse(spelled.params.begin(), spelled.params.end());
+  gen::Job commented = row;
+  commented.script = "// a new comment\n" + commented.script + "  // trailing\n";
+  gen::Job wide = rowJob("a", "6");
+  wide.params.emplace_back("L", "2");
+  gen::Job metal = rowJob("a", "4");
+  metal.params[0].second = "metal1";
+  gen::Job script;
+  script.script = "result = ContactRow(layer = \"poly\", W = 4)\n" +
+                  std::string(kLib);
+  script.resultVar = "result";
+
+  constexpr std::uint64_t kRow = 0xe49b1c4233391a51ull;
+  EXPECT_EQ(engine.keyOf(row), kRow);
+  EXPECT_EQ(engine.keyOf(spelled), kRow);
+  EXPECT_EQ(engine.keyOf(commented), kRow);
+  EXPECT_EQ(engine.keyOf(wide), 0x409076a7b57cd010ull);
+  EXPECT_EQ(engine.keyOf(metal), 0x61f89d095fdade6bull);
+  EXPECT_EQ(engine.keyOf(script), 0x25a07bdecec56cc6ull);
 }
 
 // --- cache determinism ----------------------------------------------------
@@ -350,20 +383,146 @@ TEST(Preflight, WerrorPolicyRejectsWarningJobs) {
   warn.script =
       "result = E(4)\nENT E(W, <spare>)\n  INBOX(\"poly\", W, W)\n";
   warn.entity = "";
+  // Each engine runs the job twice: the second run reads the memoized
+  // analysis and must decide exactly as the first.
   {
     gen::BatchEngine engine(tech::bicmos1u());
-    const gen::BatchReport r = engine.run({warn});
-    EXPECT_EQ(r.rejected, 0u);
-    EXPECT_EQ(r.succeeded, 1u);
+    for (int pass = 0; pass < 2; ++pass) {
+      const gen::BatchReport r = engine.run({warn});
+      EXPECT_EQ(r.rejected, 0u);
+      EXPECT_EQ(r.succeeded, 1u);
+    }
   }
   {
     gen::EngineConfig cfg;
     cfg.preflightWerror = true;
     gen::BatchEngine engine(tech::bicmos1u(), cfg);
-    const gen::BatchReport r = engine.run({warn});
-    ASSERT_EQ(r.rejected, 1u);
-    EXPECT_EQ(r.jobs[0].diag->code, "AMG-L005");
+    const gen::BatchReport first = engine.run({warn});
+    ASSERT_EQ(first.rejected, 1u);
+    EXPECT_EQ(first.jobs[0].diag->code, "AMG-L005");
+    const gen::BatchReport again = engine.run({warn});
+    ASSERT_EQ(again.rejected, 1u);
+    EXPECT_EQ(again.jobs[0].diag->str(), first.jobs[0].diag->str());
+    EXPECT_EQ(again.jobs[0].diag->hint, first.jobs[0].diag->hint);
   }
+}
+
+/// Deltas of the pre-flight memo's counters from construction on, with
+/// statistics switched on for its lifetime.
+class PreflightCounts {
+ public:
+  PreflightCounts() : wasOn_(obs::statsEnabled()) {
+    obs::enableStats(true);
+    analyses0_ = value("gen.preflight.analyses");
+    evictions0_ = value("gen.preflight.evictions");
+  }
+  ~PreflightCounts() { obs::enableStats(wasOn_); }
+  PreflightCounts(const PreflightCounts&) = delete;
+  PreflightCounts& operator=(const PreflightCounts&) = delete;
+  std::uint64_t analyses() const {
+    return value("gen.preflight.analyses") - analyses0_;
+  }
+  std::uint64_t evictions() const {
+    return value("gen.preflight.evictions") - evictions0_;
+  }
+
+ private:
+  static std::uint64_t value(const char* name) {
+    return obs::Stats::global().value(name);
+  }
+  bool wasOn_;
+  std::uint64_t analyses0_, evictions0_;
+};
+
+TEST(PreflightMemo, OneAnalysisPerScriptPerEngine) {
+  PreflightCounts counts;
+  gen::BatchEngine engine(tech::bicmos1u());
+  const gen::BatchReport a = engine.run({rowJob("a", "4")});
+  const gen::BatchReport b = engine.run({rowJob("b", "6"), rowJob("c", "8")});
+  EXPECT_EQ(a.succeeded + b.succeeded, 3u);
+  EXPECT_EQ(counts.analyses(), 1u);
+
+  // One comment byte differs: the same cache key, but a new analysis,
+  // because findings carry line numbers of the raw text.
+  gen::Job edited = rowJob("d", "4");
+  const std::size_t at = edited.script.find("Fig. 2");
+  ASSERT_NE(at, std::string::npos);
+  edited.script[at + 5] = '3';
+  EXPECT_EQ(engine.keyOf(edited), engine.keyOf(rowJob("d", "4")));
+  EXPECT_EQ(engine.run({edited}).succeeded, 1u);
+  EXPECT_EQ(counts.analyses(), 2u);
+  EXPECT_EQ(counts.evictions(), 0u);
+}
+
+TEST(PreflightMemo, RejectionsNameEachJobsOwnFile) {
+  PreflightCounts counts;
+  gen::BatchEngine engine(tech::bicmos1u());
+  gen::Job a = rowJob("a", "4");
+  a.script = "ENT ContactRow(layer, <W>, <L>)\n  INBOX(\"polly\", W, L)\n";
+  a.scriptPath = "a.amg";
+  gen::Job b = a;
+  b.name = "b";
+  b.scriptPath = "b.amg";
+  gen::Job anon = a;
+  anon.name = "anon";
+  anon.scriptPath.clear();
+  for (int pass = 0; pass < 2; ++pass) {
+    const gen::BatchReport r = engine.run({a, b, anon});
+    ASSERT_EQ(r.rejected, 3u);
+    for (const gen::JobResult& res : r.jobs) {
+      EXPECT_EQ(res.diag->code, "AMG-L020");
+      EXPECT_EQ(res.diag->loc.line, 2);
+    }
+    EXPECT_EQ(r.jobs[0].diag->loc.file, "a.amg");
+    EXPECT_EQ(r.jobs[1].diag->loc.file, "b.amg");
+    EXPECT_EQ(r.jobs[2].diag->loc.file, "<script>");
+  }
+  EXPECT_EQ(counts.analyses(), 1u);
+}
+
+TEST(PreflightMemo, LeastRecentlyUsedScriptIsEvicted) {
+  PreflightCounts counts;
+  gen::BatchEngine engine(tech::bicmos1u());
+  const auto variant = [](std::size_t i) {
+    gen::Job j = rowJob("v" + std::to_string(i), "4");
+    j.script += "// variant " + std::to_string(i) + "\n";
+    return j;
+  };
+  ASSERT_EQ(engine.run({variant(0)}).succeeded, 1u);
+  // keyOf goes through the same memo without generating anything.
+  for (std::size_t i = 1; i <= lang::kChunkCacheCapacity; ++i)
+    engine.keyOf(variant(i));
+  EXPECT_EQ(counts.analyses(), lang::kChunkCacheCapacity + 1);
+  EXPECT_EQ(counts.evictions(), 1u);
+
+  engine.keyOf(variant(lang::kChunkCacheCapacity));  // still held
+  EXPECT_EQ(counts.analyses(), lang::kChunkCacheCapacity + 1);
+  ASSERT_EQ(engine.run({variant(0)}).succeeded, 1u);  // evicted: again
+  EXPECT_EQ(counts.analyses(), lang::kChunkCacheCapacity + 2);
+}
+
+TEST(PreflightMemo, ConcurrentKeyLookupsAgree) {
+  gen::BatchEngine engine(tech::bicmos1u());
+  std::vector<gen::Job> jobs;
+  for (int i = 0; i < 8; ++i) {
+    jobs.push_back(rowJob("j" + std::to_string(i), std::to_string(2 + i)));
+    jobs.back().script += "// " + std::to_string(i % 3) + "\n";
+  }
+  std::vector<std::uint64_t> want;
+  {
+    gen::BatchEngine reference(tech::bicmos1u());
+    for (const gen::Job& j : jobs) want.push_back(reference.keyOf(j));
+  }
+  std::vector<std::thread> threads;
+  std::atomic<int> mismatches{0};
+  for (int t = 0; t < 4; ++t)
+    threads.emplace_back([&] {
+      for (int round = 0; round < 25; ++round)
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+          if (engine.keyOf(jobs[i]) != want[i]) ++mismatches;
+    });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // --- manifests ------------------------------------------------------------

@@ -1,8 +1,9 @@
 // amg_serve integration tests, run in-process against serve::Server (the
 // library the daemon CLI wraps): protocol round-trips, concurrent
-// clients, warm-cache hits across requests, admission control, AMGT
-// recording of served traffic, the defaults for empty job fields, STATS
-// during a running batch, and graceful drain semantics.
+// clients, warm-cache hits across requests, one script analysis per
+// daemon, admission control, AMGT recording of served traffic, the
+// defaults for empty job fields, STATS during a running batch, and
+// graceful drain semantics.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -24,6 +25,7 @@
 #include "gen/engine.h"
 #include "gen/replay.h"
 #include "io/layout.h"
+#include "obs/obs.h"
 #include "obs/recorder.h"
 #include "tech/builtin.h"
 #include "util/version.h"
@@ -125,6 +127,51 @@ TEST(ServeTest, WarmCacheAcrossRequestsAndClients) {
     EXPECT_EQ(warm.results[i].layoutHash, cold.results[i].layoutHash);
   }
   server.drain();
+}
+
+TEST(ServeTest, OneScriptIsAnalyzedOncePerDaemon) {
+  // An edit loop sends one job per request, so each request is its own
+  // engine run; the script's static analysis must outlive the run.
+  const bool statsWereOn = obs::statsEnabled();
+  obs::enableStats(true);
+  const auto analyses = [] {
+    return obs::Stats::global().value("gen.preflight.analyses");
+  };
+  const std::uint64_t before = analyses();
+
+  const std::string sock = sockPath("memo");
+  serve::Server server(baseConfig(sock));
+  server.start();
+  std::vector<serve::WireJob> sent;
+  std::vector<serve::GenerateResponse> got;
+  {
+    serve::Client client(sock);
+    for (int i = 0; i < 20; ++i) {
+      // Ten distinct widths, each asked twice: misses and warm hits.
+      serve::GenerateRequest req;
+      req.jobs.push_back(crowJob("crow_" + std::to_string(i), 1 + i % 10));
+      sent.push_back(req.jobs.back());
+      got.push_back(client.generate(req));
+    }
+  }
+  server.drain();
+  EXPECT_EQ(analyses() - before, 1u);
+  obs::enableStats(statsWereOn);
+
+  gen::EngineConfig cold;
+  cold.useCache = false;
+  const gen::BatchReport local = gen::BatchEngine(tech::bicmos1u(), cold).run(sent);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(got[i].errorCode.empty()) << got[i].errorMessage;
+    ASSERT_EQ(got[i].results.size(), 1u);
+    const serve::WireResult& r = got[i].results[0];
+    ASSERT_TRUE(local.jobs[i].ok) << local.jobs[i].error();
+    EXPECT_TRUE(r.ok) << r.diagMessage;
+    EXPECT_EQ(r.cacheHit, i >= 10) << i;
+    EXPECT_EQ(r.key, local.jobs[i].key);
+    EXPECT_EQ(r.layoutHash, local.jobs[i].layoutHash);
+    EXPECT_EQ(r.layout, io::serializeLayout(*local.jobs[i].layout));
+  }
 }
 
 TEST(ServeTest, ConcurrentClientsMultiplex) {
